@@ -15,7 +15,7 @@ from .syntax import (
     App, Axiom, Bool, BoolCases, Empty, EmptyCases, Expr, FalseE, Id, IdCases,
     Inl, Inr, Lam, Nat, NatRec, Pair, Pi, PropSort, Refl, Sigma, SigmaCases,
     Star, Succ, Sum, SumCases, Sup, TrueE, TypeSort, Unit, Var, W, WRec,
-    Zero, arrow, instantiate, map_subexprs, shift,
+    Zero, _SHAPE, arrow, instantiate, map_subexprs, replace_field, shift,
 )
 
 DTT_AXIOMS = ("funext", "propext", "choice", "K")
@@ -138,15 +138,13 @@ def whnf(cfg: KernelConfig, e: Expr, fuel: _Fuel | None = None) -> Expr:
     """Weak head normal form under beta and iota."""
     if fuel is None:
         fuel = _Fuel(DEFAULT_FUEL)
-    from .syntax import replace_field
-
     while True:
         fuel.burn()
         head_field = _HEAD_FIELD.get(type(e))
         if head_field is not None:
             sub = getattr(e, head_field)
             sub_w = whnf(cfg, sub, fuel)
-            if sub_w != sub:
+            if sub_w is not sub:
                 e = replace_field(e, head_field, sub_w)
         stepped = _step(cfg, e)
         if stepped is None:
@@ -195,16 +193,10 @@ def _conv(cfg: KernelConfig, s: Expr, t: Expr, fuel: _Fuel) -> bool:
         return False
     if isinstance(s, Sigma) and s.in_prop != t.in_prop:
         return False
-    shape = _shape_fields(s)
+    shape = _SHAPE.get(type(s))
     if shape is None:
         return s == t
     return all(_conv(cfg, getattr(s, f), getattr(t, f), fuel) for f, _ in shape)
-
-
-def _shape_fields(e: Expr):
-    from .syntax import _SHAPE
-
-    return _SHAPE.get(type(e))
 
 
 # ---------------------------------------------------------------------------

@@ -280,12 +280,22 @@ def _rebuild(e: Expr, new_fields: dict) -> Expr:
 
 
 def map_subexprs(e: Expr, f) -> Expr:
-    """Rebuild e with f(child, binder_depth_increment) over each subexpression."""
-    cls = type(e)
-    shape = _SHAPE.get(cls)
+    """Rebuild e with f(child, binder_depth_increment) over each subexpression.
+
+    When f returns every child itself (`is`), e itself is returned, so
+    callers such as shift and subst allocate nothing for subterms they leave
+    unchanged.
+    """
+    shape = _SHAPE.get(type(e))
     if shape is None:
         return e
-    return _rebuild(e, {name: f(getattr(e, name), depth) for name, depth in shape})
+    changed = {}
+    for name, depth in shape:
+        sub = getattr(e, name)
+        new = f(sub, depth)
+        if new is not sub:
+            changed[name] = new
+    return _rebuild(e, changed) if changed else e
 
 
 def replace_field(e: Expr, name: str, value: Expr) -> Expr:
@@ -301,14 +311,20 @@ def shift(e: Expr, d: int, cutoff: int = 0) -> Expr:
 
 
 def subst(e: Expr, j: int, value: Expr) -> Expr:
-    """Substitute Var(j) by value, lowering the indices above j."""
+    """Substitute Var(j) by value, lowering the indices above j.
+
+    Subterms the substitution leaves unchanged are returned as the same
+    object, and so is e when Var(j) and the indices above it do not occur.
+    """
     match e:
         case Var(index=k):
             if k == j:
                 return value
             return Var(k - 1) if k > j else e
         case _:
-            return map_subexprs(e, lambda sub, extra: subst(sub, j + extra, shift(value, extra)))
+            return map_subexprs(
+                e, lambda sub, extra: subst(sub, j + extra, shift(value, extra) if extra else value)
+            )
 
 
 def instantiate(binder_body: Expr, value: Expr) -> Expr:

@@ -8,6 +8,14 @@ Types are Prop, Ind, the binary `fun` operator, type variables, and user
 operators added by type definition. Terms use de Bruijn binders with named
 free variables, so alpha-equivalence is structural equality and hypothesis
 sets deduplicate up to alpha.
+
+The rules rely on one invariant: every minted conclusion is a well-typed
+Prop term. Whatever new term or type a rule, an instantiation, a definition
+or an axiom brings in is checked against the state (check_term,
+check_type); the rest only recombines parts of existing conclusions. So in
+a conclusion `(=) l r` the `=` constant's instance type `ty -> ty -> Prop`
+names the type of both sides, and TRANS, MK_COMB, ABS and EQ_MP read `ty`
+from it instead of inferring the types of `l` and `r` again.
 """
 
 from __future__ import annotations
@@ -285,6 +293,19 @@ def dest_eq(t: HolTerm):
     return None
 
 
+def _dest_eq_typed(t: HolTerm):
+    """(side type, lhs, rhs) of an equation, or None.
+
+    The side type is read from the instance type of the `=` constant; it is
+    the type of both sides only when t is well-typed, as every theorem's
+    conclusion is.
+    """
+    match t:
+        case App(fn=App(fn=Const(name=n, type=TyApp(op="fun", args=(ty, _))), arg=l), arg=r) if n == EQ:
+            return ty, l, r
+    return None
+
+
 def mk_comb(f: HolTerm, a: HolTerm) -> App:
     return App(f, a)
 
@@ -450,8 +471,8 @@ def _check_prop(state: KernelState, t: HolTerm, what: str) -> None:
 
 
 def REFL(state: KernelState, t: HolTerm) -> HolTheorem:
-    check_term(state, t)
-    return _thm(frozenset(), mk_eq(t, t))
+    ty = check_term(state, t)
+    return _thm(frozenset(), mk_eq_at(ty, t, t))
 
 
 def ASSUME(state: KernelState, p: HolTerm) -> HolTheorem:
@@ -460,53 +481,54 @@ def ASSUME(state: KernelState, p: HolTerm) -> HolTheorem:
 
 
 def TRANS(state: KernelState, th1: HolTheorem, th2: HolTheorem) -> HolTheorem:
-    e1 = dest_eq(th1.conclusion)
-    e2 = dest_eq(th2.conclusion)
+    e1 = _dest_eq_typed(th1.conclusion)
+    e2 = _dest_eq_typed(th2.conclusion)
     if e1 is None or e2 is None:
         raise KernelError("TRANS needs two equations")
-    if e1[1] != e2[0]:
+    ty, s, t = e1
+    if t != e2[1]:
         raise KernelError("TRANS: middle terms differ")
-    return _thm(th1.hypotheses | th2.hypotheses, mk_eq(e1[0], e2[1]))
+    return _thm(th1.hypotheses | th2.hypotheses, mk_eq_at(ty, s, e2[2]))
 
 
 def MK_COMB(state: KernelState, th_fn: HolTheorem, th_arg: HolTheorem) -> HolTheorem:
-    ef = dest_eq(th_fn.conclusion)
-    ea = dest_eq(th_arg.conclusion)
+    ef = _dest_eq_typed(th_fn.conclusion)
+    ea = _dest_eq_typed(th_arg.conclusion)
     if ef is None or ea is None:
         raise KernelError("MK_COMB needs two equations")
-    s, t = ef
-    u, v = ea
-    tf = type_of(s)
-    if not (isinstance(tf, TyApp) and tf.op == "fun" and tf.args[0] == type_of(u)):
+    tf, s, t = ef
+    ta, u, v = ea
+    if not (isinstance(tf, TyApp) and tf.op == "fun" and tf.args[0] == ta):
         raise KernelError("MK_COMB: function and argument types do not fit")
-    return _thm(th_fn.hypotheses | th_arg.hypotheses, mk_eq(App(s, u), App(t, v)))
+    return _thm(th_fn.hypotheses | th_arg.hypotheses, mk_eq_at(tf.args[1], App(s, u), App(t, v)))
 
 
 def ABS(state: KernelState, x: FVar, th: HolTheorem) -> HolTheorem:
-    e = dest_eq(th.conclusion)
+    e = _dest_eq_typed(th.conclusion)
     if e is None:
         raise KernelError("ABS needs an equation")
+    check_type(state, x.type)
     for h in th.hypotheses:
         if x in free_vars(h):
             raise KernelError(f"ABS: {x.name} is free in a hypothesis")
-    s, t = e
-    return _thm(th.hypotheses, mk_eq(abs_over(x, s), abs_over(x, t)))
+    ty, s, t = e
+    return _thm(th.hypotheses, mk_eq_at(fn(x.type, ty), abs_over(x, s), abs_over(x, t)))
 
 
 def BETA(state: KernelState, t: HolTerm) -> HolTheorem:
     """⊢ (λx. b) x = b; general instances come from inst_term."""
-    check_term(state, t)
+    ty = check_term(state, t)
     match t:
         case App(fn=Abs(dom=d, body=b), arg=FVar() as x) if x.type == d:
-            return _thm(frozenset(), mk_eq(t, open_term(b, x)))
+            return _thm(frozenset(), mk_eq_at(ty, t, open_term(b, x)))
     raise KernelError("BETA expects a redex whose argument is a variable of the bound type")
 
 
 def ETA(state: KernelState, t: HolTerm) -> HolTheorem:
-    check_term(state, t)
+    ty = check_term(state, t)
     match t:
         case Abs(dom=d, body=App(fn=f, arg=BVar(index=0))) if not _uses_bvar(f, 0):
-            return _thm(frozenset(), mk_eq(t, _unshift(f)))
+            return _thm(frozenset(), mk_eq_at(ty, t, _unshift(f)))
     raise KernelError("ETA expects an abstraction of shape (fun x => f x) with x not free in f")
 
 
@@ -537,11 +559,11 @@ def _unshift(t: HolTerm, depth: int = 0) -> HolTerm:
 
 
 def EQ_MP(state: KernelState, th_eq: HolTheorem, th: HolTheorem) -> HolTheorem:
-    e = dest_eq(th_eq.conclusion)
+    e = _dest_eq_typed(th_eq.conclusion)
     if e is None:
         raise KernelError("EQ_MP needs an equation as its first argument")
-    p, q = e
-    if type_of(p) != PROP:
+    ty, p, q = e
+    if ty != PROP:
         raise KernelError("EQ_MP needs a Prop equation")
     if p != th.conclusion:
         raise KernelError("EQ_MP: the equation's left side does not match the theorem")
@@ -552,7 +574,7 @@ def DEDUCT_ANTISYM(state: KernelState, th1: HolTheorem, th2: HolTheorem) -> HolT
     """From Γ ⊢ P and Δ ⊢ Q conclude (Γ−{Q}) ∪ (Δ−{P}) ⊢ P = Q."""
     p, q = th1.conclusion, th2.conclusion
     hyps = (th1.hypotheses - {q}) | (th2.hypotheses - {p})
-    return _thm(hyps, mk_eq(p, q))
+    return _thm(hyps, mk_eq_at(PROP, p, q))
 
 
 RULES = {
@@ -592,9 +614,10 @@ def inst_term(state: KernelState, th: HolTheorem, mapping: Mapping[FVar, HolTerm
     for x, t in mapping.items():
         if not isinstance(x, FVar):
             raise KernelError("inst_term substitutes for free variables only")
-        if check_term(state, t) != x.type:
+        ty = check_term(state, t)
+        if ty != x.type:
             raise KernelError(
-                f"replacement for {x.name} has type {pretty_type(type_of(t))}, "
+                f"replacement for {x.name} has type {pretty_type(ty)}, "
                 f"expected {pretty_type(x.type)}"
             )
     return _thm(

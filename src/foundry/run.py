@@ -17,6 +17,7 @@ from .dtt.printer import pretty as pretty_dtt
 from .errors import FoundryError, ScriptError
 from .hol import kernel as hk
 from .hol import derived as hd
+from .span import Span
 from .surface import script as sc
 from .surface.lexer import Cursor
 from .surface.parsers import (
@@ -115,6 +116,14 @@ class RunReport:
         return "\n".join(lines)
 
 
+def _depth_exceeded(span) -> FoundryError:
+    """The tagged error for input nested deeper than the recursion limit."""
+    return FoundryError(
+        "input nested too deeply: the recursion limit was exceeded",
+        tag="depth-exceeded", span=span,
+    )
+
+
 class _Runner:
     calculus = "?"
 
@@ -149,17 +158,20 @@ class _Runner:
         return self.report
 
     def execute(self, cmd) -> str:
-        if isinstance(cmd, sc.ExpectError):
-            try:
-                self.execute(cmd.command)
-            except FoundryError as e:
-                if e.tag == cmd.tag:
-                    return f"expected error: {e.tag}"
-                raise ScriptError(
-                    f"expected error tag {cmd.tag}, got {e.tag}: {e.message}"
-                ) from e
-            raise ScriptError(f"expected an error tagged {cmd.tag}, but the command succeeded")
-        return self.dispatch(cmd)
+        try:
+            if isinstance(cmd, sc.ExpectError):
+                try:
+                    self.execute(cmd.command)
+                except FoundryError as e:
+                    if e.tag == cmd.tag:
+                        return f"expected error: {e.tag}"
+                    raise ScriptError(
+                        f"expected error tag {cmd.tag}, got {e.tag}: {e.message}"
+                    ) from e
+                raise ScriptError(f"expected an error tagged {cmd.tag}, but the command succeeded")
+            return self.dispatch(cmd)
+        except RecursionError:
+            raise _depth_exceeded(cmd.span) from None
 
     def dispatch(self, cmd) -> str:
         raise ScriptError(f"command {type(cmd).__name__} is not supported in {self.calculus}")
@@ -651,7 +663,10 @@ def run_script_text(calculus: str, text: str, options: Options | None = None, fi
     options = options or Options()
     runner = RUNNERS[calculus](options, filename)
     try:
-        commands = sc.parse_script(text, filename)
+        try:
+            commands = sc.parse_script(text, filename)
+        except RecursionError:
+            raise _depth_exceeded(Span(filename, 1, 1, 1, 1)) from None
     except FoundryError as e:
         report = RunReport(file=filename, calculus=calculus)
         span = e.span

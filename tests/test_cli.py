@@ -103,3 +103,23 @@ def test_model_check_json_report(capsys):
     ])
     out = capsys.readouterr().out
     assert code == 0 and json.loads(out)["holds"] is True
+
+
+def test_deep_input_is_a_tagged_error_not_a_traceback(tmp_path, capsys):
+    from foundry.run import run_script_text
+
+    cases = [
+        ("eval {400}\n", "Eval"),  # normalize recurses once per succ
+        ("expect-error x " * 3000 + "eval {1}\n", "parse"),
+    ]
+    for text, command in cases:
+        report = run_script_text("dtt", text, filename="deep.dtt")
+        err = report.first_error()
+        assert not report.ok
+        assert (err.command, err.tag, err.line, err.col) == (command, "depth-exceeded", 1, 1)
+        path = tmp_path / "deep.dtt"
+        path.write_text(text)
+        assert cli(["check", str(path), "--calculus", "dtt"]) == 1
+        assert "error[depth-exceeded] at 1:1" in capsys.readouterr().out
+    report = run_script_text("dtt", "expect-error depth-exceeded eval {400}\n")
+    assert report.ok and report.results[0].output == "expected error: depth-exceeded"

@@ -7,7 +7,7 @@ from foundry.hol import (
     ABS, ALPHA, ASSUME, AP_TERM, BETA, CONJ, CONJUNCT1, CONJUNCT2, Const,
     DEDUCT_ANTISYM, DISCH, EQ_MP, ETA, EXISTS, EXT, FVar, GEN, HolTheorem,
     IND, KernelState, MK_COMB, MP, PROP, REFL, SPEC, SYM, TRANS, TRUTH,
-    Abs, App, BVar, TyVar, abs_over, axiom, axiom_statement, check_term,
+    Abs, App, BVar, TyApp, TyVar, abs_over, axiom, axiom_statement, check_term,
     define_connectives, defining_theorem, dest_eq, fn, initial_state,
     inst_term, inst_type, mk_eq, mk_eq_at, new_definition,
     new_type_definition, rule, standard_definitions, type_of,
@@ -44,6 +44,38 @@ def test_eq_mp_and_trans(st):
     assert TRANS(st, t1, t1).conclusion == mk_eq(x, x)
 
 
+def test_typed_rules_still_reject(st):
+    # TRANS, MK_COMB and EQ_MP read the side type off the `=` constant;
+    # ABS's side condition is covered by test_abs_side_condition
+    x, y = FVar("x", IND), FVar("y", IND)
+    with pytest.raises(KernelError) as e:
+        TRANS(st, REFL(st, x), REFL(st, y))
+    assert "middle terms differ" in str(e.value)
+    f = FVar("f", fn(IND, IND))
+    with pytest.raises(KernelError) as e:
+        MK_COMB(st, REFL(st, f), REFL(st, FVar("p", PROP)))
+    assert "do not fit" in str(e.value)
+    with pytest.raises(KernelError) as e:
+        MK_COMB(st, REFL(st, x), REFL(st, y))  # x is not a function
+    assert "do not fit" in str(e.value)
+    with pytest.raises(KernelError) as e:
+        EQ_MP(st, REFL(st, x), ASSUME(st, mk_eq(x, x)))
+    assert "Prop equation" in str(e.value)
+
+
+def test_typed_rules_build_the_inferred_equations(st):
+    # each conclusion equals the one mk_eq builds by inferring the side types
+    f, x = FVar("f", fn(IND, IND)), FVar("x", IND)
+    p, q = FVar("p", PROP), FVar("q", PROP)
+    assert MK_COMB(st, REFL(st, f), REFL(st, x)).conclusion == mk_eq(App(f, x), App(f, x))
+    fx = App(f, x)
+    assert ABS(st, x, REFL(st, fx)).conclusion == mk_eq(abs_over(x, fx), abs_over(x, fx))
+    assert DEDUCT_ANTISYM(st, ASSUME(st, p), ASSUME(st, q)).conclusion == mk_eq(p, q)
+    redex = App(Abs(IND, App(f, BVar(0))), x)
+    assert BETA(st, redex).conclusion == mk_eq(redex, fx)
+    assert TRANS(st, BETA(st, redex), REFL(st, fx)).conclusion == mk_eq(redex, fx)
+
+
 def test_abs_side_condition(st):
     x = FVar("x", IND)
     th = ASSUME(st, mk_eq(x, x))
@@ -51,6 +83,9 @@ def test_abs_side_condition(st):
         ABS(st, x, th)
     assert "free in a hypothesis" in str(e.value)
     th2 = REFL(st, x)
+    with pytest.raises(KernelError) as e:
+        ABS(st, FVar("z", TyApp("Bogus")), th2)  # an unknown type in the binder
+    assert "unknown type operator" in str(e.value)
     out = ABS(st, x, th2)
     l, r = dest_eq(out.conclusion)
     assert l == Abs(IND, BVar(0), hint="x")

@@ -63,6 +63,38 @@ def test_diaconescu_without_propext_fails():
     assert err is not None and err.tag == "axiom-disabled"
 
 
+@pytest.mark.parametrize(
+    "name, kw",
+    [
+        ("connectives.hol", {}),
+        ("ext_rule.hol", {}),
+        ("diaconescu.hol", {"axioms": ("choice", "propext")}),
+    ],
+)
+def test_every_minted_conclusion_is_a_well_typed_prop(monkeypatch, name, kw):
+    # the typed rules rely on this invariant: see the kernel's docstring
+    from foundry.hol import check_term
+    from foundry.hol import kernel as hk
+    from foundry.run import HolRunner
+    from foundry.surface import script as sc
+
+    minted = []
+    mint = hk._thm
+
+    def recording_thm(hyps, concl):
+        minted.append(concl)
+        return mint(hyps, concl)
+
+    monkeypatch.setattr(hk, "_thm", recording_thm)
+    runner = HolRunner(Options(**kw), name)
+    report = runner.run(sc.parse_script((CORPUS / name).read_text(), name))
+    assert report.ok, report.first_error()
+    assert minted
+    # the state only grows, so the final one knows every constant used
+    for concl in set(minted):
+        assert check_term(runner.state, concl) == PROP
+
+
 # ---------------------------------------------------------------------------
 # LCF discipline: five forging attempts through the public surface
 
