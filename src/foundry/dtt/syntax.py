@@ -310,8 +310,12 @@ def shift(e: Expr, d: int, cutoff: int = 0) -> Expr:
             return map_subexprs(e, lambda sub, extra: shift(sub, d, cutoff + extra))
 
 
-def subst(e: Expr, j: int, value: Expr) -> Expr:
+def subst(e: Expr, j: int, value: Expr, lift: int = 0) -> Expr:
     """Substitute Var(j) by value, lowering the indices above j.
+
+    `lift` is the number of binders crossed since value's context: value is
+    shifted by it only at the occurrences of Var(j) it replaces, so a
+    substitution whose Var(j) does not occur never shifts. Callers pass 0.
 
     Subterms the substitution leaves unchanged are returned as the same
     object, and so is e when Var(j) and the indices above it do not occur.
@@ -319,11 +323,11 @@ def subst(e: Expr, j: int, value: Expr) -> Expr:
     match e:
         case Var(index=k):
             if k == j:
-                return value
+                return shift(value, lift) if lift else value
             return Var(k - 1) if k > j else e
         case _:
             return map_subexprs(
-                e, lambda sub, extra: subst(sub, j + extra, shift(value, extra) if extra else value)
+                e, lambda sub, extra: subst(sub, j + extra, value, lift + extra)
             )
 
 

@@ -45,8 +45,9 @@ def SYM(state: KernelState, th: HolTheorem) -> HolTheorem:
         raise KernelError("SYM needs an equation")
     l, r = e
     eq_fn = th.conclusion.fn.fn  # the equality constant at the right instance
-    th1 = MK_COMB(state, MK_COMB(state, REFL(state, eq_fn), th), REFL(state, l))
-    return EQ_MP(state, th1, REFL(state, l))
+    refl_l = REFL(state, l)
+    th1 = MK_COMB(state, MK_COMB(state, REFL(state, eq_fn), th), refl_l)
+    return EQ_MP(state, th1, refl_l)
 
 
 def AP_TERM(state: KernelState, f: HolTerm, th: HolTheorem) -> HolTheorem:

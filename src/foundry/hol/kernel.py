@@ -16,11 +16,21 @@ check_type); the rest only recombines parts of existing conclusions. So in
 a conclusion `(=) l r` the `=` constant's instance type `ty -> ty -> Prop`
 names the type of both sides, and TRANS, MK_COMB, ABS and EQ_MP read `ty`
 from it instead of inferring the types of `l` and `r` again.
+
+Closed terms are checked at most once per state. Each KernelState carries a
+memo from term to type; REFL, ASSUME, BETA, ETA, inst_term, the definitions
+and the axioms look a term up there by value and run check_term only on a
+miss. This is sound because a state's constant and type-operator tables are
+read-only copies, a memo belongs to exactly one state object (replace()
+starts an empty one), terms are immutable, and check_term ignores spans and
+hints, which term equality ignores as well. Failed checks are not stored.
+check_term itself stays the unmemoized recursive checker.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass, field, replace
+from types import MappingProxyType
 from typing import Iterable, Mapping, Union
 
 from ..errors import KernelError
@@ -28,20 +38,49 @@ from ..span import hint_field, span_field
 
 
 # ---------------------------------------------------------------------------
+# Nodes are slotted and keep their structural hash in an `_h` slot, filled on
+# the first hash; equality still compares the fields, ignoring spans and hints.
+
+
+def _hash_slot():
+    return field(init=False, compare=False, repr=False)
+
+
+def _hashed_once(cls):
+    """Make a frozen dataclass with an `_h` slot compute its hash once."""
+    structural = cls.__hash__
+
+    def __hash__(self):
+        try:
+            return self._h
+        except AttributeError:
+            h = structural(self)
+            object.__setattr__(self, "_h", h)
+            return h
+
+    cls.__hash__ = __hash__
+    return cls
+
+
+# ---------------------------------------------------------------------------
 # Types
 
 
-@dataclass(frozen=True)
+@_hashed_once
+@dataclass(frozen=True, slots=True)
 class TyVar:
     name: str
     span: object = span_field()
+    _h: int = _hash_slot()
 
 
-@dataclass(frozen=True)
+@_hashed_once
+@dataclass(frozen=True, slots=True)
 class TyApp:
     op: str
     args: tuple["HolType", ...] = ()
     span: object = span_field()
+    _h: int = _hash_slot()
 
 
 HolType = Union[TyVar, TyApp]
@@ -117,39 +156,49 @@ def pretty_type(ty: HolType) -> str:
 # Terms
 
 
-@dataclass(frozen=True)
+@_hashed_once
+@dataclass(frozen=True, slots=True)
 class BVar:
     index: int
     span: object = span_field()
+    _h: int = _hash_slot()
 
 
-@dataclass(frozen=True)
+@_hashed_once
+@dataclass(frozen=True, slots=True)
 class FVar:
     name: str
     type: HolType
     span: object = span_field()
+    _h: int = _hash_slot()
 
 
-@dataclass(frozen=True)
+@_hashed_once
+@dataclass(frozen=True, slots=True)
 class Const:
     name: str
     type: HolType  # the fully instantiated type of this occurrence
     span: object = span_field()
+    _h: int = _hash_slot()
 
 
-@dataclass(frozen=True)
+@_hashed_once
+@dataclass(frozen=True, slots=True)
 class App:
     fn: "HolTerm"
     arg: "HolTerm"
     span: object = span_field()
+    _h: int = _hash_slot()
 
 
-@dataclass(frozen=True)
+@_hashed_once
+@dataclass(frozen=True, slots=True)
 class Abs:
     dom: HolType
     body: "HolTerm"
     hint: str | None = hint_field()
     span: object = span_field()
+    _h: int = _hash_slot()
 
 
 HolTerm = Union[BVar, FVar, Const, App, Abs]
@@ -379,12 +428,23 @@ class ConstDecl:
 
 @dataclass(frozen=True)
 class KernelState:
-    """Constant and type-operator tables; append-only, no redefinition."""
+    """Constant and type-operator tables; append-only, no redefinition.
+
+    The tables are stored as read-only copies, so a state's tables never
+    change after construction. `checked` memoizes check_term on closed terms
+    for this state object only; every new state, replace() included, starts
+    with an empty memo.
+    """
 
     constants: Mapping[str, ConstDecl]
     type_ops: Mapping[str, int]
     enabled_axioms: frozenset[str] = frozenset()
     definition_log: tuple = ()
+    checked: dict = field(init=False, compare=False, repr=False, default_factory=dict)
+
+    def __post_init__(self):
+        object.__setattr__(self, "constants", MappingProxyType(dict(self.constants)))
+        object.__setattr__(self, "type_ops", MappingProxyType(dict(self.type_ops)))
 
     def enable_axiom(self, name: str) -> "KernelState":
         return replace(self, enabled_axioms=self.enabled_axioms | {axiom_name(name)})
@@ -460,8 +520,22 @@ def check_term(state: KernelState, t: HolTerm, stack: tuple[HolType, ...] = ()) 
     raise TypeError(t)
 
 
+def _closed_type(state: KernelState, t: HolTerm) -> HolType:
+    """check_term(state, t) for a closed term, memoized in state.checked.
+
+    Sound because the state's tables are read-only, terms are immutable, and
+    check_term ignores the spans and hints that term equality ignores too. A
+    failed check raises before anything is stored.
+    """
+    ty = state.checked.get(t)
+    if ty is None:
+        ty = check_term(state, t)
+        state.checked[t] = ty
+    return ty
+
+
 def _check_prop(state: KernelState, t: HolTerm, what: str) -> None:
-    ty = check_term(state, t)
+    ty = _closed_type(state, t)
     if ty != PROP:
         raise KernelError(f"{what} must have type Prop, got {pretty_type(ty)}")
 
@@ -471,7 +545,7 @@ def _check_prop(state: KernelState, t: HolTerm, what: str) -> None:
 
 
 def REFL(state: KernelState, t: HolTerm) -> HolTheorem:
-    ty = check_term(state, t)
+    ty = _closed_type(state, t)
     return _thm(frozenset(), mk_eq_at(ty, t, t))
 
 
@@ -517,7 +591,7 @@ def ABS(state: KernelState, x: FVar, th: HolTheorem) -> HolTheorem:
 
 def BETA(state: KernelState, t: HolTerm) -> HolTheorem:
     """⊢ (λx. b) x = b; general instances come from inst_term."""
-    ty = check_term(state, t)
+    ty = _closed_type(state, t)
     match t:
         case App(fn=Abs(dom=d, body=b), arg=FVar() as x) if x.type == d:
             return _thm(frozenset(), mk_eq_at(ty, t, open_term(b, x)))
@@ -525,7 +599,7 @@ def BETA(state: KernelState, t: HolTerm) -> HolTheorem:
 
 
 def ETA(state: KernelState, t: HolTerm) -> HolTheorem:
-    ty = check_term(state, t)
+    ty = _closed_type(state, t)
     match t:
         case Abs(dom=d, body=App(fn=f, arg=BVar(index=0))) if not _uses_bvar(f, 0):
             return _thm(frozenset(), mk_eq_at(ty, t, _unshift(f)))
@@ -602,6 +676,8 @@ def rule(state: KernelState, name: str, *args) -> HolTheorem:
 
 
 def inst_type(state: KernelState, th: HolTheorem, mapping: Mapping[str, HolType]) -> HolTheorem:
+    if not mapping:
+        return th
     for ty in mapping.values():
         check_type(state, ty)
     return _thm(
@@ -614,7 +690,7 @@ def inst_term(state: KernelState, th: HolTheorem, mapping: Mapping[FVar, HolTerm
     for x, t in mapping.items():
         if not isinstance(x, FVar):
             raise KernelError("inst_term substitutes for free variables only")
-        ty = check_term(state, t)
+        ty = _closed_type(state, t)
         if ty != x.type:
             raise KernelError(
                 f"replacement for {x.name} has type {pretty_type(ty)}, "
@@ -636,7 +712,7 @@ def new_definition(state: KernelState, name: str, t: HolTerm):
         raise KernelError(f"constant {name} is already defined")
     if free_vars(t):
         raise KernelError("definiens must be closed")
-    generic = check_term(state, t)
+    generic = _closed_type(state, t)
     if not term_ty_vars(t) <= ty_vars(generic):
         raise KernelError(
             "type-variable escape: every type variable of the definiens must "
@@ -646,14 +722,14 @@ def new_definition(state: KernelState, name: str, t: HolTerm):
     consts = dict(state.constants)
     consts[name] = decl
     state2 = replace(state, constants=consts).log("definition", name)
-    return state2, _thm(frozenset(), mk_eq(Const(name, generic), t))
+    return state2, _thm(frozenset(), mk_eq_at(generic, Const(name, generic), t))
 
 
 def defining_theorem(state: KernelState, name: str) -> HolTheorem:
     decl = state.constants.get(name)
     if decl is None or decl.definiens is None:
         raise KernelError(f"{name} has no definition")
-    return _thm(frozenset(), mk_eq(Const(name, decl.generic), decl.definiens))
+    return _thm(frozenset(), mk_eq_at(decl.generic, Const(name, decl.generic), decl.definiens))
 
 
 def new_type_definition(state: KernelState, name: str, pred: HolTerm, nonempty: HolTheorem):
@@ -666,7 +742,7 @@ def new_type_definition(state: KernelState, name: str, pred: HolTerm, nonempty: 
         raise KernelError(f"type operator {name} is already defined")
     if free_vars(pred):
         raise KernelError("the carving predicate must be closed")
-    pt = check_term(state, pred)
+    pt = _closed_type(state, pred)
     if not (isinstance(pt, TyApp) and pt.op == "fun" and pt.args[1] == PROP):
         raise KernelError("the carving predicate must have type t -> Prop")
     rep_ty = pt.args[0]
@@ -694,10 +770,10 @@ def new_type_definition(state: KernelState, name: str, pred: HolTerm, nonempty: 
     state2 = replace(state, constants=consts, type_ops=tops).log("type-definition", name)
     a = FVar("a", new_ty)
     r = FVar("r", rep_ty)
-    abs_repr = _thm(frozenset(), mk_eq(App(abs_c, App(repr_c, a)), a))
+    abs_repr = _thm(frozenset(), mk_eq_at(new_ty, App(abs_c, App(repr_c, a)), a))
     repr_abs = _thm(
         frozenset(),
-        mk_eq(App(pred, r), mk_eq(App(repr_c, App(abs_c, r)), r)),
+        mk_eq_at(PROP, App(pred, r), mk_eq_at(rep_ty, App(repr_c, App(abs_c, r)), r)),
     )
     return state2, abs_c, repr_c, abs_repr, repr_abs
 
@@ -876,5 +952,5 @@ def axiom(state: KernelState, name: str) -> HolTheorem:
     if name not in state.enabled_axioms:
         raise KernelError(f"axiom-disabled: {name} is not enabled", tag="axiom-disabled")
     stmt = axiom_statement(state, name)
-    check_term(state, stmt)
+    _closed_type(state, stmt)
     return _thm(frozenset(), stmt)

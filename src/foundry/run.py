@@ -452,10 +452,6 @@ class HolRunner(_Runner):
 
     # rule expression evaluation ------------------------------------------
 
-    _PRIMS = {
-        "refl", "assume", "trans", "mk_comb", "abs", "beta", "eta", "eq_mp",
-        "deduct_antisym",
-    }
     _DERIVED = {
         "sym": hd.SYM, "ap_term": hd.AP_TERM, "ap_thm": hd.AP_THM,
         "beta_conv": hd.beta_conv, "truth": hd.TRUTH, "eqt_intro": hd.EQT_INTRO,
@@ -467,6 +463,28 @@ class HolRunner(_Runner):
         "exists_intro": hd.EXISTS, "ext": hd.EXT, "unfold": hd.unfold_rule,
         "conv_rule": hd.CONV_RULE,
     }
+    # The arguments each primitive and derived rule takes, in order: a
+    # {term}, a {variable}, a theorem, or a constant name. Rules not in
+    # _DERIVED are the kernel's primitives.
+    _SIGNATURES = {
+        "refl": ("term",), "assume": ("term",), "trans": ("thm", "thm"),
+        "mk_comb": ("thm", "thm"), "abs": ("var", "thm"), "beta": ("term",),
+        "eta": ("term",), "eq_mp": ("thm", "thm"), "deduct_antisym": ("thm", "thm"),
+        "sym": ("thm",), "ap_term": ("term", "thm"), "ap_thm": ("thm", "term"),
+        "beta_conv": ("term",), "truth": (), "eqt_intro": ("thm",),
+        "eqt_elim": ("thm",), "spec": ("term", "thm"), "gen": ("var", "thm"),
+        "disch": ("term", "thm"), "undisch": ("thm",), "mp": ("thm", "thm"),
+        "conj": ("thm", "thm"), "conjunct1": ("thm",), "conjunct2": ("thm",),
+        "disj1": ("thm", "term"), "disj2": ("term", "thm"),
+        "disj_cases": ("thm", "thm", "thm"), "not_intro": ("thm",),
+        "not_elim": ("thm",), "contr": ("term", "thm"),
+        "exists_intro": ("term", "term", "thm"), "ext": ("var", "thm"),
+        "unfold": ("const", "thm"), "conv_rule": ("thm", "thm"),
+    }
+    _KIND_TEXT = {
+        "term": "a {term}", "var": "a {variable}", "thm": "a theorem",
+        "const": "a constant name",
+    }
 
     def _rule_expr(self, cur: Cursor) -> hk.HolTheorem:
         thm = self._eval_expr(cur)
@@ -475,6 +493,8 @@ class HolRunner(_Runner):
         return thm
 
     def _eval_expr(self, cur: Cursor) -> hk.HolTheorem:
+        """Evaluate one rule application; each argument is recorded as
+        (kind, value, span of its first token)."""
         t = cur.expect_kind("ident")
         name = t.value
         args = []
@@ -482,20 +502,20 @@ class HolRunner(_Runner):
             p = cur.peek()
             if p.kind == "symbol" and p.value == "(":
                 cur.next()
-                args.append(("thm", self._eval_expr(cur)))
+                args.append(("thm", self._eval_expr(cur), p.span))
                 cur.expect(")")
             elif p.kind == "symbol" and p.value == "{":
                 toks = sc._collect_braces(cur)
                 inner = sc.block_cursor(toks, self.filename)
-                args.append(("term", parse_hol_term(inner, self.state, self.macros)))
+                args.append(("term", parse_hol_term(inner, self.state, self.macros), p.span))
             elif p.kind == "symbol" and p.value == "[":
                 cur.next()
                 ty = parse_hol_type(cur, self.state)
                 cur.expect("]")
-                args.append(("type", ty))
+                args.append(("type", ty, p.span))
             elif p.kind == "tyvar":
                 cur.next()
-                args.append(("tyvar", p.value))
+                args.append(("tyvar", p.value, p.span))
             elif p.kind == "ident":
                 cur.next()
                 args.append(("name", p.value, p.span))
@@ -510,12 +530,42 @@ class HolRunner(_Runner):
             if a[1] in self.thms:
                 return self.thms[a[1]]
             raise ScriptError(f"unknown theorem {a[1]}", span=a[2])
-        raise ScriptError("expected a theorem argument")
+        raise ScriptError("expected a theorem argument", span=a[2])
 
-    def _term_arg(self, a):
-        if a[0] != "term":
-            raise ScriptError("expected a {term} argument")
-        return a[1]
+    def _rule_args(self, name: str, args) -> list:
+        """The values of a rule's arguments, checked against its signature.
+
+        A missing, extra or wrongly shaped argument fails at the command.
+        """
+        kinds = self._SIGNATURES[name]
+        fits = len(args) == len(kinds) and all(
+            a[0] in ("thm", "name") if k == "thm"
+            else a[0] == "name" if k == "const"
+            else a[0] == "term" and (k == "term" or isinstance(a[1], hk.FVar))
+            for k, a in zip(kinds, args)
+        )
+        if not fits:
+            wanted = [self._KIND_TEXT[k] for k in kinds]
+            if not wanted:
+                raise ScriptError(f"{name} takes no arguments")
+            text = wanted[0] if len(wanted) == 1 else f"{', '.join(wanted[:-1])} and {wanted[-1]}"
+            raise ScriptError(f"{name} takes {text}")
+        return [self._thm_arg(a) if k == "thm" else a[1] for k, a in zip(kinds, args)]
+
+    @staticmethod
+    def _pairs(name: str, args, first: str, second: str, what: str) -> list:
+        """The (key, value) pairs an instantiation lists before its theorem:
+        every argument but the last must belong to a complete pair whose
+        parts have kinds `first` and `second`."""
+        pairs = []
+        for i in range(0, len(args) - 1, 2):
+            key = args[i]
+            if key[0] != first:
+                raise ScriptError(f"{name}: expected {what} here", span=key[2])
+            if args[i + 1][0] != second:  # the final theorem is never a `second`
+                raise ScriptError(f"{name}: {what} must be followed by its replacement", span=key[2])
+            pairs.append((key, args[i + 1]))
+        return pairs
 
     def _apply_rule(self, name: str, args, span) -> hk.HolTheorem:
         st = self.state
@@ -528,53 +578,25 @@ class HolRunner(_Runner):
                 if len(args) != 1 or args[0][0] != "name":
                     raise ScriptError("defthm takes a constant name")
                 return hk.defining_theorem(st, args[0][1])
+            if name in ("inst_type", "inst_term") and not args:
+                raise ScriptError(f"{name} needs a theorem")
             if name == "inst_type":
-                mapping = {}
-                i = 0
-                while i + 1 < len(args):
-                    if args[i][0] != "tyvar" or args[i + 1][0] != "type":
-                        break
-                    mapping[args[i][1]] = args[i + 1][1]
-                    i += 2
-                return hk.inst_type(st, self._thm_arg(args[-1]), mapping)
+                th = self._thm_arg(args[-1])
+                pairs = self._pairs(name, args, "tyvar", "type", "a type variable")
+                return hk.inst_type(st, th, {x[1]: ty[1] for x, ty in pairs})
             if name == "inst_term":
+                th = self._thm_arg(args[-1])
                 mapping = {}
-                i = 0
-                while i + 1 < len(args) - 1:
-                    x = self._term_arg(args[i])
-                    v = self._term_arg(args[i + 1])
-                    if not isinstance(x, hk.FVar):
-                        raise ScriptError("inst_term substitutes for variables")
-                    mapping[x] = v
-                    i += 2
-                return hk.inst_term(st, self._thm_arg(args[-1]), mapping)
-            if name in self._PRIMS:
-                vals = [
-                    self._thm_arg(a) if a[0] in ("thm", "name") else self._rule_val(a)
-                    for a in args
-                ]
-                if name == "abs":
-                    x = vals[0]
-                    if not isinstance(x, hk.FVar):
-                        raise ScriptError("abs takes a {variable} first")
-                    return hk.ABS(st, x, vals[1])
+                for x, v in self._pairs(name, args, "term", "term", "a {variable}"):
+                    if not isinstance(x[1], hk.FVar):
+                        raise ScriptError("inst_term substitutes for variables", span=x[2])
+                    mapping[x[1]] = v[1]
+                return hk.inst_term(st, th, mapping)
+            if name in self._SIGNATURES:
+                vals = self._rule_args(name, args)
+                if name in self._DERIVED:
+                    return self._DERIVED[name](st, *vals)
                 return hk.rule(st, name, *vals)
-            if name in self._DERIVED:
-                fn = self._DERIVED[name]
-                vals = []
-                for a in args:
-                    if a[0] in ("thm",):
-                        vals.append(a[1])
-                    elif a[0] == "name":
-                        if a[1] in self.thms:
-                            vals.append(self.thms[a[1]])
-                        elif name in ("unfold", "conv_rule"):
-                            vals.append(a[1])  # constant names
-                        else:
-                            raise ScriptError(f"unknown theorem {a[1]}", span=a[2])
-                    else:
-                        vals.append(a[1])
-                return fn(st, *vals)
         except FoundryError:
             raise
         except TypeError as e:
@@ -582,11 +604,6 @@ class HolRunner(_Runner):
         if not args and name in self.thms:
             return self.thms[name]
         raise ScriptError(f"unknown rule or theorem {name}", span=span)
-
-    def _rule_val(self, a):
-        if a[0] in ("term", "type"):
-            return a[1]
-        raise ScriptError("unexpected argument kind")
 
 
 # ---------------------------------------------------------------------------

@@ -123,3 +123,13 @@ def test_deep_input_is_a_tagged_error_not_a_traceback(tmp_path, capsys):
         assert "error[depth-exceeded] at 1:1" in capsys.readouterr().out
     report = run_script_text("dtt", "expect-error depth-exceeded eval {400}\n")
     assert report.ok and report.results[0].output == "expected error: depth-exceeded"
+
+
+def test_malformed_rule_arguments_exit_1_without_traceback(tmp_path, capsys):
+    for text in ["thm a := abs {(x : Prop)}\n", "thm a := inst_type 'a (refl {(x : 'a)})\n"]:
+        path = tmp_path / "bad.hol"
+        path.write_text(text)
+        assert cli(["check", str(path), "--calculus", "hol"]) == 1
+        captured = capsys.readouterr()
+        assert "error[script-error]" in captured.out
+        assert "Traceback" not in captured.out + captured.err

@@ -6,7 +6,10 @@ binder: slow, but with no fast path to get wrong.
 
 import dataclasses
 
+import pytest
 from hypothesis import given, settings, strategies as st
+
+import foundry.dtt.syntax as dtt_syntax
 
 from foundry.dtt import (
     App, Axiom, Id, Lam, Nat, NatRec, Pair, Pi, Refl, Sigma, Succ, Sup,
@@ -97,3 +100,28 @@ def test_subst_matches_reference(e, j, value):
 @given(exprs, exprs)
 def test_instantiate_matches_reference(body, value):
     assert instantiate(body, value) == ref_subst(body, 0, value)
+
+
+def occurs(e, j):
+    """Whether Var(j), counted from e's context, occurs free in e."""
+    if isinstance(e, Var):
+        return e.index == j
+    return any(occurs(v, j + b) for _, v, b in _children(e))
+
+
+@settings(max_examples=200, deadline=None)
+@given(exprs, small, exprs)
+def test_subst_shifts_only_where_it_replaces(e, j, value):
+    calls = []
+    real = dtt_syntax.shift
+
+    def counted(*args):
+        calls.append(args)
+        return real(*args)
+
+    with pytest.MonkeyPatch.context() as mp:
+        mp.setattr(dtt_syntax, "shift", counted)
+        out = subst(e, j, value)
+    if not occurs(e, j):
+        assert calls == []
+    assert out == ref_subst(e, j, value)

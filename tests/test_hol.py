@@ -289,3 +289,18 @@ def test_derived_extensionality_rule(st):
     b1 = BETA(st, App(Abs(IND, App(f, BVar(0)), hint="y"), x))
     out = EXT(st, x, b1)
     assert dest_eq(out.conclusion) == (Abs(IND, App(f, BVar(0)), hint="y"), f)
+
+
+def test_sym_refls_its_left_side_once(st, monkeypatch):
+    seen = []
+    real = hd.REFL
+
+    def counted(state, t):
+        seen.append(t)
+        return real(state, t)
+
+    monkeypatch.setattr(hd, "REFL", counted)
+    p, q = FVar("p", PROP), FVar("q", PROP)
+    th = SYM(st, ASSUME(st, mk_eq(p, q)))
+    assert th.conclusion == mk_eq(q, p)
+    assert seen.count(p) == 1 and len(seen) == 2

@@ -1,0 +1,185 @@
+"""The HOL kernel's per-state check memo, the cached node hash, and the
+read-only state tables the memo relies on."""
+
+import dataclasses
+
+import pytest
+from hypothesis import given, settings, strategies as st
+
+import foundry.hol.kernel as hk
+from foundry.errors import KernelError
+from foundry.hol import (
+    ASSUME, Abs, App, BVar, Const, FVar, IND, PROP, REFL, TyApp, TyVar,
+    define_connectives, fn, initial_state, mk_eq, mk_eq_at, new_definition,
+    new_type_definition,
+)
+from foundry.hol.derived import EQT_INTRO, EXISTS, TRUTH, mk_exists_pred
+from foundry.span import Span
+
+
+@pytest.fixture(scope="module")
+def base():
+    state, _ = define_connectives(initial_state())
+    return state
+
+
+def _span(i):
+    return Span("memo", i, 1, i, 2)
+
+
+def respan(t, i):
+    """A structurally equal copy of t with other spans and hints."""
+    match t:
+        case TyVar(name=n):
+            return TyVar(n, span=_span(i))
+        case TyApp(op=op, args=args):
+            return TyApp(op, tuple(respan(a, i) for a in args), span=_span(i))
+        case BVar(index=k):
+            return BVar(k, span=_span(i))
+        case FVar(name=n, type=ty):
+            return FVar(n, respan(ty, i), span=_span(i))
+        case Const(name=n, type=ty):
+            return Const(n, respan(ty, i), span=_span(i))
+        case App(fn=f, arg=a):
+            return App(respan(f, i), respan(a, i), span=_span(i))
+        case Abs(dom=d, body=b):
+            return Abs(respan(d, i), respan(b, i), hint=f"h{i}", span=_span(i))
+    raise TypeError(t)
+
+
+def test_memo_is_per_state():
+    s0 = initial_state()
+    idp = Abs(PROP, BVar(0))
+    c = Const("c", PROP)
+    t = mk_eq_at(PROP, c, c)
+    with pytest.raises(KernelError, match="unknown constant c"):
+        REFL(s0, t)
+    s1, _ = new_definition(s0, "c", mk_eq(idp, idp))
+    assert REFL(s1, t).conclusion == mk_eq_at(PROP, t, t)
+    with pytest.raises(KernelError, match="unknown constant c"):
+        REFL(s0, t)
+    with pytest.raises(KernelError, match="unknown constant c"):
+        REFL(initial_state(), t)
+
+
+def test_failed_checks_are_not_stored(base):
+    state = dataclasses.replace(base)
+    bad = App(Const("not", fn(PROP, PROP)), FVar("x", IND))
+    for _ in range(2):
+        with pytest.raises(KernelError, match="ill-typed application"):
+            REFL(state, bad)
+    assert bad not in state.checked
+
+
+def test_replace_starts_an_empty_memo(base):
+    state = dataclasses.replace(base)
+    p = FVar("p", PROP)
+    REFL(state, p)
+    assert state.checked == {p: PROP}
+    for other in (dataclasses.replace(state), state.enable_axiom("choice"), state.log("note", "x")):
+        assert other.checked == {} and other.checked is not state.checked
+
+
+def test_each_closed_term_is_checked_once_per_state(monkeypatch, base):
+    calls, depth = [], [0]
+    real = hk.check_term
+
+    def counted(state, t, stack=()):
+        if not depth[0]:
+            calls.append(t)
+        depth[0] += 1
+        try:
+            return real(state, t, stack)
+        finally:
+            depth[0] -= 1
+
+    monkeypatch.setattr(hk, "check_term", counted)
+    state = dataclasses.replace(base)
+    t = App(Const("not", fn(PROP, PROP)), FVar("p", PROP))
+    REFL(state, t)
+    REFL(state, respan(t, 7))
+    ASSUME(state, t)
+    assert calls == [t]
+    REFL(dataclasses.replace(state), t)
+    assert calls == [t, t]
+
+
+def test_state_tables_are_read_only(base):
+    with pytest.raises(TypeError):
+        base.constants["c"] = base.constants["true"]
+    with pytest.raises(TypeError):
+        base.type_ops["T"] = 0
+    idp = Abs(PROP, BVar(0))
+    s1, th = new_definition(base, "c", mk_eq(idp, idp))
+    assert "c" in s1.constants and "c" not in base.constants
+    with pytest.raises(TypeError):
+        s1.constants["d"] = s1.constants["c"]
+    pred = Abs(PROP, mk_eq_at(PROP, BVar(0), Const("true", PROP)))
+    nonempty = EXISTS(base, mk_exists_pred(pred), Const("true", PROP), EQT_INTRO(base, TRUTH(base)))
+    s2, *_ = new_type_definition(base, "single", pred, nonempty)
+    assert s2.type_ops["single"] == 0 and "single" not in base.type_ops
+    with pytest.raises(TypeError):
+        s2.type_ops["single"] = 1
+
+
+def test_hash_and_equality_ignore_spans_and_hints():
+    t = Abs(IND, App(FVar("f", fn(IND, PROP)), BVar(0)), hint="x")
+    u = respan(t, 3)
+    assert t == u and hash(t) == hash(u)
+    first = hash(t)
+    assert hash(t) == first and hash(respan(t, 4)) == first
+    assert {t: 1}[u] == 1
+    assert t != Abs(PROP, App(FVar("f", fn(IND, PROP)), BVar(0)))
+
+
+def test_nodes_stay_immutable():
+    t = App(FVar("f", fn(IND, IND)), FVar("x", IND))
+    hash(t)
+    with pytest.raises(AttributeError):
+        t.fn = FVar("g", fn(IND, IND))
+    with pytest.raises(AttributeError):
+        t._h = 0
+    with pytest.raises(AttributeError):
+        TyVar("a").name = "b"
+
+
+# Random closed terms over a small vocabulary, well-typed or not: unknown
+# constants and type operators, constants at non-instances, loose indices
+# and ill-typed applications all occur.
+_types = st.recursive(
+    st.sampled_from([PROP, IND, TyVar("a"), TyApp("Foo"), TyApp("fun", (PROP,))]),
+    lambda sub: st.builds(fn, sub, sub),
+    max_leaves=4,
+)
+_leaves = st.one_of(
+    st.builds(BVar, st.integers(0, 2)),
+    st.builds(FVar, st.sampled_from(["x", "y"]), _types),
+    st.builds(Const, st.sampled_from(["=", "eps", "true", "not", "and", "undefined"]), _types),
+    st.just(Const("true", PROP)),
+    st.just(Const("not", fn(PROP, PROP))),
+)
+_terms = st.recursive(
+    _leaves,
+    lambda sub: st.one_of(st.builds(App, sub, sub), st.builds(Abs, _types, sub)),
+    max_leaves=12,
+)
+
+
+def _outcome(rule, state, t):
+    try:
+        return "ok", rule(state, t)
+    except KernelError as e:
+        return "error", e.message
+
+
+@settings(max_examples=300, deadline=None)
+@given(_terms, st.sampled_from([REFL, ASSUME]))
+def test_memoized_checks_agree_with_a_fresh_state(base, t, rule):
+    warm = dataclasses.replace(base)
+    _outcome(rule, warm, respan(t, 1))
+    assert _outcome(rule, warm, t) == _outcome(rule, dataclasses.replace(base), t)
+
+
+def test_empty_type_instantiation_returns_the_theorem(base):
+    th = REFL(base, FVar("x", TyVar("a")))
+    assert hk.inst_type(base, th, {}) is th

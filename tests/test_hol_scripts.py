@@ -155,3 +155,71 @@ def test_run_script_returns_named_theorems():
     with pytest.raises(ScriptError) as e:
         run_script(st, (CORPUS / "diaconescu.hol").read_text())
     assert "line" in str(e.value) and e.value.tag == "axiom-disabled"
+
+
+def _error(text):
+    report = run_script_text("hol", text, Options(), "args.hol")
+    err = report.first_error()
+    assert not report.ok and err is not None
+    return err
+
+
+@pytest.mark.parametrize(
+    "text",
+    [
+        "thm a := abs {(x : Prop)}",
+        "thm a := abs",
+        "thm a := abs {(x : Prop)} (refl {(x : Prop)}) (refl {(x : Prop)})",
+        "thm a := abs (refl {(x : Prop)}) {(x : Prop)}",
+        "thm a := abs {(x : Prop)} {(x : Prop)}",
+    ],
+)
+def test_abs_needs_a_variable_and_a_theorem(text):
+    err = _error(text + "\n")
+    assert (err.tag, err.line, err.col) == ("script-error", 1, 1)
+    assert err.message == "abs takes a {variable} and a theorem"
+
+
+def test_rules_check_their_argument_kinds():
+    for text, message in [
+        ("thm a := trans {(x : Prop)} {(x : Prop)}", "trans takes a theorem and a theorem"),
+        ("thm a := sym {(x : Prop)}", "sym takes a theorem"),
+        ("thm a := truth {(x : Prop)}", "truth takes no arguments"),
+        ("thm a := gen {(x : Prop) = (x : Prop)} (refl {(x : Prop)})",
+         "gen takes a {variable} and a theorem"),
+        ("thm a := refl [Prop]", "refl takes a {term}"),
+    ]:
+        err = _error(text + "\n")
+        assert (err.tag, err.message, err.col) == ("script-error", message, 1)
+
+
+@pytest.mark.parametrize(
+    "text, col, message",
+    [
+        # the type is missing
+        ("thm a := inst_type 'a (refl {(x : 'a)})", 20,
+         "inst_type: a type variable must be followed by its replacement"),
+        # 'b dangles
+        ("thm a := inst_type 'a [Prop] 'b (refl {(x : 'a)})", 30,
+         "inst_type: a type variable must be followed by its replacement"),
+        # the pair is the wrong way round
+        ("thm a := inst_type [Prop] 'a (refl {(x : 'a)})", 20,
+         "inst_type: expected a type variable here"),
+        # the value is missing
+        ("thm a := inst_term {(x : Prop)} (refl {(x : Prop)})", 20,
+         "inst_term: a {variable} must be followed by its replacement"),
+    ],
+)
+def test_incomplete_instantiations_are_errors(text, col, message):
+    err = _error(text + "\n")
+    assert (err.tag, err.line, err.col, err.message) == ("script-error", 1, col, message)
+
+
+def test_complete_instantiations_still_work():
+    report = run_script_text(
+        "hol",
+        "thm a := inst_type 'a [Prop] (refl {(x : 'a)})\n"
+        "thm b := inst_term {(x : Prop)} {(y : Prop)} a\n",
+    )
+    assert report.ok, report.first_error()
+    assert [r.output for r in report.results] == ["|- x = x", "|- y = y"]
