@@ -13,10 +13,9 @@ import sys
 
 from . import fol
 from .errors import FoundryError
-from .run import Options, RunReport, build_model, run_script_text
+from .run import FolRunner, Options, RunReport, depth_limit, run_script_text
 from .surface import script as sc
-from .surface.lexer import Cursor, tokenize
-from .surface.parsers import FolEnv, parse_fol_formula
+from .surface.lexer import tokenize
 
 
 def _options(args) -> Options:
@@ -83,84 +82,73 @@ def _cmd_eval(args) -> int:
     return code
 
 
-def _parse_problem(path: str, text: str):
-    """Problem files: sort/fn/const/rel declarations, assume lines, one prove."""
-    commands = sc.parse_script(text, path)
-    sig = fol.Signature(sorts=frozenset())
-    assumptions = []
-    goal = None
-    models = {}
+_PROBLEM_COMMANDS = (
+    sc.DeclareSort, sc.DeclareFn, sc.DeclareRel, sc.Assume, sc.Prove, sc.ModelDef,
+)
+
+
+def _load_problem(path: str, text: str) -> FolRunner:
+    """Problem files: sort/fn/const/rel declarations, models, assume lines, one
+    prove. Each command runs through the FOL script runner."""
+    with depth_limit(path):
+        commands = sc.parse_script(text, path)
+    runner = FolRunner(Options(), path)
     for cmd in commands:
-        match cmd:
-            case sc.DeclareSort(name=name):
-                sig = sig.with_sort(fol.Sort(name))
-            case sc.DeclareFn(name=name, args=fargs, result=result):
-                sig = sig.with_function(name, tuple(fol.Sort(a) for a in fargs), fol.Sort(result))
-            case sc.DeclareRel(name=name, args=rargs):
-                sig = sig.with_relation(name, tuple(fol.Sort(a) for a in rargs))
-            case sc.Assume(body_tokens=body):
-                cur = sc.block_cursor(body, path)
-                assumptions.append(parse_fol_formula(cur, FolEnv(sig)))
-            case sc.Prove(body_tokens=body):
-                cur = sc.block_cursor(body, path)
-                goal = parse_fol_formula(cur, FolEnv(sig))
-            case sc.ModelDef():
-                models[cmd.name] = build_model(sig, cmd)
-            case _:
-                raise FoundryError(
-                    f"command {type(cmd).__name__} is not valid in a problem file",
-                    tag="usage", span=cmd.span,
-                )
-    return sig, assumptions, goal, models
+        if not isinstance(cmd, _PROBLEM_COMMANDS):
+            raise FoundryError(
+                f"command {type(cmd).__name__} is not valid in a problem file",
+                tag="usage", span=cmd.span,
+            )
+        runner.execute(cmd)
+    return runner
 
 
 def _cmd_cc(args) -> int:
     text = _read(args.file)
     try:
-        sig, assumptions, goal, _ = _parse_problem(args.file, text)
+        problem = _load_problem(args.file, text)
+        goal = problem.goal
         if goal is None:
             print("error: problem file needs a prove line", file=sys.stderr)
             return 2
         eqs = []
-        for a in assumptions:
+        for a in problem.assumptions:
             if not isinstance(a, fol.Eq):
                 raise FoundryError("cc assumptions must be equations", tag="non-ground")
             eqs.append((a.lhs, a.rhs))
         if not isinstance(goal, fol.Eq):
             raise FoundryError("cc goal must be an equation", tag="non-ground")
-        result = fol.congruence_closure(eqs, (goal.lhs, goal.rhs))
+        with depth_limit(args.file):
+            result = fol.congruence_closure(eqs, (goal.lhs, goal.rhs))
+            classes = sorted(
+                sorted(fol.pretty_term(t) for t in group) for group in (result.partition or ())
+            )
     except FoundryError as e:
         _report_error(args, e)
         return 1
     if args.report == "json":
-        doc = {
-            "file": args.file,
-            "valid": result.valid,
-            "classes": sorted(
-                sorted(fol.pretty_term(t) for t in group) for group in (result.partition or ())
-            ),
-        }
+        doc = {"file": args.file, "valid": result.valid, "classes": classes}
         print(json.dumps(doc, sort_keys=True, indent=2))
+    elif result.valid:
+        print(f"{args.file}: valid")
     else:
-        if result.valid:
-            print(f"{args.file}: valid")
-        else:
-            print(f"{args.file}: not-entailed; subterm partition:")
-            for group in sorted(
-                (sorted(fol.pretty_term(t) for t in group) for group in result.partition),
-            ):
-                print("  { " + ", ".join(group) + " }")
+        print(f"{args.file}: not-entailed; subterm partition:")
+        for group in classes:
+            print("  { " + ", ".join(group) + " }")
     return 0 if result.valid else 1
 
 
 def _cmd_countermodel(args) -> int:
     text = _read(args.file)
     try:
-        sig, assumptions, goal, _ = _parse_problem(args.file, text)
-        if goal is None:
+        problem = _load_problem(args.file, text)
+        if problem.goal is None:
             print("error: problem file needs a prove line", file=sys.stderr)
             return 2
-        model = fol.search_countermodel(sig, assumptions, goal, args.max_size)
+        with depth_limit(args.file):
+            model = fol.search_countermodel(
+                problem.theory.signature, problem.assumptions, problem.goal, args.max_size
+            )
     except FoundryError as e:
         _report_error(args, e)
         return 1
@@ -209,15 +197,15 @@ def _cmd_model_check(args) -> int:
     model_text = _read(args.model_file)
     formula_text = _read(args.formula_file)
     try:
-        sig, _assumptions, _goal, models = _parse_problem(args.model_file, model_text)
-        if len(models) != 1:
+        problem = _load_problem(args.model_file, model_text)
+        if len(problem.models) != 1:
             print("error: the model file must contain exactly one model", file=sys.stderr)
             return 2
-        model = next(iter(models.values()))
-        cur = Cursor(tokenize(formula_text, args.formula_file), args.formula_file)
-        formula = parse_fol_formula(cur, FolEnv(sig))
-        fol.check_well_formed(sig, formula)
-        ok = fol.valid_in(model, formula)
+        model = next(iter(problem.models.values()))
+        with depth_limit(args.formula_file):
+            formula = problem.parse_formula(tokenize(formula_text, args.formula_file))
+            fol.check_well_formed(problem.theory.signature, formula)
+            ok = fol.valid_in(model, formula)
     except FoundryError as e:
         _report_error(args, e)
         return 1

@@ -3,14 +3,24 @@
 This is the hot kernel behind `search_countermodel` on congruence-closure
 problems: a depth-first search over interpretations that decides constant
 values and function-table entries on demand, checking each equation as soon
-as both sides are evaluable. A compiled twin (`foundry._groundsearch`) is
-used when available; set FOUNDRY_PURE_PYTHON=1 to force the fallback.
+as both sides are evaluable.
+
+The search uses the least-number heuristic of Paradox (Claessen & Sörensson,
+2003) and Mace4: a fresh constant or table entry only tries the values
+0..m+1, where m is the largest value used so far. This cut does not change
+the model returned. The plain DFS, which tries every value in ascending
+order, returns the lexicographically least satisfying value vector. Suppose
+that vector gave some fresh entry a value v above m+1. Swapping v and m+1
+in that entry's universe maps the model to another model of the same
+equations. The swap leaves every earlier value alone (all are at most m)
+and lowers this one, so the result is a smaller satisfying vector, which
+is a contradiction. The least vector therefore lies inside the cut, and
+the cut search returns it.
 """
 
 from __future__ import annotations
 
 import itertools
-import os
 
 from ..errors import SemanticsError
 from .semantics import FiniteModel
@@ -51,19 +61,20 @@ def _lower(eqs, goal):
     return nodes, checks, order_terms
 
 
-def _search_py(nodes, checks, k: int):
-    """Pure-Python DFS; returns the value vector or None."""
+def _search(nodes, checks, k: int):
+    """The least satisfying value vector over a universe of size k, or None."""
     n = len(nodes)
     val = [0] * n
     table: dict[tuple, int] = {}
 
-    def go(pos: int) -> bool:
+    def go(pos: int, top: int) -> bool:
+        # values 0..top-1 are in use; a fresh key may take at most top
         if pos == n:
             return True
         sym, kids = nodes[pos]
         key = (sym, tuple(val[c] for c in kids))
         fresh = key not in table
-        candidates = range(k) if fresh else (table[key],)
+        candidates = range(min(k, top + 1)) if fresh else (table[key],)
         for v in candidates:
             val[pos] = v
             if fresh:
@@ -73,33 +84,21 @@ def _search_py(nodes, checks, k: int):
                 if (val[l] == val[r]) != want:
                     ok = False
                     break
-            if ok and go(pos + 1):
+            if ok and go(pos + 1, max(top, v + 1)):
                 return True
             if fresh:
                 del table[key]
         return False
 
-    return val if go(0) else None
-
-
-def _engine():
-    if os.environ.get("FOUNDRY_PURE_PYTHON"):
-        return _search_py
-    try:
-        from .._groundsearch import search as _search_c
-
-        return _search_c
-    except ImportError:
-        return _search_py
+    return val if go(0, 0) else None
 
 
 def ground_countermodel(sig: Signature, eqs, goal, max_size: int) -> FiniteModel | None:
     """A model of the ground equations falsifying the goal equation, searched
     over universes of sizes 1..max_size; None if there is none."""
     nodes, checks, order_terms = _lower(eqs, goal)
-    search = _engine()
     for k in range(1, max_size + 1):
-        val = search(nodes, checks, k)
+        val = _search(nodes, checks, k)
         if val is None:
             continue
         return _build_model(sig, nodes, order_terms, val, k)
@@ -117,7 +116,3 @@ def _build_model(sig: Signature, nodes, order_terms, val, k: int) -> FiniteModel
         functions[sym][tuple(val[c] for c in kids)] = val[pos]
     relations = {r: frozenset() for r in sig.relations}
     return FiniteModel(universes=universes, functions=functions, relations=relations)
-
-
-def engine_name() -> str:
-    return "compiled" if _engine().__module__.endswith("_groundsearch") else "pure-python"

@@ -10,6 +10,7 @@ from __future__ import annotations
 import dataclasses
 import json
 import time
+from contextlib import contextmanager
 from dataclasses import dataclass, field, replace
 
 from . import dtt, fol, stlc
@@ -124,6 +125,16 @@ def _depth_exceeded(span) -> FoundryError:
     )
 
 
+@contextmanager
+def depth_limit(filename: str):
+    """Turn a RecursionError in the block into the depth-exceeded error at the
+    start of the file."""
+    try:
+        yield
+    except RecursionError:
+        raise _depth_exceeded(Span(filename, 1, 1, 1, 1)) from None
+
+
 class _Runner:
     calculus = "?"
 
@@ -204,7 +215,7 @@ class FolRunner(_Runner):
     def env(self) -> FolEnv:
         return FolEnv(self.theory.signature)
 
-    def _parse_formula(self, tokens):
+    def parse_formula(self, tokens):
         cur = sc.block_cursor(tokens, self.filename)
         a = parse_fol_formula(cur, self.env())
         if not cur.done():
@@ -233,23 +244,23 @@ class FolRunner(_Runner):
                 a = parse_fol_formula(cur, env)
                 self.theory = fol.extend_by_relation(self.theory, name, a, pvars)
             case sc.AxiomDecl(name=name, body_tokens=body):
-                a = self._parse_formula(body)
+                a = self.parse_formula(body)
                 self.theory = self.theory.with_axiom(name, a)
             case sc.Assume(body_tokens=body):
-                a = self._parse_formula(body)
+                a = self.parse_formula(body)
                 self.assumptions.append(a)
                 self.theory = self.theory.with_axiom(
                     f"assumption_{len(self.assumptions)}", a
                 )
             case sc.Prove(body_tokens=body):
-                self.goal = self._parse_formula(body)
+                self.goal = self.parse_formula(body)
             case sc.Check(body_tokens=body, type_tokens=None):
-                a = self._parse_formula(body)
+                a = self.parse_formula(body)
                 fol.check_well_formed(self.theory.signature, a)
             case sc.ModelDef():
                 self.models[cmd.name] = build_model(self.theory.signature, cmd)
             case sc.Theorem(name=name, statement_tokens=stmt, proof_kind=pk, proof_tokens=proof):
-                statement = self._parse_formula(stmt)
+                statement = self.parse_formula(stmt)
                 cur = sc.block_cursor(proof, self.filename)
                 if pk == "nd":
                     d = parse_nd(cur, self.env())
@@ -680,10 +691,8 @@ def run_script_text(calculus: str, text: str, options: Options | None = None, fi
     options = options or Options()
     runner = RUNNERS[calculus](options, filename)
     try:
-        try:
+        with depth_limit(filename):
             commands = sc.parse_script(text, filename)
-        except RecursionError:
-            raise _depth_exceeded(Span(filename, 1, 1, 1, 1)) from None
     except FoundryError as e:
         report = RunReport(file=filename, calculus=calculus)
         span = e.span

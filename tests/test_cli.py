@@ -133,3 +133,59 @@ def test_malformed_rule_arguments_exit_1_without_traceback(tmp_path, capsys):
         captured = capsys.readouterr()
         assert "error[script-error]" in captured.out
         assert "Traceback" not in captured.out + captured.err
+
+
+PROBLEM_HEAD = "sort obj\nconst a : obj\nconst b : obj\nfn f : (obj) -> obj\nrel A : ()\n"
+MODEL = "model m {\n  sort obj = { p }\n  fn a = { () -> p }\n  fn b = { () -> p }\n" \
+    "  fn f = { (p) -> p }\n  rel A = { () }\n}\n"
+
+
+def _problem_run(tmp_path, capsys, subcommand, text, formula=None):
+    path = tmp_path / "problem.fol"
+    path.write_text(text)
+    argv = [subcommand, str(path)]
+    if formula is not None:
+        formula_path = tmp_path / "formula.fol"
+        formula_path.write_text(formula)
+        argv.append(str(formula_path))
+    code = cli(argv)
+    captured = capsys.readouterr()
+    assert "Traceback" not in captured.out + captured.err
+    return code, captured.err, path
+
+
+def test_problem_files_reject_trailing_input(tmp_path, capsys):
+    text = PROBLEM_HEAD + "prove {a = b garbage junk}\n"
+    for subcommand in ("cc", "countermodel"):
+        code, err, path = _problem_run(tmp_path, capsys, subcommand, text)
+        assert code == 1
+        assert f"error[parse-error] at {path}:6:14: trailing input in formula" in err
+    code, err, _ = _problem_run(
+        tmp_path, capsys, "model-check", PROBLEM_HEAD + MODEL, formula="a = b junk\n"
+    )
+    assert code == 1 and "formula.fol:1:7: trailing input in formula" in err
+
+
+def test_problem_files_keep_the_command_whitelist(tmp_path, capsys):
+    code, err, path = _problem_run(tmp_path, capsys, "cc", PROBLEM_HEAD + "check {a = b}\n")
+    assert code == 1
+    assert f"error[usage] at {path}:6:1: command Check is not valid in a problem file" in err
+
+
+def test_problem_commands_on_deep_input_report_depth_exceeded(tmp_path, capsys):
+    deep_not = PROBLEM_HEAD + "prove { " + "~" * 3000 + "A }\n"
+    deep_term = "f(" * 500 + "a" + ")" * 500
+    cases = [
+        ("cc", deep_not, None),
+        ("countermodel", deep_not, None),
+        ("model-check", deep_not + MODEL, "A\n"),
+        ("cc", PROBLEM_HEAD + f"prove {{ {deep_term} = a }}\n", None),
+        ("countermodel", PROBLEM_HEAD + f"prove {{ {deep_term} = a }}\n", None),
+        ("cc", "expect-error x " * 3000 + "sort obj\n", None),
+        ("model-check", PROBLEM_HEAD + MODEL, "(" * 3000 + "A" + ")" * 3000 + "\n"),
+        ("model-check", PROBLEM_HEAD + MODEL, "~" * 3000 + "A\n"),
+    ]
+    for subcommand, text, formula in cases:
+        code, err, _ = _problem_run(tmp_path, capsys, subcommand, text, formula)
+        assert code == 1
+        assert "error[depth-exceeded]" in err
