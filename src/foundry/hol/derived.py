@@ -4,16 +4,51 @@ Nothing here can mint a theorem except by calling kernel rules, so this layer
 is untrusted: a bug can fail to prove something, never prove something false.
 The rule set is exactly what the stock scripts (connectives, extensionality,
 Diaconescu) need.
+
+Most rules apply a lemma proved once per kernel state instead of unfolding
+the connectives from scratch each time. As in HOL Light's bool.ml (Harrison,
+"HOL Light: An Overview", TPHOLs 2009), a lemma is the rule's theorem on
+generic free variables. The rule instantiates it with inst_term, then
+discharges its one hypothesis with the premise th by PROVE_HYP, that is
+EQ_MP (DEDUCT_ANTISYM th lemma) th. The lemmas are each standard
+connective's unfolding and folding at each type instance and argument count,
+TRUTH, and the generic theorems of CONJ, CONJUNCT1/2, MP, SPEC, DISJ1/2, CONTR
+and EXISTS. They live in `state.lemmas`, which belongs to one state object,
+as `state.checked` does: replace(), new_definition and enable_axiom each
+start an empty one.
+
+The cache cannot forge a theorem. It stores only HolTheorems that kernel
+rules minted under that very state, and every use goes through inst_term,
+which checks each replacement, and the primitive rules. Nor does it change
+what a rule returns:
+- A lemma is proved and used only while the connectives its derivation
+  unfolds have their standard definitions (the test axiom_statement makes).
+  No parameter of a standard definiens lands in head position, so no beta
+  step depends on an argument, and the instantiated lemma is the very
+  theorem, binder hints included, that the derivation from scratch gives.
+- Each lemma has one hypothesis, which PROVE_HYP replaces by exactly the
+  premise's hypotheses, the same term objects. A lemma with two would let
+  PROVE_HYP drop one premise's conclusion from the other's hypotheses.
+- Hypothesis sets keep the first of two alpha-equal terms that a union
+  meets, and the printer shows that term's binder hints. So each rule
+  combines its premises' hypotheses in the order its derivation from scratch
+  does, and drops the hypothesis `true` wherever that derivation loses it to
+  EQT_INTRO.
+Every other state, and any input on which a lemma step fails in the kernel,
+takes the derivation from scratch, so errors stay the same as well.
 """
 
 from __future__ import annotations
 
+from functools import cache
+
 from ..errors import KernelError
 from .kernel import (
     ABS, ASSUME, BETA, DEDUCT_ANTISYM, EQ_MP, ETA, MK_COMB, REFL, TRANS,
-    Abs, App, BVar, Const, FVar, HolTerm, HolTheorem, KernelState, PROP,
-    abs_over, check_term, defining_theorem, dest_eq, fn, free_vars,
-    inst_term, inst_type, type_match, type_of,
+    Abs, App, BVar, Const, FVar, HolTerm, HolTheorem, HolType, KernelState,
+    PROP, TyApp, _closed_type, abs_over, check_term, defining_theorem,
+    dest_eq, fn, free_vars, inst_term, inst_type, pretty_type,
+    standard_definitions, type_match, type_of,
 )
 
 
@@ -80,15 +115,19 @@ def spine_beta(state: KernelState, t: HolTerm) -> HolTheorem:
     return REFL(state, t)
 
 
+def _strip_comb(t: HolTerm) -> tuple[HolTerm, list[HolTerm]]:
+    args = []
+    while isinstance(t, App):
+        args.append(t.arg)
+        t = t.fn
+    args.reverse()
+    return t, args
+
+
 def apply_def_conv(state: KernelState, name: str, t: HolTerm) -> HolTheorem:
     """⊢ t = t' where t is (c a1 ... an) for defined constant c, and t' has c
     replaced by its definiens with the spine beta-reduced."""
-    args = []
-    head = t
-    while isinstance(head, App):
-        args.append(head.arg)
-        head = head.fn
-    args.reverse()
+    head, args = _strip_comb(t)
     if not (isinstance(head, Const) and head.name == name):
         raise KernelError(f"term does not have {name} at its head")
     dth = defining_theorem(state, name)
@@ -123,13 +162,145 @@ def fold_rule(state: KernelState, name: str, target: HolTerm, th: HolTheorem) ->
 
 
 # ---------------------------------------------------------------------------
+# The per-state lemma cache
+
+
+@cache
+def _standard_bodies() -> dict[str, HolTerm]:
+    return dict(standard_definitions())
+
+
+def _standard(state: KernelState, names) -> bool:
+    """Whether each named constant has its standard definition in state."""
+    canon = _standard_bodies()
+    for n in names:
+        decl = state.constants.get(n)
+        if decl is None or decl.definiens != canon[n]:
+            return False
+    return True
+
+
+def _lemma(state: KernelState, key, names, prove) -> HolTheorem:
+    """state's lemma `key`, proved by prove(state) on first use.
+
+    Raises KernelError, so that the caller derives from scratch, unless each
+    connective in names has its standard definition in state.
+    """
+    th = state.lemmas.get(key)
+    if th is None:
+        if not _standard(state, names):
+            raise KernelError("no lemma: a connective is not the standard one")
+        th = state.lemmas[key] = prove(state)
+    return th
+
+
+def _prove_hyp(state: KernelState, th: HolTheorem, lemma: HolTheorem) -> HolTheorem:
+    """PROVE_HYP: discharge lemma's hypothesis th.conclusion by th.
+
+    The result's hypotheses are th's, the very term objects, so they print
+    with th's binder hints.
+    """
+    return EQ_MP(state, DEDUCT_ANTISYM(state, th, lemma), th)
+
+
+def _drop_truth(state: KernelState, th: HolTheorem) -> HolTheorem:
+    """th without the hypothesis `true`.
+
+    The derivations from scratch of CONJ, DISCH, GEN and the rules built on
+    them lose it to EQT_INTRO, so their lemma paths drop it too.
+    """
+    if _TRUE not in th.hypotheses:
+        return th
+    truth = TRUTH(state)
+    return EQ_MP(state, DEDUCT_ANTISYM(state, truth, th), truth)
+
+
+# the generic variables of the propositional lemmas
+_P = FVar("p", PROP)
+_Q = FVar("q", PROP)
+_TRUE = Const("true", PROP)
+
+_FORALL_DEPS = ("true", "forall")
+_AND_DEPS = ("true", "forall", "and")
+_IMP_DEPS = _AND_DEPS + ("imp",)
+_FALSE_DEPS = _FORALL_DEPS + ("false",)
+_OR_DEPS = _IMP_DEPS + ("or",)
+_EXISTS_DEPS = _IMP_DEPS + ("exists",)
+
+
+def _def_params(definiens: HolTerm, ty: HolType, n: int) -> list[FVar] | None:
+    """Generic arguments for the first n parameters of a definiens used at
+    type ty, named after its binders and numbered so that they differ; None
+    if there are fewer."""
+    params = []
+    for i in range(n):
+        if not (isinstance(ty, TyApp) and ty.op == "fun" and isinstance(definiens, Abs)):
+            return None
+        params.append(FVar(f"{definiens.hint or 'x'}{i}", ty.args[0]))
+        ty, definiens = ty.args[1], definiens.body
+    return params
+
+
+def _def_conv(state: KernelState, name: str, t: HolTerm, folding: bool = False) -> HolTheorem:
+    """apply_def_conv(state, name, t), or its SYM when folding.
+
+    Where name has its standard definition, the conversion is proved once per
+    state, type instance and argument count, on generic arguments, and then
+    instantiated.
+    """
+    head, args = _strip_comb(t)
+    if isinstance(head, Const) and head.name == name:
+        key = ("fold" if folding else "unfold", name, head.type, len(args))
+        conv = state.lemmas.get(key)
+        if conv is None and _standard(state, (name,)):
+            params = _def_params(state.constants[name].definiens, head.type, len(args))
+            if params is not None:
+                generic = head
+                for p in params:
+                    generic = App(generic, p)
+                conv = apply_def_conv(state, name, generic)
+                conv = state.lemmas[key] = SYM(state, conv) if folding else conv
+        if conv is not None:
+            side = dest_eq(conv.conclusion)[1 if folding else 0]
+            try:
+                return inst_term(state, conv, dict(zip(_strip_comb(side)[1], args)))
+            except KernelError:
+                pass
+    conv = apply_def_conv(state, name, t)
+    return SYM(state, conv) if folding else conv
+
+
+def _unfold(state: KernelState, name: str, th: HolTheorem) -> HolTheorem:
+    return EQ_MP(state, _def_conv(state, name, th.conclusion), th)
+
+
+def _fold(state: KernelState, name: str, target: HolTerm, th: HolTheorem) -> HolTheorem:
+    conv = _def_conv(state, name, target, folding=True)
+    if dest_eq(conv.conclusion)[0] != th.conclusion:
+        raise KernelError(f"proof does not match the unfolding of {name}")
+    return EQ_MP(state, conv, th)
+
+
+def _binder_domain(ty: HolType) -> HolType | None:
+    """D for a quantifier constant at (D -> Prop) -> Prop, else None."""
+    match ty:
+        case TyApp(op="fun", args=(TyApp(op="fun", args=(dom, _)), _)):
+            return dom
+    return None
+
+
+# ---------------------------------------------------------------------------
 # Truth and implication
 
 
-def TRUTH(state: KernelState) -> HolTheorem:
+def _truth(state: KernelState) -> HolTheorem:
     dth = defining_theorem(state, "true")
     idp = Abs(PROP, BVar(0), hint="p")
     return EQ_MP(state, SYM(state, dth), REFL(state, idp))
+
+
+def TRUTH(state: KernelState) -> HolTheorem:
+    return _lemma(state, "TRUTH", (), _truth)
 
 
 def EQT_INTRO(state: KernelState, th: HolTheorem) -> HolTheorem:
@@ -140,16 +311,39 @@ def EQT_ELIM(state: KernelState, th: HolTheorem) -> HolTheorem:
     return EQ_MP(state, SYM(state, th), TRUTH(state))
 
 
+def _spec(state: KernelState, t: HolTerm, th: HolTheorem) -> HolTheorem:
+    th1 = _unfold(state, "forall", th)      # Γ ⊢ P = (fun x => true)
+    th2 = AP_THM(state, th1, t)             # Γ ⊢ P t = (fun x => true) t
+    th3 = TRANS(state, th2, beta_conv(state, rhs_of(th2)))
+    return EQT_ELIM(state, th3)             # Γ ⊢ P t
+
+
 def SPEC(state: KernelState, t: HolTerm, th: HolTheorem) -> HolTheorem:
     """From Γ ⊢ ∀x. P x derive Γ ⊢ P t (beta-reducing the instance)."""
     concl = th.conclusion
     if not (isinstance(concl, App) and isinstance(concl.fn, Const) and concl.fn.name == "forall"):
         raise KernelError("SPEC needs a universally quantified theorem")
-    pred = concl.arg
-    th1 = unfold_rule(state, "forall", th)  # Γ ⊢ P = (fun x => true)
-    th2 = AP_THM(state, th1, t)             # Γ ⊢ P t = (fun x => true) t
-    th3 = TRANS(state, th2, beta_conv(state, rhs_of(th2)))
-    out = EQT_ELIM(state, th3)              # Γ ⊢ P t
+    pred, forall = concl.arg, concl.fn
+    dom = _binder_domain(forall.type)
+    ty = _closed_type(state, t)
+    if dom is not None and ty != dom:
+        raise KernelError(
+            f"SPEC: the term has type {pretty_type(ty)}, but the quantifier "
+            f"ranges over {pretty_type(dom)}"
+        )
+    out = None
+    if dom is not None:
+        gp, gx = FVar("P", forall.type.args[0]), FVar("x", dom)
+        try:
+            lemma = _lemma(  # {∀P} ⊢ P x
+                state, ("SPEC", forall.type), _FORALL_DEPS,
+                lambda s: _spec(s, gx, ASSUME(s, App(forall, gp))),
+            )
+            out = _prove_hyp(state, th, inst_term(state, lemma, {gp: pred, gx: t}))
+        except KernelError:
+            pass
+    if out is None:
+        out = _spec(state, t, th)
     if isinstance(out.conclusion, App) and isinstance(out.conclusion.fn, Abs):
         out = CONV_RULE(state, beta_conv(state, out.conclusion), out)
     return out
@@ -161,7 +355,7 @@ def GEN(state: KernelState, x: FVar, th: HolTheorem) -> HolTheorem:
     th2 = ABS(state, x, th1)  # Γ ⊢ (λx. p) = (λx. true)
     body = abs_over(x, th.conclusion)
     target = App(Const("forall", fn(fn(x.type, PROP), PROP)), body)
-    return fold_rule(state, "forall", target, th2)
+    return _fold(state, "forall", target, th2)
 
 
 def mk_imp(p: HolTerm, q: HolTerm) -> HolTerm:
@@ -189,7 +383,7 @@ def mk_exists_pred(pred: HolTerm) -> HolTerm:
     return App(Const("exists", fn(fn(dom, PROP), PROP)), pred)
 
 
-def CONJ(state: KernelState, th1: HolTheorem, th2: HolTheorem) -> HolTheorem:
+def _conj(state: KernelState, th1: HolTheorem, th2: HolTheorem) -> HolTheorem:
     p, q = th1.conclusion, th2.conclusion
     rr = fn(PROP, fn(PROP, PROP))
     r = _fresh("r", rr, th1, th2, p, q)
@@ -198,20 +392,31 @@ def CONJ(state: KernelState, th1: HolTheorem, th2: HolTheorem) -> HolTheorem:
     c = MK_COMB(state, MK_COMB(state, REFL(state, r), e1), e2)
     a = ABS(state, r, EQT_INTRO(state, c))
     target = mk_conj(p, q)
-    conv = apply_def_conv(state, "and", target)
-    conv2 = TRANS(state, conv, apply_def_conv(state, "forall", rhs_of(conv)))
+    conv = _def_conv(state, "and", target)
+    conv2 = TRANS(state, conv, _def_conv(state, "forall", rhs_of(conv)))
     return EQ_MP(state, SYM(state, conv2), a)
 
 
-def _conj_select(state: KernelState, th: HolTheorem, first: bool) -> HolTheorem:
+def _conj_lemma(state: KernelState) -> HolTheorem:
+    both = _conj(state, ASSUME(state, _P), ASSUME(state, _Q))   # {p, q} ⊢ p ∧ q
+    right = CONJUNCT2(state, ASSUME(state, both.conclusion))    # {p ∧ q} ⊢ q
+    return SYM(state, DEDUCT_ANTISYM(state, both, right))       # {p} ⊢ q = p ∧ q
+
+
+def CONJ(state: KernelState, th1: HolTheorem, th2: HolTheorem) -> HolTheorem:
+    try:
+        lemma = _lemma(state, "CONJ", _AND_DEPS, _conj_lemma)
+        inst = inst_term(state, lemma, {_P: th1.conclusion, _Q: th2.conclusion})
+        return _drop_truth(state, EQ_MP(state, _prove_hyp(state, th1, inst), th2))
+    except KernelError:
+        pass
+    return _conj(state, th1, th2)
+
+
+def _conjunct(state: KernelState, th: HolTheorem, first: bool) -> HolTheorem:
     concl = th.conclusion
-    match concl:
-        case App(fn=App(fn=Const(name="and"), arg=p), arg=q):
-            pass
-        case _:
-            raise KernelError("not a conjunction")
-    conv = apply_def_conv(state, "and", concl)
-    conv2 = TRANS(state, conv, apply_def_conv(state, "forall", rhs_of(conv)))
+    conv = _def_conv(state, "and", concl)
+    conv2 = TRANS(state, conv, _def_conv(state, "forall", rhs_of(conv)))
     eqth = EQ_MP(state, conv2, th)  # Γ ⊢ (λr. r p q = r T T) = (λr. true)
     sel = Abs(PROP, Abs(PROP, BVar(1) if first else BVar(0), hint="b"), hint="a")
     th2 = AP_THM(state, eqth, sel)
@@ -226,6 +431,23 @@ def _conj_select(state: KernelState, th: HolTheorem, first: bool) -> HolTheorem:
     return EQT_ELIM(state, th5)
 
 
+def _conj_select(state: KernelState, th: HolTheorem, first: bool) -> HolTheorem:
+    match th.conclusion:
+        case App(fn=App(fn=Const(name="and"), arg=p), arg=q):
+            pass
+        case _:
+            raise KernelError("not a conjunction")
+    try:
+        lemma = _lemma(  # {p ∧ q} ⊢ p, or q
+            state, ("CONJUNCT", first), _AND_DEPS,
+            lambda s: _conjunct(s, ASSUME(s, mk_conj(_P, _Q)), first),
+        )
+        return _prove_hyp(state, th, inst_term(state, lemma, {_P: p, _Q: q}))
+    except KernelError:
+        pass
+    return _conjunct(state, th, first)
+
+
 def CONJUNCT1(state: KernelState, th: HolTheorem) -> HolTheorem:
     return _conj_select(state, th, True)
 
@@ -236,11 +458,20 @@ def CONJUNCT2(state: KernelState, th: HolTheorem) -> HolTheorem:
 
 def DISCH(state: KernelState, p: HolTerm, th: HolTheorem) -> HolTheorem:
     """Γ ⊢ q becomes Γ − {p} ⊢ p ⟹ q."""
-    check_term(state, p)
     th1 = CONJ(state, ASSUME(state, p), th)
     th2 = CONJUNCT1(state, ASSUME(state, th1.conclusion))
     dth = DEDUCT_ANTISYM(state, th1, th2)  # Γ−{p} ⊢ (p ∧ q) = p
-    return fold_rule(state, "imp", mk_imp(p, th.conclusion), dth)
+    return _fold(state, "imp", mk_imp(p, th.conclusion), dth)
+
+
+def _mp(state: KernelState, th_imp: HolTheorem, th_p: HolTheorem) -> HolTheorem:
+    th1 = _unfold(state, "imp", th_imp)        # Γ ⊢ (p ∧ q) = p
+    th2 = EQ_MP(state, SYM(state, th1), th_p)  # Γ∪Δ ⊢ p ∧ q
+    return CONJUNCT2(state, th2)
+
+
+def _mp_lemma(state: KernelState) -> HolTheorem:
+    return SYM(state, _unfold(state, "imp", ASSUME(state, mk_imp(_P, _Q))))  # {p ⟹ q} ⊢ p = p ∧ q
 
 
 def MP(state: KernelState, th_imp: HolTheorem, th_p: HolTheorem) -> HolTheorem:
@@ -252,9 +483,13 @@ def MP(state: KernelState, th_imp: HolTheorem, th_p: HolTheorem) -> HolTheorem:
             raise KernelError("MP needs an implication")
     if p != th_p.conclusion:
         raise KernelError("MP antecedent mismatch")
-    th1 = unfold_rule(state, "imp", th_imp)   # Γ ⊢ (p ∧ q) = p
-    th2 = EQ_MP(state, SYM(state, th1), th_p)  # Γ∪Δ ⊢ p ∧ q
-    return CONJUNCT2(state, th2)
+    try:
+        lemma = _lemma(state, "MP", ("imp",), _mp_lemma)
+        inst = inst_term(state, lemma, {_P: p, _Q: q})
+        return CONJUNCT2(state, EQ_MP(state, _prove_hyp(state, th_imp, inst), th_p))
+    except KernelError:
+        pass
+    return _mp(state, th_imp, th_p)
 
 
 def UNDISCH(state: KernelState, th: HolTheorem) -> HolTheorem:
@@ -264,7 +499,7 @@ def UNDISCH(state: KernelState, th: HolTheorem) -> HolTheorem:
     raise KernelError("UNDISCH needs an implication")
 
 
-def DISJ1(state: KernelState, th: HolTheorem, q: HolTerm) -> HolTheorem:
+def _disj1(state: KernelState, th: HolTheorem, q: HolTerm) -> HolTheorem:
     p = th.conclusion
     check_term(state, q)
     r = _fresh("r", PROP, th, p, q)
@@ -273,11 +508,20 @@ def DISJ1(state: KernelState, th: HolTheorem, q: HolTerm) -> HolTheorem:
     d1 = DISCH(state, mk_imp(q, r), step)
     d2 = DISCH(state, mk_imp(p, r), d1)
     g = GEN(state, r, d2)
-    conv = apply_def_conv(state, "or", mk_disj(p, q))
-    return EQ_MP(state, SYM(state, conv), g)
+    return _fold(state, "or", mk_disj(p, q), g)
 
 
-def DISJ2(state: KernelState, p: HolTerm, th: HolTheorem) -> HolTheorem:
+def DISJ1(state: KernelState, th: HolTheorem, q: HolTerm) -> HolTheorem:
+    try:
+        lemma = _lemma(state, "DISJ1", _OR_DEPS, lambda s: _disj1(s, ASSUME(s, _P), _Q))
+        inst = inst_term(state, lemma, {_P: th.conclusion, _Q: q})
+        return _drop_truth(state, _prove_hyp(state, th, inst))
+    except KernelError:
+        pass
+    return _disj1(state, th, q)
+
+
+def _disj2(state: KernelState, p: HolTerm, th: HolTheorem) -> HolTheorem:
     q = th.conclusion
     check_term(state, p)
     r = _fresh("r", PROP, th, p, q)
@@ -286,8 +530,17 @@ def DISJ2(state: KernelState, p: HolTerm, th: HolTheorem) -> HolTheorem:
     d1 = DISCH(state, mk_imp(q, r), step)       # Γ ⊢ (q⟹r) ⟹ r
     d2 = DISCH(state, mk_imp(p, r), d1)         # vacuous discharge of p⟹r
     g = GEN(state, r, d2)
-    conv = apply_def_conv(state, "or", mk_disj(p, q))
-    return EQ_MP(state, SYM(state, conv), g)
+    return _fold(state, "or", mk_disj(p, q), g)
+
+
+def DISJ2(state: KernelState, p: HolTerm, th: HolTheorem) -> HolTheorem:
+    try:
+        lemma = _lemma(state, "DISJ2", _OR_DEPS, lambda s: _disj2(s, _P, ASSUME(s, _Q)))
+        inst = inst_term(state, lemma, {_P: p, _Q: th.conclusion})
+        return _drop_truth(state, _prove_hyp(state, th, inst))
+    except KernelError:
+        pass
+    return _disj2(state, p, th)
 
 
 def DISJ_CASES(
@@ -301,7 +554,7 @@ def DISJ_CASES(
     if th1.conclusion != th2.conclusion:
         raise KernelError("DISJ_CASES branches must agree")
     c = th1.conclusion
-    unf = unfold_rule(state, "or", th_or)        # Γ ⊢ ∀r. (p⟹r) ⟹ ((q⟹r) ⟹ r)
+    unf = _unfold(state, "or", th_or)           # Γ ⊢ ∀r. (p⟹r) ⟹ ((q⟹r) ⟹ r)
     sp = SPEC(state, c, unf)
     d1 = DISCH(state, p, th1)
     d2 = DISCH(state, q, th2)
@@ -311,15 +564,19 @@ def DISJ_CASES(
 def NOT_INTRO(state: KernelState, th: HolTheorem) -> HolTheorem:
     match th.conclusion:
         case App(fn=App(fn=Const(name="imp"), arg=p), arg=Const(name="false")):
-            return fold_rule(state, "not", mk_neg(p), th)
+            return _fold(state, "not", mk_neg(p), th)
     raise KernelError("NOT_INTRO needs ⊢ p ⟹ false")
 
 
 def NOT_ELIM(state: KernelState, th: HolTheorem) -> HolTheorem:
     match th.conclusion:
         case App(fn=Const(name="not")):
-            return unfold_rule(state, "not", th)
+            return _unfold(state, "not", th)
     raise KernelError("NOT_ELIM needs a negation")
+
+
+def _contr(state: KernelState, p: HolTerm, th: HolTheorem) -> HolTheorem:
+    return SPEC(state, p, _unfold(state, "false", th))
 
 
 def CONTR(state: KernelState, p: HolTerm, th: HolTheorem) -> HolTheorem:
@@ -329,26 +586,26 @@ def CONTR(state: KernelState, p: HolTerm, th: HolTheorem) -> HolTheorem:
             pass
         case _:
             raise KernelError("CONTR needs ⊢ false")
-    th1 = unfold_rule(state, "false", th)
-    return SPEC(state, p, th1)
+    ty = _closed_type(state, p)
+    if ty != PROP:
+        raise KernelError(
+            f"CONTR: the term has type {pretty_type(ty)}, but the conclusion "
+            f"must have type Prop"
+        )
+    try:
+        lemma = _lemma(  # {false} ⊢ p
+            state, "CONTR", _FALSE_DEPS, lambda s: _contr(s, _P, ASSUME(s, Const("false", PROP)))
+        )
+        return _prove_hyp(state, th, inst_term(state, lemma, {_P: p}))
+    except KernelError:
+        pass
+    return _contr(state, p, th)
 
 
-def EXISTS(state: KernelState, ex_term: HolTerm, witness: HolTerm, th: HolTheorem) -> HolTheorem:
-    """Introduce ⊢ ∃x. P x from a proof of P witness."""
-    match ex_term:
-        case App(fn=Const(name="exists"), arg=pred):
-            pass
-        case _:
-            raise KernelError("EXISTS needs an existential target")
-    want = App(pred, witness)
-    body = th
-    if th.conclusion != want:
-        bc = beta_conv(state, want)
-        if rhs_of(bc) != th.conclusion:
-            raise KernelError("EXISTS: the proof does not match the instantiated predicate")
-        body = EQ_MP(state, SYM(state, bc), th)
-    q = _fresh("q", PROP, th, pred, witness)
-    x = _fresh("x", type_of(witness), th, pred, witness)
+def _exists(state: KernelState, ex_term: HolTerm, witness: HolTerm, body: HolTheorem) -> HolTheorem:
+    pred = ex_term.arg
+    q = _fresh("q", PROP, body, pred, witness)
+    x = _fresh("x", type_of(witness), body, pred, witness)
     hyp = mk_forall(x, mk_imp(App(pred, x), q))
     a = ASSUME(state, hyp)
     sp = SPEC(state, witness, a)
@@ -356,8 +613,42 @@ def EXISTS(state: KernelState, ex_term: HolTerm, witness: HolTerm, th: HolTheore
     m = MP(state, sp, body)
     d = DISCH(state, hyp, m)
     g = GEN(state, q, d)
-    conv = apply_def_conv(state, "exists", ex_term)
-    return EQ_MP(state, SYM(state, conv), g)
+    return _fold(state, "exists", ex_term, g)
+
+
+def EXISTS(state: KernelState, ex_term: HolTerm, witness: HolTerm, th: HolTheorem) -> HolTheorem:
+    """Introduce ⊢ ∃x. P x from a proof of P witness."""
+    match ex_term:
+        case App(fn=Const(name="exists") as exists, arg=pred):
+            pass
+        case _:
+            raise KernelError("EXISTS needs an existential target")
+    dom = _binder_domain(exists.type)
+    ty = _closed_type(state, witness)
+    if dom is not None and ty != dom:
+        raise KernelError(
+            f"EXISTS: the witness has type {pretty_type(ty)}, but the quantifier "
+            f"ranges over {pretty_type(dom)}"
+        )
+    want = App(pred, witness)
+    body = th
+    if th.conclusion != want:
+        bc = beta_conv(state, want)
+        if rhs_of(bc) != th.conclusion:
+            raise KernelError("EXISTS: the proof does not match the instantiated predicate")
+        body = EQ_MP(state, SYM(state, bc), th)
+    if dom is not None:
+        gp, gx = FVar("P", exists.type.args[0]), FVar("x", dom)
+        try:
+            lemma = _lemma(  # {P x} ⊢ ∃P
+                state, ("EXISTS", exists.type), _EXISTS_DEPS,
+                lambda s: _exists(s, App(exists, gp), gx, ASSUME(s, App(gp, gx))),
+            )
+            inst = inst_term(state, lemma, {gp: pred, gx: witness})
+            return _drop_truth(state, _prove_hyp(state, body, inst))
+        except KernelError:
+            pass
+    return _exists(state, ex_term, witness, body)
 
 
 def EXT(state: KernelState, x: FVar, th: HolTheorem) -> HolTheorem:

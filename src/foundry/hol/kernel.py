@@ -433,7 +433,9 @@ class KernelState:
     The tables are stored as read-only copies, so a state's tables never
     change after construction. `checked` memoizes check_term on closed terms
     for this state object only; every new state, replace() included, starts
-    with an empty memo.
+    with an empty memo. `lemmas` is the derived layer's cache of theorems
+    that kernel rules minted under this state object; it starts empty in the
+    same way.
     """
 
     constants: Mapping[str, ConstDecl]
@@ -441,6 +443,7 @@ class KernelState:
     enabled_axioms: frozenset[str] = frozenset()
     definition_log: tuple = ()
     checked: dict = field(init=False, compare=False, repr=False, default_factory=dict)
+    lemmas: dict = field(init=False, compare=False, repr=False, default_factory=dict)
 
     def __post_init__(self):
         object.__setattr__(self, "constants", MappingProxyType(dict(self.constants)))

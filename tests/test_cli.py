@@ -135,6 +135,28 @@ def test_malformed_rule_arguments_exit_1_without_traceback(tmp_path, capsys):
         assert "Traceback" not in captured.out + captured.err
 
 
+def test_quantifier_rules_report_mistyped_terms_by_name(tmp_path, capsys):
+    defs = "".join(
+        line + "\n" for line in (CORPUS / "connectives.hol").read_text().splitlines()
+        if line.startswith("define ")
+    )
+    cases = [
+        ("spec {(y : Ind)} (assume {forall (fun (x : Prop) => x)})",
+         "SPEC: the term has type Ind, but the quantifier ranges over Prop"),
+        ("contr {(y : Ind)} (assume {false})",
+         "CONTR: the term has type Ind, but the conclusion must have type Prop"),
+        ("exists_intro {exists (fun (x : Prop) => x)} {(y : Ind)} (assume {(y : Ind) = (y : Ind)})",
+         "EXISTS: the witness has type Ind, but the quantifier ranges over Prop"),
+    ]
+    for proof, message in cases:
+        path = tmp_path / "mistyped.hol"
+        path.write_text(defs + f"thm t := {proof}\n")
+        assert cli(["check", str(path), "--calculus", "hol"]) == 1
+        captured = capsys.readouterr()
+        assert f"error[kernel-error] at 9:1: {message}\n" in captured.out
+        assert "Traceback" not in captured.out + captured.err
+
+
 PROBLEM_HEAD = "sort obj\nconst a : obj\nconst b : obj\nfn f : (obj) -> obj\nrel A : ()\n"
 MODEL = "model m {\n  sort obj = { p }\n  fn a = { () -> p }\n  fn b = { () -> p }\n" \
     "  fn f = { (p) -> p }\n  rel A = { () }\n}\n"

@@ -1,5 +1,6 @@
-"""The HOL kernel's per-state check memo, the cached node hash, and the
-read-only state tables the memo relies on."""
+"""The HOL kernel's per-state check memo, the derived layer's per-state
+lemma cache, the cached node hash, and the read-only state tables both rely
+on."""
 
 import dataclasses
 
@@ -8,12 +9,15 @@ from hypothesis import given, settings, strategies as st
 
 import foundry.hol.kernel as hk
 from foundry.errors import KernelError
+import foundry.hol.derived as hd
 from foundry.hol import (
-    ASSUME, Abs, App, BVar, Const, FVar, IND, PROP, REFL, TyApp, TyVar,
-    define_connectives, fn, initial_state, mk_eq, mk_eq_at, new_definition,
-    new_type_definition,
+    ASSUME, Abs, App, BVar, Const, FVar, HolTheorem, IND, PROP, REFL, TyApp,
+    TyVar, define_connectives, fn, initial_state, mk_eq, mk_eq_at,
+    new_definition, new_type_definition,
 )
 from foundry.hol.derived import EQT_INTRO, EXISTS, TRUTH, mk_exists_pred
+from foundry.run import HolRunner, Options
+from foundry.surface.script import parse_script
 from foundry.span import Span
 
 
@@ -183,3 +187,89 @@ def test_memoized_checks_agree_with_a_fresh_state(base, t, rule):
 def test_empty_type_instantiation_returns_the_theorem(base):
     th = REFL(base, FVar("x", TyVar("a")))
     assert hk.inst_type(base, th, {}) is th
+
+
+# ---------------------------------------------------------------------------
+# The derived layer's per-state lemma cache
+
+
+def _exercise(state):
+    """Run every rule that proves a lemma, so state.lemmas fills up."""
+    p, q = FVar("p", PROP), FVar("q", PROP)
+    x = FVar("x", IND)
+    conj = hd.CONJ(state, ASSUME(state, p), ASSUME(state, q))
+    hd.CONJUNCT1(state, conj)
+    hd.CONJUNCT2(state, conj)
+    imp = hd.DISCH(state, p, ASSUME(state, q))
+    hd.MP(state, imp, ASSUME(state, p))
+    hd.DISJ1(state, ASSUME(state, p), q)
+    hd.DISJ2(state, p, ASSUME(state, q))
+    hd.CONTR(state, p, ASSUME(state, Const("false", PROP)))
+    gen = hd.GEN(state, x, ASSUME(state, p))
+    hd.SPEC(state, x, gen)
+    pred = Abs(IND, mk_eq_at(IND, BVar(0), x), hint="y")
+    hd.EXISTS(state, mk_exists_pred(pred), x, REFL(state, x))
+    hd.NOT_ELIM(state, ASSUME(state, hd.mk_neg(p)))
+
+
+def test_lemma_caches_start_empty():
+    state, _ = define_connectives(initial_state())
+    assert initial_state().lemmas == {} and state.lemmas == {}
+    _exercise(state)
+    assert state.lemmas
+    idp = Abs(PROP, BVar(0))
+    s1, _ = new_definition(state, "c", mk_eq(idp, idp))
+    for other in (dataclasses.replace(state), state.enable_axiom("choice"), state.log("note", "x"), s1):
+        assert other.lemmas == {} and other.lemmas is not state.lemmas
+
+
+def test_states_never_share_lemmas(base):
+    s1, s2 = dataclasses.replace(base), dataclasses.replace(base)
+    _exercise(s1)
+    assert s2.lemmas == {}
+    _exercise(s2)
+    assert s1.lemmas.keys() == s2.lemmas.keys()
+    assert all(s1.lemmas[k] is not s2.lemmas[k] for k in s1.lemmas)
+
+
+def test_the_cache_holds_only_theorems(base):
+    state = dataclasses.replace(base)
+    _exercise(state)
+    assert {"TRUTH", "CONJ", ("CONJUNCT", True), ("CONJUNCT", False), "MP", "DISJ1", "DISJ2", "CONTR"} <= state.lemmas.keys()
+    assert all(type(th) is HolTheorem for th in state.lemmas.values())
+
+
+# `and` with its arguments swapped, and `and` as equality: the derivations
+# from scratch give `b` from `and a b` by CONJUNCT1, and fail at the missing
+# `forall`, where a lemma for the standard `and` would give `a`.
+_NONSTANDARD_AND = [
+    (
+        "fun (p : Prop) (q : Prop) => forall (fun (r : Prop -> Prop -> Prop) => (r q p) = (r true true))",
+        ["Thm c1: ok -- and a b |- b", "Thm c2: ok -- and a b |- a",
+         "Thm cj: error[kernel-error] at 7:1: EQ_MP: the equation's left side does not match the theorem"],
+    ),
+    (
+        "fun (p : Prop) (q : Prop) => p = q",
+        ["Thm c1: error[kernel-error] at 5:1: term does not have forall at its head"],
+    ),
+]
+
+
+@pytest.mark.parametrize("definiens, lines", _NONSTANDARD_AND)
+def test_a_nonstandard_and_takes_the_derivation_from_scratch(definiens, lines):
+    script = "\n".join([
+        "define true := {(fun (p : Prop) => p) = (fun (p : Prop) => p)}",
+        "define forall := {fun (P : 'a -> Prop) => P = (fun (x : 'a) => true)}",
+        f"define and := {{{definiens}}}",
+        "define imp := {fun (p : Prop) (q : Prop) => (and p q) = p}",
+        "thm c1 := conjunct1 (assume {and (a : Prop) (b : Prop)})",
+        "thm c2 := conjunct2 (assume {and (a : Prop) (b : Prop)})",
+        "thm cj := conj (assume {(a : Prop)}) (assume {(b : Prop)})",
+    ])
+    runner = HolRunner(Options(), "nonstandard.hol")
+    report = runner.run(parse_script(script, "nonstandard.hol"))
+    text = report.to_text()
+    for line in lines:
+        assert line in text
+    assert not any(isinstance(k, tuple) and k[0] == "CONJUNCT" or k == "CONJ" for k in runner.state.lemmas)
+    assert all(type(th) is HolTheorem for th in runner.state.lemmas.values())
