@@ -4,6 +4,23 @@ Definitional equality weak-head normalizes both sides, compares heads, and
 recurses; eta for Pi is comparison-time expansion behind a flag. Universe
 levels are concrete naturals; Prop sits at the bottom (Prop : Type 0) and is
 impredicative when enabled. Axioms never reduce.
+
+Closed terms are checked once per config. The runner inlines each `define`
+as one closed node object at every use, so `_infer` stores a closed compound
+node's type on the node, paired with the `KernelConfig` object that asked,
+and returns it when that same object asks again. This cannot change a
+verdict:
+
+- a closed term's type is a function of the term and the config alone: no
+  rule reads the context except to look up a variable, and a closed term's
+  variables are all bound inside it;
+- nodes are immutable, and the pair is keyed on the config's identity, so
+  enabling an axiom or Prop (a new config object) infers afresh;
+- a failed inference raises before anything is stored.
+
+Two cheaper shortcuts need no argument beyond their own code: `whnf` returns
+at once on a head that is not an application or an eliminator, since only
+those step, and `_conv` accepts two sides that are one object.
 """
 
 from __future__ import annotations
@@ -15,7 +32,8 @@ from .syntax import (
     App, Axiom, Bool, BoolCases, Empty, EmptyCases, Expr, FalseE, Id, IdCases,
     Inl, Inr, Lam, Nat, NatRec, Pair, Pi, PropSort, Refl, Sigma, SigmaCases,
     Star, Succ, Sum, SumCases, Sup, TrueE, TypeSort, Unit, Var, W, WRec,
-    Zero, _SHAPE, arrow, instantiate, map_subexprs, replace_field, shift,
+    Zero, _SHAPE, _loose_range, arrow, instantiate, map_subexprs, replace_field,
+    shift,
 )
 
 DTT_AXIOMS = ("funext", "propext", "choice", "K")
@@ -141,11 +159,12 @@ def whnf(cfg: KernelConfig, e: Expr, fuel: _Fuel | None = None) -> Expr:
     while True:
         fuel.burn()
         head_field = _HEAD_FIELD.get(type(e))
-        if head_field is not None:
-            sub = getattr(e, head_field)
-            sub_w = whnf(cfg, sub, fuel)
-            if sub_w is not sub:
-                e = replace_field(e, head_field, sub_w)
+        if head_field is None:
+            return e  # only applications and eliminators step
+        sub = getattr(e, head_field)
+        sub_w = whnf(cfg, sub, fuel)
+        if sub_w is not sub:
+            e = replace_field(e, head_field, sub_w)
         stepped = _step(cfg, e)
         if stepped is None:
             return e
@@ -180,6 +199,8 @@ def defeq(cfg: KernelConfig, ctx: DttContext, s: Expr, t: Expr, ty: Expr | None 
 
 
 def _conv(cfg: KernelConfig, s: Expr, t: Expr, fuel: _Fuel) -> bool:
+    if s is t:
+        return True
     s = whnf(cfg, s, fuel)
     t = whnf(cfg, t, fuel)
     if s == t:
@@ -383,6 +404,19 @@ def _sort(cfg: KernelConfig, ctx: Ctx, ty: Expr, what: str) -> Expr:
 
 
 def _infer(cfg: KernelConfig, ctx: Ctx, e: Expr) -> Expr:
+    """The type of e; a closed compound node keeps it for the config object
+    that asked (see the module docstring for why that is sound)."""
+    if type(e) in _SHAPE and _loose_range(e) == 0:
+        typed = e._typed
+        if typed is not None and typed[0] is cfg:
+            return typed[1]
+        ty = _infer_node(cfg, ctx, e)
+        object.__setattr__(e, "_typed", (cfg, ty))
+        return ty
+    return _infer_node(cfg, ctx, e)
+
+
+def _infer_node(cfg: KernelConfig, ctx: Ctx, e: Expr) -> Expr:
     match e:
         case Var(index=k):
             return lookup(ctx, k)

@@ -3,6 +3,14 @@
 De Bruijn binders (Pi/Lam/Sigma/W bind one variable in their second
 component); eliminators carry their motive explicitly, so checking is
 syntax-directed. Axioms are inert constants.
+
+Each node carries two caches outside its dataclass fields, so `==`, `hash`,
+`repr`, pattern matching and `dataclasses.fields` never see them. Both are
+set with `object.__setattr__` on first use:
+
+- `_loose`: one more than the largest loose de Bruijn index (0 when closed),
+  which lets shift and subst return a subterm they cannot change untouched;
+- `_typed`: the kernel's `(config, type)` pair for a closed node.
 """
 
 from __future__ import annotations
@@ -241,6 +249,10 @@ Expr = Union[
     W, Sup, WRec, Axiom,
 ]
 
+for _cls in Expr.__args__:
+    _cls._loose = None
+    _cls._typed = None
+
 # (field name, binder depth) per constructor; leaves omitted
 _SHAPE = {
     Pi: (("dom", 0), ("cod", 1)),
@@ -302,10 +314,28 @@ def replace_field(e: Expr, name: str, value: Expr) -> Expr:
     return _rebuild(e, {name: value})
 
 
+def _loose_range(e: Expr) -> int:
+    """One more than the largest loose de Bruijn index of e; 0 when closed."""
+    r = e._loose
+    if r is None:
+        shape = _SHAPE.get(type(e))
+        if shape is None:
+            return e.index + 1 if type(e) is Var else 0
+        r = 0
+        for name, depth in shape:
+            sub = _loose_range(getattr(e, name)) - depth
+            if sub > r:
+                r = sub
+        object.__setattr__(e, "_loose", r)
+    return r
+
+
 def shift(e: Expr, d: int, cutoff: int = 0) -> Expr:
+    if _loose_range(e) <= cutoff:
+        return e
     match e:
         case Var(index=k):
-            return Var(k + d) if k >= cutoff else e
+            return Var(k + d)
         case _:
             return map_subexprs(e, lambda sub, extra: shift(sub, d, cutoff + extra))
 
@@ -318,13 +348,16 @@ def subst(e: Expr, j: int, value: Expr, lift: int = 0) -> Expr:
     substitution whose Var(j) does not occur never shifts. Callers pass 0.
 
     Subterms the substitution leaves unchanged are returned as the same
-    object, and so is e when Var(j) and the indices above it do not occur.
+    object, and so is e when Var(j) and the indices above it do not occur,
+    which the loose-bvar range tells without a walk.
     """
+    if _loose_range(e) <= j:
+        return e
     match e:
         case Var(index=k):
             if k == j:
                 return shift(value, lift) if lift else value
-            return Var(k - 1) if k > j else e
+            return Var(k - 1)
         case _:
             return map_subexprs(
                 e, lambda sub, extra: subst(sub, j + extra, value, lift + extra)

@@ -75,9 +75,9 @@ def tokenize(text: str, filename: str = "<input>") -> list[Token]:
             tokens.append(Token("tyvar", value, span(l0, c0, line, col)))
             i = j
             continue
-        if c.isdigit():
+        if c.isdecimal():  # exactly the digits int() accepts; not '²'
             j = i
-            while j < n and text[j].isdigit():
+            while j < n and text[j].isdecimal():
                 j += 1
             value = text[i:j]
             col += j - i

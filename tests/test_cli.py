@@ -1,7 +1,11 @@
 import json
+import os
 import pathlib
 import re
+import subprocess
+import sys
 
+import foundry
 from foundry.cli import run as cli
 
 CORPUS = pathlib.Path(__file__).resolve().parent.parent / "corpus"
@@ -123,6 +127,37 @@ def test_deep_input_is_a_tagged_error_not_a_traceback(tmp_path, capsys):
         assert "error[depth-exceeded] at 1:1" in capsys.readouterr().out
     report = run_script_text("dtt", "expect-error depth-exceeded eval {400}\n")
     assert report.ok and report.results[0].output == "expected error: depth-exceeded"
+
+
+def test_eval_of_a_320_numeral_fits_the_stack(tmp_path):
+    # A fresh process, because the test runner's own frames eat the stack.
+    path = tmp_path / "n.dtt"
+    path.write_text("eval {320}\n")
+    env = dict(os.environ, PYTHONPATH=str(pathlib.Path(foundry.__file__).parents[1]))
+    done = subprocess.run(
+        [sys.executable, "-m", "foundry.cli", "eval", str(path), "--calculus", "dtt"],
+        capture_output=True, text=True, env=env, timeout=60,
+    )
+    assert (done.returncode, done.stdout.splitlines()[-1]) == (0, "320"), done.stderr
+
+
+def test_non_decimal_digits_are_parse_errors_not_tracebacks(tmp_path, capsys):
+    cases = [
+        ("dtt", "eval {²}\n", "1:7"),
+        ("dtt", "check {Type ²}\n", "1:13"),
+        ("stlc", "eval {²}\n", "1:7"),
+        ("fol", "rel P : ()\ntheorem t : {P -> P} := hilbert {\n  ax 1 {P} {P} ;\n  mp 1 ²\n}\n", "4:8"),
+    ]
+    for calculus, text, where in cases:
+        path = tmp_path / f"digits.{calculus}"
+        path.write_text(text)
+        assert cli(["check", str(path), "--calculus", calculus]) == 1
+        out = capsys.readouterr().out
+        assert f"error[parse-error] at {where}: unexpected character '²'" in out
+    path = tmp_path / "arabic.dtt"
+    path.write_text("eval {٣}\n")  # a decimal digit, which int() reads
+    assert cli(["eval", str(path), "--calculus", "dtt"]) == 0
+    assert capsys.readouterr().out.splitlines()[-1] == "3"
 
 
 def test_malformed_rule_arguments_exit_1_without_traceback(tmp_path, capsys):

@@ -10,6 +10,7 @@ import pytest
 from hypothesis import given, settings, strategies as st
 
 import foundry.dtt.syntax as dtt_syntax
+from foundry.dtt.syntax import _loose_range
 
 from foundry.dtt import (
     App, Axiom, Id, Lam, Nat, NatRec, Pair, Pi, Refl, Sigma, Succ, Sup,
@@ -94,6 +95,24 @@ def test_subst_matches_reference(e, j, value):
     assert out == ref_subst(e, j, value)
     if loose_bound(e) <= j:
         assert out is e
+
+
+def subterms(e):
+    yield e
+    for _, v, _ in _children(e):
+        yield from subterms(v)
+
+
+@settings(max_examples=200, deadline=None)
+@given(exprs, small, small, exprs)
+def test_loose_range_matches_reference(e, d, cutoff, value):
+    # The root's range is computed first, so the subterms' are read back from
+    # the values that walk stored on them.
+    if _loose_range(e) <= cutoff:
+        assert shift(e, d, cutoff) is e
+        assert subst(e, cutoff, value) is e
+    for sub in subterms(e):
+        assert _loose_range(sub) == loose_bound(sub)
 
 
 @settings(max_examples=200, deadline=None)
