@@ -63,16 +63,18 @@ def _emit(report: RunReport, fmt: str) -> int:
     return 0 if report.ok else 1
 
 
+def _run_file(args) -> tuple[RunReport, int]:
+    """Run the script file and emit its report; returns it and the exit code."""
+    report = run_script_text(args.calculus, _read(args.file), _options(args), args.file)
+    return report, _emit(report, args.report)
+
+
 def _cmd_check(args) -> int:
-    text = _read(args.file)
-    report = run_script_text(args.calculus, text, _options(args), args.file)
-    return _emit(report, args.report)
+    return _run_file(args)[1]
 
 
 def _cmd_eval(args) -> int:
-    text = _read(args.file)
-    report = run_script_text(args.calculus, text, _options(args), args.file)
-    code = _emit(report, args.report)
+    report, code = _run_file(args)
     if code == 0:
         evals = [r for r in report.results if r.command == "Eval"]
         if not evals:
@@ -104,28 +106,23 @@ def _load_problem(path: str, text: str) -> FolRunner:
 
 
 def _cmd_cc(args) -> int:
-    text = _read(args.file)
-    try:
-        problem = _load_problem(args.file, text)
-        goal = problem.goal
-        if goal is None:
-            print("error: problem file needs a prove line", file=sys.stderr)
-            return 2
-        eqs = []
-        for a in problem.assumptions:
-            if not isinstance(a, fol.Eq):
-                raise FoundryError("cc assumptions must be equations", tag="non-ground")
-            eqs.append((a.lhs, a.rhs))
-        if not isinstance(goal, fol.Eq):
-            raise FoundryError("cc goal must be an equation", tag="non-ground")
-        with depth_limit(args.file):
-            result = fol.congruence_closure(eqs, (goal.lhs, goal.rhs))
-            classes = sorted(
-                sorted(fol.pretty_term(t) for t in group) for group in (result.partition or ())
-            )
-    except FoundryError as e:
-        _report_error(args, e)
-        return 1
+    problem = _load_problem(args.file, _read(args.file))
+    goal = problem.goal
+    if goal is None:
+        print("error: problem file needs a prove line", file=sys.stderr)
+        return 2
+    eqs = []
+    for a in problem.assumptions:
+        if not isinstance(a, fol.Eq):
+            raise FoundryError("cc assumptions must be equations", tag="non-ground")
+        eqs.append((a.lhs, a.rhs))
+    if not isinstance(goal, fol.Eq):
+        raise FoundryError("cc goal must be an equation", tag="non-ground")
+    with depth_limit(args.file):
+        result = fol.congruence_closure(eqs, (goal.lhs, goal.rhs))
+        classes = sorted(
+            sorted(fol.pretty_term(t) for t in group) for group in (result.partition or ())
+        )
     if args.report == "json":
         doc = {"file": args.file, "valid": result.valid, "classes": classes}
         print(json.dumps(doc, sort_keys=True, indent=2))
@@ -139,19 +136,14 @@ def _cmd_cc(args) -> int:
 
 
 def _cmd_countermodel(args) -> int:
-    text = _read(args.file)
-    try:
-        problem = _load_problem(args.file, text)
-        if problem.goal is None:
-            print("error: problem file needs a prove line", file=sys.stderr)
-            return 2
-        with depth_limit(args.file):
-            model = fol.search_countermodel(
-                problem.theory.signature, problem.assumptions, problem.goal, args.max_size
-            )
-    except FoundryError as e:
-        _report_error(args, e)
-        return 1
+    problem = _load_problem(args.file, _read(args.file))
+    if problem.goal is None:
+        print("error: problem file needs a prove line", file=sys.stderr)
+        return 2
+    with depth_limit(args.file):
+        model = fol.search_countermodel(
+            problem.theory.signature, problem.assumptions, problem.goal, args.max_size
+        )
     if args.report == "json":
         doc = {"file": args.file, "max_size": args.max_size, "found": model is not None}
         if model is not None:
@@ -196,30 +188,21 @@ def _print_model(model: fol.FiniteModel) -> None:
 def _cmd_model_check(args) -> int:
     model_text = _read(args.model_file)
     formula_text = _read(args.formula_file)
-    try:
-        problem = _load_problem(args.model_file, model_text)
-        if len(problem.models) != 1:
-            print("error: the model file must contain exactly one model", file=sys.stderr)
-            return 2
-        model = next(iter(problem.models.values()))
-        with depth_limit(args.formula_file):
-            formula = problem.parse_formula(tokenize(formula_text, args.formula_file))
-            fol.check_well_formed(problem.theory.signature, formula)
-            ok = fol.valid_in(model, formula)
-    except FoundryError as e:
-        _report_error(args, e)
-        return 1
+    problem = _load_problem(args.model_file, model_text)
+    if len(problem.models) != 1:
+        print("error: the model file must contain exactly one model", file=sys.stderr)
+        return 2
+    model = next(iter(problem.models.values()))
+    with depth_limit(args.formula_file):
+        formula = problem.parse_formula(tokenize(formula_text, args.formula_file))
+        fol.check_well_formed(problem.theory.signature, formula)
+        ok = fol.valid_in(model, formula)
     if args.report == "json":
         doc = {"formula_file": args.formula_file, "model_file": args.model_file, "holds": ok}
         print(json.dumps(doc, sort_keys=True, indent=2))
     else:
         print(f"{args.formula_file}: {'holds' if ok else 'fails'} in {args.model_file}")
     return 0 if ok else 1
-
-
-def _report_error(args, e: FoundryError) -> None:
-    where = f" at {e.span}" if e.span else ""
-    print(f"error[{e.tag}]{where}: {e.message}", file=sys.stderr)
 
 
 def build_parser() -> argparse.ArgumentParser:
@@ -268,7 +251,8 @@ def run(argv=None) -> int:
     except SystemExit as e:
         return e.code if isinstance(e.code, int) else 2
     except FoundryError as e:
-        _report_error(args, e)
+        where = f" at {e.span}" if e.span else ""
+        print(f"error[{e.tag}]{where}: {e.message}", file=sys.stderr)
         return 1
 
 

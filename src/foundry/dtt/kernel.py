@@ -629,10 +629,6 @@ def _infer_node(cfg: KernelConfig, ctx: Ctx, e: Expr) -> Expr:
     raise TypeCheckError(f"cannot infer a type for {type(e).__name__}")
 
 
-def _motive_ctx(ctx: Ctx, ty: Expr) -> Ctx:
-    return (Id(shift(ty, 2), Var(1), Var(0)), shift(ty, 1), ty) + ctx
-
-
 def _motive_sort(cfg: KernelConfig, ctx: Ctx, motive: Expr, scrutinee_ty: Expr, what: str) -> Expr:
     """Validate motive : Pi z : scrutinee_ty. sort and return the sort.
 

@@ -79,10 +79,6 @@ def SUCC(a):
     return lambda d: Succ(a(d))
 
 
-def PAIR(ann, a, b):
-    return lambda d: Pair(ann(d), a(d), b(d))
-
-
 def build(b) -> Expr:
     return b(0)
 

@@ -149,7 +149,3 @@ def _unshift(e: Expr, depth: int = 0) -> Expr:
     if isinstance(e, Var):
         return Var(e.index - 1) if e.index > depth else e
     return map_subexprs(e, lambda sub, extra: _unshift(sub, depth + extra))
-
-
-def _dummy(names):
-    return names

@@ -314,11 +314,6 @@ def fresh_name(base: str, taken: Iterable[str]) -> str:
     return name
 
 
-def fresh_fvar(a: Formula, sort: Sort, base: str = "x") -> FVar:
-    taken = {v.name for v in free_vars(a)}
-    return FVar(fresh_name(base, taken), sort)
-
-
 # ---------------------------------------------------------------------------
 # Signatures and well-formedness
 

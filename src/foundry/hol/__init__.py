@@ -6,7 +6,7 @@ from .kernel import (  # noqa: F401
     abstract_fvar, axiom, axiom_statement, check_term, check_type,
     define_connectives, defining_theorem, dest_eq, fn, free_vars,
     initial_state, inst_term, inst_type, mk_eq, mk_eq_at, new_definition,
-    new_type_definition, open_term, pretty_type, rule, standard_definitions,
+    new_type_definition, open_term, pretty_type, standard_definitions,
     subst_fvars, term_ty_subst, term_ty_vars, type_match, type_of,
     type_subst, ty_vars,
 )

@@ -40,15 +40,13 @@ takes the derivation from scratch, so errors stay the same as well.
 
 from __future__ import annotations
 
-from functools import cache
-
 from ..errors import KernelError
 from .kernel import (
     ABS, ASSUME, BETA, DEDUCT_ANTISYM, EQ_MP, ETA, MK_COMB, REFL, TRANS,
     Abs, App, BVar, Const, FVar, HolTerm, HolTheorem, HolType, KernelState,
-    PROP, TyApp, _closed_type, abs_over, check_term, defining_theorem,
-    dest_eq, fn, free_vars, inst_term, inst_type, pretty_type,
-    standard_definitions, type_match, type_of,
+    PROP, TyApp, _closed_type, _is_standard, abs_over, check_term,
+    defining_theorem, dest_eq, fn, free_vars, inst_term, inst_type,
+    pretty_type, type_match, type_of,
 )
 
 
@@ -165,21 +163,6 @@ def fold_rule(state: KernelState, name: str, target: HolTerm, th: HolTheorem) ->
 # The per-state lemma cache
 
 
-@cache
-def _standard_bodies() -> dict[str, HolTerm]:
-    return dict(standard_definitions())
-
-
-def _standard(state: KernelState, names) -> bool:
-    """Whether each named constant has its standard definition in state."""
-    canon = _standard_bodies()
-    for n in names:
-        decl = state.constants.get(n)
-        if decl is None or decl.definiens != canon[n]:
-            return False
-    return True
-
-
 def _lemma(state: KernelState, key, names, prove) -> HolTheorem:
     """state's lemma `key`, proved by prove(state) on first use.
 
@@ -188,7 +171,7 @@ def _lemma(state: KernelState, key, names, prove) -> HolTheorem:
     """
     th = state.lemmas.get(key)
     if th is None:
-        if not _standard(state, names):
+        if not all(_is_standard(state, n) for n in names):
             raise KernelError("no lemma: a connective is not the standard one")
         th = state.lemmas[key] = prove(state)
     return th
@@ -252,7 +235,7 @@ def _def_conv(state: KernelState, name: str, t: HolTerm, folding: bool = False) 
     if isinstance(head, Const) and head.name == name:
         key = ("fold" if folding else "unfold", name, head.type, len(args))
         conv = state.lemmas.get(key)
-        if conv is None and _standard(state, (name,)):
+        if conv is None and _is_standard(state, name):
             params = _def_params(state.constants[name].definiens, head.type, len(args))
             if params is not None:
                 generic = head

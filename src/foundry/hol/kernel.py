@@ -30,6 +30,7 @@ check_term itself stays the unmemoized recursive checker.
 from __future__ import annotations
 
 from dataclasses import dataclass, field, replace
+from functools import cache
 from types import MappingProxyType
 from typing import Iterable, Mapping, Union
 
@@ -667,13 +668,6 @@ RULES = {
 }
 
 
-def rule(state: KernelState, name: str, *args) -> HolTheorem:
-    key = name.lower()
-    if key not in RULES:
-        raise KernelError(f"unknown kernel rule {name}")
-    return RULES[key](state, *args)
-
-
 # ---------------------------------------------------------------------------
 # Instantiation
 
@@ -881,19 +875,24 @@ def define_connectives(state: KernelState):
     return state, thms
 
 
+@cache
+def _standard_bodies() -> dict[str, HolTerm]:
+    return dict(standard_definitions())
+
+
+def _is_standard(state: KernelState, name: str) -> bool:
+    """Whether the connective name has its standard definition in state."""
+    decl = state.constants.get(name)
+    return decl is not None and decl.definiens == _standard_bodies()[name]
+
+
 def _require_standard(state: KernelState, names: Iterable[str]) -> None:
-    canon = dict(standard_definitions())
     for n in names:
-        decl = state.constants.get(n)
-        if decl is None or decl.definiens != canon[n]:
+        if not _is_standard(state, n):
             raise KernelError(
                 f"axiom-deps: the standard definition of {n} must be in place",
                 tag="axiom-deps",
             )
-
-
-def _c(state: KernelState, name: str, ty: HolType) -> Const:
-    return Const(name, ty)
 
 
 def axiom_statement(state: KernelState, name: str) -> HolTerm:

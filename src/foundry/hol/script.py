@@ -13,11 +13,12 @@ from .kernel import HolTheorem, KernelState, initial_state
 
 def run_script(state: KernelState | None, text: str, filename: str = "<script>"):
     """Run a HOL script; returns a list of (name, HolTheorem) pairs."""
-    from ..run import HolRunner, Options
+    from ..run import HolRunner, Options, depth_limit
     from ..surface.script import parse_script
 
     runner = HolRunner(Options(), filename, state=state if state is not None else initial_state())
-    commands = parse_script(text, filename)
+    with depth_limit(filename):
+        commands = parse_script(text, filename)
     report = runner.run(commands)
     err = report.first_error()
     if err is not None:

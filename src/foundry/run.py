@@ -117,9 +117,9 @@ class RunReport:
         return "\n".join(lines)
 
 
-def _depth_exceeded(span) -> FoundryError:
+def _depth_exceeded(span) -> ScriptError:
     """The tagged error for input nested deeper than the recursion limit."""
-    return FoundryError(
+    return ScriptError(
         "input nested too deeply: the recursion limit was exceeded",
         tag="depth-exceeded", span=span,
     )
@@ -187,6 +187,15 @@ class _Runner:
     def dispatch(self, cmd) -> str:
         raise ScriptError(f"command {type(cmd).__name__} is not supported in {self.calculus}")
 
+    def block(self, tokens, what: str, parse, *args):
+        """parse(cursor, *args) over the tokens of one `{...}` block, which
+        must use the block up."""
+        cur = sc.block_cursor(tokens, self.filename)
+        value = parse(cur, *args)
+        if not cur.done():
+            cur.fail(f"trailing input in {what}")
+        return value
+
     def trace(self, line: str) -> None:
         if self.options.trace:
             self.report.trace.append(line)
@@ -216,11 +225,7 @@ class FolRunner(_Runner):
         return FolEnv(self.theory.signature)
 
     def parse_formula(self, tokens):
-        cur = sc.block_cursor(tokens, self.filename)
-        a = parse_fol_formula(cur, self.env())
-        if not cur.done():
-            cur.fail("trailing input in formula")
-        return a
+        return self.block(tokens, "formula", parse_fol_formula, self.env())
 
     def dispatch(self, cmd) -> str:
         match cmd:
@@ -239,9 +244,8 @@ class FolRunner(_Runner):
                 self.theory = replace(self.theory, signature=sig)
             case sc.DefineRel(name=name, params=params, body_tokens=body):
                 pvars = tuple(fol.FVar(p, fol.Sort(s)) for p, s in params)
-                cur = sc.block_cursor(body, self.filename)
                 env = FolEnv(self.theory.signature, {p: fol.Sort(s) for p, s in params})
-                a = parse_fol_formula(cur, env)
+                a = self.block(body, "formula", parse_fol_formula, env)
                 self.theory = fol.extend_by_relation(self.theory, name, a, pvars)
             case sc.AxiomDecl(name=name, body_tokens=body):
                 a = self.parse_formula(body)
@@ -261,14 +265,13 @@ class FolRunner(_Runner):
                 self.models[cmd.name] = build_model(self.theory.signature, cmd)
             case sc.Theorem(name=name, statement_tokens=stmt, proof_kind=pk, proof_tokens=proof):
                 statement = self.parse_formula(stmt)
-                cur = sc.block_cursor(proof, self.filename)
                 if pk == "nd":
-                    d = parse_nd(cur, self.env())
+                    d = self.block(proof, "proof", parse_nd, self.env())
                     cert = fol.check_nd(self.theory, d)
                     if self.options.trace:
                         _trace_nd(self, d)
                 elif pk == "hilbert":
-                    p = parse_hilbert(cur, self.env())
+                    p = self.block(proof, "proof", parse_hilbert, self.env())
                     cert = fol.check_hilbert(self.theory, p)
                 else:
                     raise ScriptError("fol theorems take nd { ... } or hilbert { ... } proofs")
@@ -333,18 +336,13 @@ class StlcRunner(_Runner):
         return stlc.ReductionFlags(beta=True, eta=self.options.eta, iota=True)
 
     def _term(self, tokens):
-        cur = sc.block_cursor(tokens, self.filename)
-        t = parse_stlc_term(cur, self.consts)
-        if not cur.done():
-            cur.fail("trailing input in term")
-        return t
+        return self.block(tokens, "term", parse_stlc_term, self.consts)
 
     def _type(self, tokens):
-        cur = sc.block_cursor(tokens, self.filename)
-        t = parse_stlc_type(cur)
-        if not cur.done():
-            cur.fail("trailing input in type")
-        return t
+        return self.block(tokens, "type", parse_stlc_type)
+
+    def _trace_step(self, before, after) -> None:
+        self.trace(f"{pretty_stlc(before)} --> {pretty_stlc(after)}")
 
     def dispatch(self, cmd) -> str:
         match cmd:
@@ -369,15 +367,8 @@ class StlcRunner(_Runner):
             case sc.Eval(body_tokens=body):
                 t = self._term(body)
                 stlc.infer_type({}, t)
-                if self.options.trace:
-                    cur = t
-                    while True:
-                        nxt = stlc.reduce_step(cur, self.flags())
-                        if nxt is None:
-                            break
-                        self.trace(f"{pretty_stlc(cur)} --> {pretty_stlc(nxt)}")
-                        cur = nxt
-                nf = stlc.normalize(t, self.flags(), fuel=self.options.fuel)
+                step = self._trace_step if self.options.trace else None
+                nf = stlc.normalize(t, self.flags(), fuel=self.options.fuel, on_step=step)
                 return pretty_stlc(nf)
             case sc.Theorem(name=name, statement_tokens=stmt, proof_kind="term", proof_tokens=body):
                 t = self._term(body)
@@ -411,12 +402,7 @@ class HolRunner(_Runner):
         self.named: list = []  # (name, theorem) in script order
 
     def _term(self, tokens):
-        cur = sc.block_cursor(tokens, self.filename)
-        t = parse_hol_term(cur, self.state, self.macros)
-        if not cur.done():
-            cur.fail("trailing input in term")
-        return t
-
+        return self.block(tokens, "term", parse_hol_term, self.state, self.macros)
     def dispatch(self, cmd) -> str:
         match cmd:
             case sc.Define(name=name, type_tokens=None, body_tokens=body):
@@ -429,14 +415,14 @@ class HolRunner(_Runner):
             case sc.AxiomEnable(name=name):
                 self.state = self.state.enable_axiom(name)
             case sc.Thm(name=name, proof_tokens=proof):
-                thm = self._rule_expr(sc.block_cursor(proof, self.filename))
+                thm = self.block(proof, "proof expression", self._eval_expr)
                 self.thms[name] = thm
                 self.named.append((name, thm))
                 self.trace(f"{name}: {thm!r}")
                 return repr(thm)
             case sc.Theorem(name=name, statement_tokens=stmt, proof_kind="rule-expr", proof_tokens=proof):
                 statement = self._term(stmt)
-                thm = self._rule_expr(sc.block_cursor(proof, self.filename))
+                thm = self.block(proof, "proof expression", self._eval_expr)
                 if thm.hypotheses:
                     raise ScriptError("theorems must have no hypotheses")
                 if thm.conclusion != statement:
@@ -452,8 +438,7 @@ class HolRunner(_Runner):
                 t = self._term(body)
                 got = hk.check_term(self.state, t)
                 if ty is not None:
-                    cur = sc.block_cursor(ty, self.filename)
-                    want = parse_hol_type(cur, self.state)
+                    want = self.block(ty, "type", parse_hol_type, self.state)
                     if got != want:
                         raise ScriptError(f"term has type {hk.pretty_type(got)}")
                 return hk.pretty_type(got)
@@ -463,7 +448,10 @@ class HolRunner(_Runner):
 
     # rule expression evaluation ------------------------------------------
 
-    _DERIVED = {
+    # Each rule name's function: the kernel's primitives, the derived rules,
+    # axioms and defining theorems. It has the keys of _SIGNATURES.
+    _RULES = {
+        **hk.RULES,
         "sym": hd.SYM, "ap_term": hd.AP_TERM, "ap_thm": hd.AP_THM,
         "beta_conv": hd.beta_conv, "truth": hd.TRUTH, "eqt_intro": hd.EQT_INTRO,
         "eqt_elim": hd.EQT_ELIM, "spec": hd.SPEC, "gen": hd.GEN,
@@ -472,11 +460,10 @@ class HolRunner(_Runner):
         "disj1": hd.DISJ1, "disj2": hd.DISJ2, "disj_cases": hd.DISJ_CASES,
         "not_intro": hd.NOT_INTRO, "not_elim": hd.NOT_ELIM, "contr": hd.CONTR,
         "exists_intro": hd.EXISTS, "ext": hd.EXT, "unfold": hd.unfold_rule,
-        "conv_rule": hd.CONV_RULE,
+        "conv_rule": hd.CONV_RULE, "axiom": hk.axiom, "defthm": hk.defining_theorem,
     }
-    # The arguments each primitive and derived rule takes, in order: a
-    # {term}, a {variable}, a theorem, or a constant name. Rules not in
-    # _DERIVED are the kernel's primitives.
+    # The arguments each rule takes, in order: a {term}, a {variable}, a
+    # theorem, a constant name or an axiom name.
     _SIGNATURES = {
         "refl": ("term",), "assume": ("term",), "trans": ("thm", "thm"),
         "mk_comb": ("thm", "thm"), "abs": ("var", "thm"), "beta": ("term",),
@@ -491,17 +478,12 @@ class HolRunner(_Runner):
         "not_elim": ("thm",), "contr": ("term", "thm"),
         "exists_intro": ("term", "term", "thm"), "ext": ("var", "thm"),
         "unfold": ("const", "thm"), "conv_rule": ("thm", "thm"),
+        "axiom": ("axiom",), "defthm": ("const",),
     }
     _KIND_TEXT = {
         "term": "a {term}", "var": "a {variable}", "thm": "a theorem",
-        "const": "a constant name",
+        "const": "a constant name", "axiom": "an axiom name",
     }
-
-    def _rule_expr(self, cur: Cursor) -> hk.HolTheorem:
-        thm = self._eval_expr(cur)
-        if not cur.done():
-            cur.fail("trailing input in proof expression")
-        return thm
 
     def _eval_expr(self, cur: Cursor) -> hk.HolTheorem:
         """Evaluate one rule application; each argument is recorded as
@@ -516,9 +498,7 @@ class HolRunner(_Runner):
                 args.append(("thm", self._eval_expr(cur), p.span))
                 cur.expect(")")
             elif p.kind == "symbol" and p.value == "{":
-                toks = sc._collect_braces(cur)
-                inner = sc.block_cursor(toks, self.filename)
-                args.append(("term", parse_hol_term(inner, self.state, self.macros), p.span))
+                args.append(("term", self._term(sc._collect_braces(cur)), p.span))
             elif p.kind == "symbol" and p.value == "[":
                 cur.next()
                 ty = parse_hol_type(cur, self.state)
@@ -551,7 +531,7 @@ class HolRunner(_Runner):
         kinds = self._SIGNATURES[name]
         fits = len(args) == len(kinds) and all(
             a[0] in ("thm", "name") if k == "thm"
-            else a[0] == "name" if k == "const"
+            else a[0] == "name" if k in ("const", "axiom")
             else a[0] == "term" and (k == "term" or isinstance(a[1], hk.FVar))
             for k, a in zip(kinds, args)
         )
@@ -581,14 +561,6 @@ class HolRunner(_Runner):
     def _apply_rule(self, name: str, args, span) -> hk.HolTheorem:
         st = self.state
         try:
-            if name == "axiom":
-                if len(args) != 1 or args[0][0] != "name":
-                    raise ScriptError("axiom takes an axiom name")
-                return hk.axiom(st, args[0][1])
-            if name == "defthm":
-                if len(args) != 1 or args[0][0] != "name":
-                    raise ScriptError("defthm takes a constant name")
-                return hk.defining_theorem(st, args[0][1])
             if name in ("inst_type", "inst_term") and not args:
                 raise ScriptError(f"{name} needs a theorem")
             if name == "inst_type":
@@ -603,11 +575,8 @@ class HolRunner(_Runner):
                         raise ScriptError("inst_term substitutes for variables", span=x[2])
                     mapping[x[1]] = v[1]
                 return hk.inst_term(st, th, mapping)
-            if name in self._SIGNATURES:
-                vals = self._rule_args(name, args)
-                if name in self._DERIVED:
-                    return self._DERIVED[name](st, *vals)
-                return hk.rule(st, name, *vals)
+            if name in self._RULES:
+                return self._RULES[name](st, *self._rule_args(name, args))
         except FoundryError:
             raise
         except TypeError as e:
@@ -638,11 +607,7 @@ class DttRunner(_Runner):
         self.defs: dict[str, dtt.Expr] = {}
 
     def _expr(self, tokens):
-        cur = sc.block_cursor(tokens, self.filename)
-        e = parse_dtt_expr(cur, self.defs)
-        if not cur.done():
-            cur.fail("trailing input in expression")
-        return e
+        return self.block(tokens, "expression", parse_dtt_expr, self.defs)
 
     def dispatch(self, cmd) -> str:
         match cmd:

@@ -129,12 +129,16 @@ def normalize(
     flags: ReductionFlags = DEFAULT_FLAGS,
     strategy: str = LEFTMOST_OUTERMOST,
     fuel: int = 10**5,
+    on_step=None,
 ) -> Term:
-    """Reduce to a term with no enabled redex."""
+    """Reduce to a term with no enabled redex, calling on_step(before, after)
+    at each contraction if it is given."""
     for _ in range(fuel):
         nxt = reduce_step(t, flags, strategy)
         if nxt is None:
             return t
+        if on_step is not None:
+            on_step(t, nxt)
         t = nxt
     raise FuelError("normalization fuel exhausted")
 

@@ -5,6 +5,8 @@ import re
 import subprocess
 import sys
 
+import pytest
+
 import foundry
 from foundry.cli import run as cli
 
@@ -246,3 +248,19 @@ def test_problem_commands_on_deep_input_report_depth_exceeded(tmp_path, capsys):
         code, err, _ = _problem_run(tmp_path, capsys, subcommand, text, formula)
         assert code == 1
         assert "error[depth-exceeded]" in err
+
+
+TRUE_DEF = "define true := {(fun (p : Prop) => p) = (fun (p : Prop) => p)}\n"
+
+
+@pytest.mark.parametrize("calculus, text", [
+    ("fol", "sort obj\nrel A : ()\ndefine rel P (x : obj) := {A /\\ x = x ) ) junk}\n"),
+    ("fol", "sort obj\nrel A : ()\ntheorem t : {A -> A} := nd { impI {A} (hyp {A}) trailing stuff here }\n"),
+    ("hol", TRUE_DEF + "check {true} : {Prop junk}\n"),
+    ("hol", "thm r := refl {(x : Prop) = (x : Prop) = (y : Prop)}\n"),
+])
+def test_every_block_must_parse_to_its_end(tmp_path, capsys, calculus, text):
+    path = tmp_path / f"trailing.{calculus}"
+    path.write_text(text)
+    assert cli(["check", str(path), "--calculus", calculus]) == 1
+    assert re.search(r"error\[parse-error\] at \d+:\d+: trailing input in ", capsys.readouterr().out)

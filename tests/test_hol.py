@@ -10,7 +10,7 @@ from foundry.hol import (
     Abs, App, BVar, TyApp, TyVar, abs_over, axiom, axiom_statement, check_term,
     define_connectives, defining_theorem, dest_eq, fn, initial_state,
     inst_term, inst_type, mk_eq, mk_eq_at, new_definition,
-    new_type_definition, rule, standard_definitions, type_of,
+    new_type_definition, standard_definitions, type_of,
 )
 import foundry.hol.derived as hd
 
@@ -24,10 +24,10 @@ def st():
 
 def test_assume_and_refl(st):
     p = FVar("p", PROP)
-    th = rule(st, "assume", p)
+    th = ASSUME(st, p)
     assert th.hypotheses == frozenset({p}) and th.conclusion == p
     idp = Abs(PROP, BVar(0))
-    th2 = rule(st, "refl", idp)
+    th2 = REFL(st, idp)
     # the definition of truth is exactly this equation
     assert th2.conclusion == dest_eq(defining_theorem(st, "true").conclusion)[1]
 

@@ -1,6 +1,7 @@
 import copy
 import dataclasses
 import pathlib
+import re
 
 import pytest
 
@@ -155,6 +156,28 @@ def test_run_script_returns_named_theorems():
     with pytest.raises(ScriptError) as e:
         run_script(st, (CORPUS / "diaconescu.hol").read_text())
     assert "line" in str(e.value) and e.value.tag == "axiom-disabled"
+
+
+def test_run_script_reports_deep_input_as_a_tagged_script_error():
+    from foundry.hol import run_script
+    from foundry.errors import ScriptError
+
+    with pytest.raises(ScriptError) as e:
+        run_script(None, "expect-error x " * 3000 + "thm t := refl {(x : Prop)}\n")
+    assert e.value.tag == "depth-exceeded"
+
+
+def test_rule_table_matches_signatures_and_readme():
+    from foundry.run import HolRunner
+
+    assert HolRunner._RULES.keys() == HolRunner._SIGNATURES.keys()
+    readme = (CORPUS.parent / "README.md").read_text()
+    lists = re.search(
+        r"rule expression over the primitive rules \((.*?)\) and the\s+derived layer \((.*?)\)",
+        readme, re.S,
+    )
+    listed = " ".join(lists.groups()).replace("`", "").split()
+    assert sorted(listed) == sorted(HolRunner._RULES.keys() | {"inst_type", "inst_term"})
 
 
 def _error(text):

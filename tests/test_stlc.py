@@ -101,3 +101,16 @@ def test_fuel_error_distinct():
     omega_ish = RecNat(Zero(), Lam(NatT(), Lam(NatT(), Succ(Var(0)))), numeral(50))
     with pytest.raises(FuelError):
         normalize(omega_ish, fuel=3)
+
+
+def test_traced_eval_spends_the_fuel_once():
+    from foundry.run import Options, run_script_text
+
+    text = "eval {natrec 0 (fun (n : Nat) (ih : Nat) => succ (succ ih)) 30}\n"
+    report = run_script_text("stlc", text, Options(trace=True, fuel=5))
+    assert report.first_error().tag == "fuel-exhausted"
+    assert 0 < len(report.trace) <= 5
+    traced = run_script_text("stlc", text, Options(trace=True))
+    plain = run_script_text("stlc", text)
+    assert traced.ok and traced.results[0].output == plain.results[0].output == "60"
+    assert len(traced.trace) > 5
