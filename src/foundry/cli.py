@@ -3,6 +3,8 @@
 Subcommands: check, eval, model-check, cc, countermodel. Exit codes: 0 on
 success, 1 on a logical failure (reported with one primary span), 2 on usage
 or I/O errors. `--report json` emits the run report with stable key order.
+`check` and `eval` load only the calculus they run; FOL is imported by the
+problem-file subcommands that use it.
 """
 
 from __future__ import annotations
@@ -10,12 +12,16 @@ from __future__ import annotations
 import argparse
 import json
 import sys
+from typing import TYPE_CHECKING
 
-from . import fol
 from .errors import FoundryError
-from .run import FolRunner, Options, RunReport, depth_limit, run_script_text
+from .run import Options, RunReport, depth_limit, run_script_text
 from .surface import script as sc
 from .surface.lexer import tokenize
+
+if TYPE_CHECKING:
+    from . import fol
+    from .fol.runner import FolRunner
 
 
 def _options(args) -> Options:
@@ -92,6 +98,8 @@ _PROBLEM_COMMANDS = (
 def _load_problem(path: str, text: str) -> FolRunner:
     """Problem files: sort/fn/const/rel declarations, models, assume lines, one
     prove. Each command runs through the FOL script runner."""
+    from .fol.runner import FolRunner
+
     with depth_limit(path):
         commands = sc.parse_script(text, path)
     runner = FolRunner(Options(), path)
@@ -106,6 +114,8 @@ def _load_problem(path: str, text: str) -> FolRunner:
 
 
 def _cmd_cc(args) -> int:
+    from . import fol
+
     problem = _load_problem(args.file, _read(args.file))
     goal = problem.goal
     if goal is None:
@@ -136,6 +146,8 @@ def _cmd_cc(args) -> int:
 
 
 def _cmd_countermodel(args) -> int:
+    from . import fol
+
     problem = _load_problem(args.file, _read(args.file))
     if problem.goal is None:
         print("error: problem file needs a prove line", file=sys.stderr)
@@ -186,6 +198,8 @@ def _print_model(model: fol.FiniteModel) -> None:
 
 
 def _cmd_model_check(args) -> int:
+    from . import fol
+
     model_text = _read(args.model_file)
     formula_text = _read(args.formula_file)
     problem = _load_problem(args.model_file, model_text)

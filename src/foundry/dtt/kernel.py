@@ -41,6 +41,8 @@ DTT_AXIOMS = ("funext", "propext", "choice", "K")
 
 @dataclass(frozen=True)
 class KernelConfig:
+    """What a DTT check runs under: eta, cumulativity, Prop's rules and enabled axioms."""
+
     eta_for_pi: bool = False
     cumulativity: bool = False
     impredicative_prop: bool = False

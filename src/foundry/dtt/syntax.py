@@ -23,23 +23,31 @@ from ..span import hint_field, span_field
 
 @dataclass(frozen=True)
 class Var:
+    """A bound variable, as a de Bruijn index."""
+
     index: int
     span: object = span_field()
 
 
 @dataclass(frozen=True)
 class TypeSort:
+    """The universe Type at a concrete level."""
+
     level: int
     span: object = span_field()
 
 
 @dataclass(frozen=True)
 class PropSort:
+    """The universe of propositions."""
+
     span: object = span_field()
 
 
 @dataclass(frozen=True)
 class Pi:
+    """A dependent function type; the codomain is under one binder."""
+
     dom: "Expr"
     cod: "Expr"  # under one binder
     hint: str | None = hint_field()
@@ -48,6 +56,8 @@ class Pi:
 
 @dataclass(frozen=True)
 class Lam:
+    """A lambda abstraction with its domain annotated."""
+
     dom: "Expr"
     body: "Expr"
     hint: str | None = hint_field()
@@ -56,6 +66,8 @@ class Lam:
 
 @dataclass(frozen=True)
 class App:
+    """Function application."""
+
     fn: "Expr"
     arg: "Expr"
     span: object = span_field()
@@ -63,6 +75,8 @@ class App:
 
 @dataclass(frozen=True)
 class Sigma:
+    """A dependent pair type, or with in_prop an existential proposition."""
+
     dom: "Expr"
     cod: "Expr"  # under one binder
     in_prop: bool = False  # the existential flavor, distinct from the subtype
@@ -72,6 +86,8 @@ class Sigma:
 
 @dataclass(frozen=True)
 class Pair:
+    """A dependent pair annotated with its Sigma type."""
+
     sigma: "Expr"  # the annotated Sigma type
     fst: "Expr"
     snd: "Expr"
@@ -80,6 +96,8 @@ class Pair:
 
 @dataclass(frozen=True)
 class SigmaCases:
+    """The Sigma eliminator: a motive, a curried branch and the pair it takes apart."""
+
     motive: "Expr"
     branch: "Expr"
     scrutinee: "Expr"
@@ -88,6 +106,8 @@ class SigmaCases:
 
 @dataclass(frozen=True)
 class Id:
+    """The identity type of two terms of one type."""
+
     type: "Expr"
     lhs: "Expr"
     rhs: "Expr"
@@ -96,6 +116,8 @@ class Id:
 
 @dataclass(frozen=True)
 class Refl:
+    """The reflexivity proof of a term equal to itself."""
+
     type: "Expr"
     term: "Expr"
     span: object = span_field()
@@ -103,6 +125,8 @@ class Refl:
 
 @dataclass(frozen=True)
 class IdCases:
+    """The identity eliminator (J), with its motive and its case for refl."""
+
     motive: "Expr"     # of type Pi x. Pi y. Pi p : Id ty x y. sort
     refl_case: "Expr"  # of type Pi z. motive z z (refl z)
     lhs: "Expr"
@@ -113,22 +137,30 @@ class IdCases:
 
 @dataclass(frozen=True)
 class Nat:
+    """The type of natural numbers."""
+
     span: object = span_field()
 
 
 @dataclass(frozen=True)
 class Zero:
+    """The natural number zero."""
+
     span: object = span_field()
 
 
 @dataclass(frozen=True)
 class Succ:
+    """The successor of a natural number."""
+
     arg: "Expr"
     span: object = span_field()
 
 
 @dataclass(frozen=True)
 class NatRec:
+    """The Nat recursor: a motive, a base case, a step and the number it recurses on."""
+
     motive: "Expr"
     base: "Expr"
     step: "Expr"
@@ -138,11 +170,15 @@ class NatRec:
 
 @dataclass(frozen=True)
 class Empty:
+    """The empty type."""
+
     span: object = span_field()
 
 
 @dataclass(frozen=True)
 class EmptyCases:
+    """The Empty eliminator (ex falso) at a motive."""
+
     motive: "Expr"
     target: "Expr"
     span: object = span_field()
@@ -150,31 +186,43 @@ class EmptyCases:
 
 @dataclass(frozen=True)
 class Unit:
+    """The unit type."""
+
     span: object = span_field()
 
 
 @dataclass(frozen=True)
 class Star:
+    """The unit type's one element."""
+
     span: object = span_field()
 
 
 @dataclass(frozen=True)
 class Bool:
+    """The type of booleans."""
+
     span: object = span_field()
 
 
 @dataclass(frozen=True)
 class TrueE:
+    """The boolean true."""
+
     span: object = span_field()
 
 
 @dataclass(frozen=True)
 class FalseE:
+    """The boolean false."""
+
     span: object = span_field()
 
 
 @dataclass(frozen=True)
 class BoolCases:
+    """The Bool eliminator: a motive, one case per boolean and the boolean it inspects."""
+
     motive: "Expr"
     if_true: "Expr"
     if_false: "Expr"
@@ -184,6 +232,8 @@ class BoolCases:
 
 @dataclass(frozen=True)
 class Sum:
+    """The disjoint sum of two types."""
+
     left: "Expr"
     right: "Expr"
     span: object = span_field()
@@ -191,6 +241,8 @@ class Sum:
 
 @dataclass(frozen=True)
 class Inl:
+    """The left injection into an annotated Sum type."""
+
     sum: "Expr"  # the annotated Sum type
     value: "Expr"
     span: object = span_field()
@@ -198,6 +250,8 @@ class Inl:
 
 @dataclass(frozen=True)
 class Inr:
+    """The right injection into an annotated Sum type."""
+
     sum: "Expr"
     value: "Expr"
     span: object = span_field()
@@ -205,6 +259,8 @@ class Inr:
 
 @dataclass(frozen=True)
 class SumCases:
+    """The Sum eliminator: a motive, one function per injection and the scrutinee."""
+
     motive: "Expr"
     on_left: "Expr"
     on_right: "Expr"
@@ -214,6 +270,8 @@ class SumCases:
 
 @dataclass(frozen=True)
 class W:
+    """A W-type of well-founded trees: labels in dom, one child per element of cod."""
+
     dom: "Expr"
     cod: "Expr"  # branching family, under one binder
     hint: str | None = hint_field()
@@ -222,6 +280,8 @@ class W:
 
 @dataclass(frozen=True)
 class Sup:
+    """A W-type node: a label and the function giving its children."""
+
     wtype: "Expr"  # the annotated W type
     label: "Expr"
     children: "Expr"
@@ -230,6 +290,8 @@ class Sup:
 
 @dataclass(frozen=True)
 class WRec:
+    """The W-type recursor: a motive, a step and the tree it recurses on."""
+
     motive: "Expr"
     step: "Expr"
     target: "Expr"
@@ -238,6 +300,8 @@ class WRec:
 
 @dataclass(frozen=True)
 class Axiom:
+    """A named axiom constant, usable only when the config enables it."""
+
     name: str
     span: object = span_field()
 

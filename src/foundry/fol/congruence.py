@@ -18,6 +18,8 @@ from .syntax import App, Signature, Term, pretty_term
 
 @dataclass(frozen=True)
 class CCResult:
+    """Whether the goal equation follows, and the subterm partition when it does not."""
+
     valid: bool
     partition: tuple[frozenset, ...] | None = None
 

@@ -41,29 +41,39 @@ from .syntax import (
 
 @dataclass(frozen=True)
 class AxLine:
+    """A Hilbert line instantiating an axiom schema with its fillers."""
+
     schema: int
     payload: tuple
 
 
 @dataclass(frozen=True)
 class HypLine:
+    """A Hilbert line citing a hypothesis."""
+
     formula: Formula
 
 
 @dataclass(frozen=True)
 class MpLine:
+    """A Hilbert line by modus ponens from two earlier lines."""
+
     implication: int
     antecedent: int
 
 
 @dataclass(frozen=True)
 class AllLine:
+    """A Hilbert line generalizing an earlier line over a variable."""
+
     ref: int
     var: FVar
 
 
 @dataclass(frozen=True)
 class ExLine:
+    """A Hilbert line bounding an earlier line's variable existentially in its antecedent."""
+
     ref: int
     var: FVar
 
@@ -73,6 +83,8 @@ Line = Union[AxLine, HypLine, MpLine, AllLine, ExLine]
 
 @dataclass(frozen=True)
 class HilbertProof:
+    """A Hilbert proof: a list of lines, each citing only earlier ones."""
+
     lines: tuple
 
 

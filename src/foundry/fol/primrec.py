@@ -16,22 +16,26 @@ from ..errors import FuelError, TheoryError
 
 @dataclass(frozen=True)
 class Zero:
-    pass
+    """The constant zero function."""
 
 
 @dataclass(frozen=True)
 class Succ:
-    pass
+    """The successor function."""
 
 
 @dataclass(frozen=True)
 class Proj:
+    """The projection of one argument out of arity many."""
+
     arity: int
     index: int
 
 
 @dataclass(frozen=True)
 class Comp:
+    """The composition of an outer function with inner functions of a shared arity."""
+
     outer: "PrimRecDef"
     inners: tuple["PrimRecDef", ...]
     arity_: int
@@ -39,6 +43,8 @@ class Comp:
 
 @dataclass(frozen=True)
 class PrimRec:
+    """Primitive recursion from a base function and a step function."""
+
     base: "PrimRecDef"      # g, arity n
     step: "PrimRecDef"      # h, arity n + 2
     # the defined f has arity n + 1

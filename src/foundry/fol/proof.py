@@ -39,6 +39,8 @@ from .syntax import (
 
 @dataclass(frozen=True)
 class Sequent:
+    """Hypotheses and a conclusion: the judgement a derivation proves."""
+
     hypotheses: frozenset
     conclusion: Formula
 
@@ -87,39 +89,53 @@ def _certify(sequent: Sequent, theory) -> CertifiedSequent:
 
 @dataclass(frozen=True)
 class Hyp:
+    """Natural deduction: assume a formula."""
+
     formula: Formula
 
 
 @dataclass(frozen=True)
 class AndI:
+    """Natural deduction: conjunction introduction."""
+
     left: "NdDerivation"
     right: "NdDerivation"
 
 
 @dataclass(frozen=True)
 class AndE1:
+    """Natural deduction: the left conjunct of a conjunction."""
+
     premise: "NdDerivation"
 
 
 @dataclass(frozen=True)
 class AndE2:
+    """Natural deduction: the right conjunct of a conjunction."""
+
     premise: "NdDerivation"
 
 
 @dataclass(frozen=True)
 class OrI1:
+    """Natural deduction: a disjunction from its left disjunct."""
+
     premise: "NdDerivation"
     right: Formula
 
 
 @dataclass(frozen=True)
 class OrI2:
+    """Natural deduction: a disjunction from its right disjunct."""
+
     left: Formula
     premise: "NdDerivation"
 
 
 @dataclass(frozen=True)
 class OrE:
+    """Natural deduction: disjunction elimination by cases."""
+
     disjunction: "NdDerivation"
     left_case: "NdDerivation"
     right_case: "NdDerivation"
@@ -127,42 +143,56 @@ class OrE:
 
 @dataclass(frozen=True)
 class ImpI:
+    """Natural deduction: implication introduction, discharging an assumption."""
+
     assumption: Formula
     premise: "NdDerivation"
 
 
 @dataclass(frozen=True)
 class ImpE:
+    """Natural deduction: modus ponens."""
+
     implication: "NdDerivation"
     argument: "NdDerivation"
 
 
 @dataclass(frozen=True)
 class BotE:
+    """Natural deduction: any formula from falsity."""
+
     target: Formula
     premise: "NdDerivation"
 
 
 @dataclass(frozen=True)
 class Raa:
+    """Natural deduction: reductio ad absurdum, classical mode only."""
+
     target: Formula
     premise: "NdDerivation"
 
 
 @dataclass(frozen=True)
 class AllI:
+    """Natural deduction: universal introduction over a fresh variable."""
+
     var: FVar
     premise: "NdDerivation"
 
 
 @dataclass(frozen=True)
 class AllE:
+    """Natural deduction: universal elimination at a term."""
+
     premise: "NdDerivation"
     term: Term
 
 
 @dataclass(frozen=True)
 class ExI:
+    """Natural deduction: existential introduction from a witness."""
+
     target: Exists
     witness: Term
     premise: "NdDerivation"
@@ -170,6 +200,8 @@ class ExI:
 
 @dataclass(frozen=True)
 class ExE:
+    """Natural deduction: existential elimination through a fresh variable."""
+
     existential: "NdDerivation"
     var: FVar
     case: "NdDerivation"
@@ -177,11 +209,15 @@ class ExE:
 
 @dataclass(frozen=True)
 class EqRefl:
+    """Natural deduction: a term equals itself."""
+
     term: Term
 
 
 @dataclass(frozen=True)
 class EqSubstTerm:
+    """Natural deduction: rewrite an equation's sides inside a term template."""
+
     premise: "NdDerivation"
     template: Term
     hole: FVar
@@ -189,6 +225,8 @@ class EqSubstTerm:
 
 @dataclass(frozen=True)
 class EqSubstForm:
+    """Natural deduction: rewrite by an equation inside a formula template."""
+
     equation: "NdDerivation"
     premise: "NdDerivation"
     template: Formula
@@ -197,6 +235,8 @@ class EqSubstForm:
 
 @dataclass(frozen=True)
 class Weaken:
+    """Natural deduction: add unused hypotheses."""
+
     extra: frozenset
     premise: "NdDerivation"
 

@@ -18,6 +18,8 @@ from ..span import hint_field, span_field
 
 @dataclass(frozen=True)
 class Sort:
+    """A first-order sort."""
+
     name: str
 
     def __str__(self) -> str:
@@ -30,12 +32,16 @@ class Sort:
 
 @dataclass(frozen=True)
 class BVar:
+    """A bound variable, as a de Bruijn index."""
+
     index: int
     span: object = span_field()
 
 
 @dataclass(frozen=True)
 class FVar:
+    """A free variable of a sort."""
+
     name: str
     sort: Sort
     span: object = span_field()
@@ -43,6 +49,8 @@ class FVar:
 
 @dataclass(frozen=True)
 class App:
+    """A function symbol applied to terms; constants take no arguments."""
+
     fn: str
     args: tuple["Term", ...] = ()
     span: object = span_field()
@@ -61,6 +69,8 @@ def const(name: str) -> App:
 
 @dataclass(frozen=True)
 class Eq:
+    """An equation between two terms of one sort."""
+
     lhs: Term
     rhs: Term
     span: object = span_field()
@@ -68,6 +78,8 @@ class Eq:
 
 @dataclass(frozen=True)
 class Rel:
+    """A relation symbol applied to terms."""
+
     name: str
     args: tuple[Term, ...] = ()
     span: object = span_field()
@@ -75,11 +87,15 @@ class Rel:
 
 @dataclass(frozen=True)
 class Bot:
+    """Falsity."""
+
     span: object = span_field()
 
 
 @dataclass(frozen=True)
 class And:
+    """Conjunction."""
+
     left: "Formula"
     right: "Formula"
     span: object = span_field()
@@ -87,6 +103,8 @@ class And:
 
 @dataclass(frozen=True)
 class Or:
+    """Disjunction."""
+
     left: "Formula"
     right: "Formula"
     span: object = span_field()
@@ -94,6 +112,8 @@ class Or:
 
 @dataclass(frozen=True)
 class Implies:
+    """Implication; negation is implication of falsity."""
+
     left: "Formula"
     right: "Formula"
     span: object = span_field()
@@ -101,6 +121,8 @@ class Implies:
 
 @dataclass(frozen=True)
 class Forall:
+    """Universal quantification over a sort; the body is under one binder."""
+
     sort: Sort
     body: "Formula"
     hint: str | None = hint_field()
@@ -109,6 +131,8 @@ class Forall:
 
 @dataclass(frozen=True)
 class Exists:
+    """Existential quantification over a sort; the body is under one binder."""
+
     sort: Sort
     body: "Formula"
     hint: str | None = hint_field()

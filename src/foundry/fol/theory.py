@@ -59,6 +59,8 @@ def substitute_parallel(a: Formula, mapping: Mapping[FVar, Term]) -> Formula:
 
 @dataclass(frozen=True)
 class SchemaSlot:
+    """A schema's formula placeholder, its parameters and what instances may not use."""
+
     placeholder: str
     params: tuple[FVar, ...]
     forbidden: frozenset = frozenset()
@@ -224,6 +226,8 @@ def schema_recognizes(schema: AxiomSchema, candidate: Formula) -> bool:
 
 @dataclass(frozen=True)
 class LogEntry:
+    """One extension of a theory, recorded in its definition log."""
+
     kind: str
     name: str
     detail: str = ""
@@ -231,6 +235,8 @@ class LogEntry:
 
 @dataclass(frozen=True)
 class Theory:
+    """A signature, axioms and schemas, in a logic mode, with its extension log."""
+
     name: str
     signature: Signature
     axioms: Mapping[str, Formula] = field(default_factory=dict)

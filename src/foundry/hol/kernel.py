@@ -70,6 +70,8 @@ def _hashed_once(cls):
 @_hashed_once
 @dataclass(frozen=True, slots=True)
 class TyVar:
+    """A HOL type variable."""
+
     name: str
     span: object = span_field()
     _h: int = _hash_slot()
@@ -78,6 +80,8 @@ class TyVar:
 @_hashed_once
 @dataclass(frozen=True, slots=True)
 class TyApp:
+    """A HOL type operator applied to argument types."""
+
     op: str
     args: tuple["HolType", ...] = ()
     span: object = span_field()
@@ -160,6 +164,8 @@ def pretty_type(ty: HolType) -> str:
 @_hashed_once
 @dataclass(frozen=True, slots=True)
 class BVar:
+    """A HOL bound variable, as a de Bruijn index."""
+
     index: int
     span: object = span_field()
     _h: int = _hash_slot()
@@ -168,6 +174,8 @@ class BVar:
 @_hashed_once
 @dataclass(frozen=True, slots=True)
 class FVar:
+    """A HOL free variable of a type."""
+
     name: str
     type: HolType
     span: object = span_field()
@@ -177,6 +185,8 @@ class FVar:
 @_hashed_once
 @dataclass(frozen=True, slots=True)
 class Const:
+    """A HOL constant at a type instance."""
+
     name: str
     type: HolType  # the fully instantiated type of this occurrence
     span: object = span_field()
@@ -186,6 +196,8 @@ class Const:
 @_hashed_once
 @dataclass(frozen=True, slots=True)
 class App:
+    """HOL function application."""
+
     fn: "HolTerm"
     arg: "HolTerm"
     span: object = span_field()
@@ -195,6 +207,8 @@ class App:
 @_hashed_once
 @dataclass(frozen=True, slots=True)
 class Abs:
+    """A HOL lambda abstraction with its domain type."""
+
     dom: HolType
     body: "HolTerm"
     hint: str | None = hint_field()
@@ -422,6 +436,8 @@ def _thm(hyps, concl) -> HolTheorem:
 
 @dataclass(frozen=True)
 class ConstDecl:
+    """A HOL constant's generic type and, for a defined one, its definiens."""
+
     name: str
     generic: HolType
     definiens: HolTerm | None = None

@@ -13,8 +13,9 @@ from .kernel import HolTheorem, KernelState, initial_state
 
 def run_script(state: KernelState | None, text: str, filename: str = "<script>"):
     """Run a HOL script; returns a list of (name, HolTheorem) pairs."""
-    from ..run import HolRunner, Options, depth_limit
+    from ..run import Options, depth_limit
     from ..surface.script import parse_script
+    from .runner import HolRunner
 
     runner = HolRunner(Options(), filename, state=state if state is not None else initial_state())
     with depth_limit(filename):

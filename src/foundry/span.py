@@ -12,6 +12,8 @@ from dataclasses import dataclass, field
 
 @dataclass(frozen=True)
 class Span:
+    """A source range: file, start line and column, end line and column."""
+
     file: str
     line: int
     col: int

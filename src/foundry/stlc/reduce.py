@@ -19,6 +19,8 @@ from .typing import infer_type
 
 @dataclass(frozen=True)
 class ReductionFlags:
+    """Which STLC reductions are enabled."""
+
     beta: bool = True
     eta: bool = False
     iota: bool = True
@@ -132,15 +134,17 @@ def normalize(
     on_step=None,
 ) -> Term:
     """Reduce to a term with no enabled redex, calling on_step(before, after)
-    at each contraction if it is given."""
-    for _ in range(fuel):
-        nxt = reduce_step(t, flags, strategy)
-        if nxt is None:
-            return t
+    at each contraction if it is given. Fuel bounds the contractions: a term
+    that normalizes in exactly `fuel` of them succeeds."""
+    spent = 0
+    while (nxt := reduce_step(t, flags, strategy)) is not None:
+        if spent >= fuel:
+            raise FuelError("normalization fuel exhausted")
+        spent += 1
         if on_step is not None:
             on_step(t, nxt)
         t = nxt
-    raise FuelError("normalization fuel exhausted")
+    return t
 
 
 def equal_beta_eta(ctx, s: Term, t: Term, flags: ReductionFlags = BETA_ETA, fuel: int = 10**5) -> bool:

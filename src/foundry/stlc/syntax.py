@@ -19,12 +19,16 @@ from ..span import hint_field, span_field
 
 @dataclass(frozen=True)
 class Base:
+    """An STLC base type named by the user."""
+
     name: str
     span: object = span_field()
 
 
 @dataclass(frozen=True)
 class Arrow:
+    """An STLC function type."""
+
     dom: "SimpleType"
     cod: "SimpleType"
     span: object = span_field()
@@ -32,6 +36,8 @@ class Arrow:
 
 @dataclass(frozen=True)
 class Prod:
+    """An STLC product type."""
+
     left: "SimpleType"
     right: "SimpleType"
     span: object = span_field()
@@ -39,6 +45,8 @@ class Prod:
 
 @dataclass(frozen=True)
 class SumT:
+    """An STLC sum type."""
+
     left: "SimpleType"
     right: "SimpleType"
     span: object = span_field()
@@ -46,11 +54,15 @@ class SumT:
 
 @dataclass(frozen=True)
 class NatT:
+    """The STLC type of natural numbers."""
+
     span: object = span_field()
 
 
 @dataclass(frozen=True)
 class BoolT:
+    """The STLC type of booleans."""
+
     span: object = span_field()
 
 
@@ -65,18 +77,24 @@ VOID = Base("Void")  # the empty-analog base type used by the deduction bridge
 
 @dataclass(frozen=True)
 class Var:
+    """An STLC bound variable, as a de Bruijn index."""
+
     index: int
     span: object = span_field()
 
 
 @dataclass(frozen=True)
 class Free:
+    """An STLC free variable, by name."""
+
     name: str
     span: object = span_field()
 
 
 @dataclass(frozen=True)
 class Const:
+    """An STLC constant of a declared type."""
+
     name: str
     type: SimpleType
     span: object = span_field()
@@ -84,6 +102,8 @@ class Const:
 
 @dataclass(frozen=True)
 class Lam:
+    """An STLC lambda abstraction with its domain annotated."""
+
     dom: SimpleType
     body: "Term"
     hint: str | None = hint_field()
@@ -92,6 +112,8 @@ class Lam:
 
 @dataclass(frozen=True)
 class App:
+    """STLC function application."""
+
     fn: "Term"
     arg: "Term"
     span: object = span_field()
@@ -99,6 +121,8 @@ class App:
 
 @dataclass(frozen=True)
 class Pair:
+    """An STLC pair."""
+
     left: "Term"
     right: "Term"
     span: object = span_field()
@@ -106,18 +130,24 @@ class Pair:
 
 @dataclass(frozen=True)
 class Proj0:
+    """The first projection of an STLC pair."""
+
     pair: "Term"
     span: object = span_field()
 
 
 @dataclass(frozen=True)
 class Proj1:
+    """The second projection of an STLC pair."""
+
     pair: "Term"
     span: object = span_field()
 
 
 @dataclass(frozen=True)
 class Inj0:
+    """The left injection, annotated with the sum's right type."""
+
     right: SimpleType  # the absent summand
     value: "Term"
     span: object = span_field()
@@ -125,6 +155,8 @@ class Inj0:
 
 @dataclass(frozen=True)
 class Inj1:
+    """The right injection, annotated with the sum's left type."""
+
     left: SimpleType
     value: "Term"
     span: object = span_field()
@@ -132,6 +164,8 @@ class Inj1:
 
 @dataclass(frozen=True)
 class Cases:
+    """STLC case analysis on a sum: one function per injection."""
+
     on_left: "Term"
     on_right: "Term"
     scrutinee: "Term"
@@ -140,17 +174,23 @@ class Cases:
 
 @dataclass(frozen=True)
 class Zero:
+    """The STLC natural number zero."""
+
     span: object = span_field()
 
 
 @dataclass(frozen=True)
 class Succ:
+    """The STLC successor."""
+
     arg: "Term"
     span: object = span_field()
 
 
 @dataclass(frozen=True)
 class RecNat:
+    """STLC primitive recursion on a natural number."""
+
     base: "Term"
     step: "Term"
     target: "Term"
@@ -159,16 +199,22 @@ class RecNat:
 
 @dataclass(frozen=True)
 class TT:
+    """The STLC boolean true."""
+
     span: object = span_field()
 
 
 @dataclass(frozen=True)
 class FF:
+    """The STLC boolean false."""
+
     span: object = span_field()
 
 
 @dataclass(frozen=True)
 class Cond:
+    """STLC conditional on a boolean."""
+
     if_true: "Term"
     if_false: "Term"
     target: "Term"

@@ -19,6 +19,8 @@ SYMBOLS = [
 
 @dataclass(frozen=True)
 class Token:
+    """One lexeme: its kind, its text and its span."""
+
     kind: str  # ident | tyvar | int | symbol | eof
     value: str
     span: Span

@@ -1,733 +1,17 @@
-"""Recursive-descent parsers for the four calculi.
+"""Recursive-descent parsers for the four calculi, chosen by calculus name.
 
 One grammar family: application by juxtaposition (left-associative), arrows
 right-associative, binders `fun`/`Pi`/`Sigma`/`W`/`forall`/`exists`, explicit
-motive/annotation arguments in square brackets, numerals as Nat sugar.
+motive/annotation arguments in square brackets, numerals as Nat sugar. Each
+calculus's grammar lives in its own module (`fol_parser`, `stlc_parser`,
+`hol_parser`, `dtt_parser`), imported here only when that calculus is
+parsed, so parsing one calculus loads no other.
 """
 
 from __future__ import annotations
 
-from dataclasses import dataclass
-
 from ..errors import ParseError
-from .. import fol
-from .. import stlc
-from .. import dtt
-from ..hol import kernel as hk
 from .lexer import Cursor, tokenize
-
-FOL_KEYWORDS = {"forall", "exists", "false"}
-
-
-# ---------------------------------------------------------------------------
-# FOL
-
-
-@dataclass
-class FolEnv:
-    signature: fol.Signature | None = None
-    var_sorts: dict | None = None  # name -> Sort
-
-    def sort_named(self, name: str, cur: Cursor) -> fol.Sort:
-        s = fol.Sort(name)
-        if self.signature is not None and s not in self.signature.sorts:
-            cur.fail(f"unknown sort {name}")
-        return s
-
-    def default_sort(self, cur: Cursor, name: str) -> fol.Sort:
-        if self.var_sorts and name in self.var_sorts:
-            return self.var_sorts[name]
-        if self.signature is not None and self.signature.only_sort is not None:
-            return self.signature.only_sort
-        cur.fail(f"cannot determine the sort of variable {name}")
-
-    def is_constant(self, name: str) -> bool:
-        return (
-            self.signature is not None
-            and name in self.signature.functions
-            and self.signature.functions[name][0] == ()
-        )
-
-
-def parse_fol_formula(cur: Cursor, env: FolEnv, binders=()) -> fol.Formula:
-    return _fol_iff(cur, env, binders)
-
-
-def _fol_iff(cur, env, binders):
-    start = cur.peek().span
-    a = _fol_imp(cur, env, binders)
-    if cur.at("<->"):
-        cur.next()
-        b = _fol_imp(cur, env, binders)
-        return fol.And(fol.Implies(a, b), fol.Implies(b, a), span=start)
-    return a
-
-
-def _fol_imp(cur, env, binders):
-    a = _fol_or(cur, env, binders)
-    if cur.at("->"):
-        cur.next()
-        b = _fol_imp(cur, env, binders)
-        return fol.Implies(a, b, span=a.span)
-    return a
-
-
-def _fol_or(cur, env, binders):
-    a = _fol_and(cur, env, binders)
-    if cur.at("\\/"):
-        cur.next()
-        b = _fol_or(cur, env, binders)
-        return fol.Or(a, b, span=a.span)
-    return a
-
-
-def _fol_and(cur, env, binders):
-    a = _fol_unary(cur, env, binders)
-    if cur.at("/\\"):
-        cur.next()
-        b = _fol_and(cur, env, binders)
-        return fol.And(a, b, span=a.span)
-    return a
-
-
-def _fol_unary(cur, env, binders):
-    t = cur.peek()
-    if cur.at("~"):
-        cur.next()
-        return fol.Implies(_fol_unary(cur, env, binders), fol.Bot(), span=t.span)
-    if t.kind == "ident" and t.value in ("forall", "exists"):
-        cur.next()
-        names = [cur.expect_kind("ident").value]
-        while cur.at_kind("ident") and not cur.at(":") and cur.peek().value not in (",",):
-            if cur.peek().value in FOL_KEYWORDS:
-                break
-            names.append(cur.next().value)
-        if cur.at(":"):
-            cur.next()
-            sort = env.sort_named(cur.expect_kind("ident").value, cur)
-        else:
-            if env.signature is not None and env.signature.only_sort is not None:
-                sort = env.signature.only_sort
-            else:
-                cur.fail("quantifier needs a sort annotation")
-        cur.expect(",")
-        inner = binders
-        for name in names:
-            inner = ((name, sort),) + inner
-        body = parse_fol_formula(cur, env, inner)
-        for name in reversed(names):
-            body = (
-                fol.Forall(sort, _close(body, name, sort), hint=name, span=t.span)
-                if t.value == "forall"
-                else fol.Exists(sort, _close(body, name, sort), hint=name, span=t.span)
-            )
-        return body
-    return _fol_atom(cur, env, binders)
-
-
-def _close(a, name, sort):
-    from ..fol.syntax import _close as close_impl, FVar
-
-    return close_impl(a, 0, FVar(name, sort))
-
-
-def _fol_atom(cur, env, binders):
-    t = cur.peek()
-    if cur.at("("):
-        cur.next()
-        a = parse_fol_formula(cur, env, binders)
-        cur.expect(")")
-        return a
-    if t.kind == "ident" and t.value == "false":
-        cur.next()
-        return fol.Bot(span=t.span)
-    term = _fol_term(cur, env, binders)
-    if cur.at("="):
-        cur.next()
-        rhs = _fol_term(cur, env, binders)
-        return fol.Eq(term, rhs, span=t.span)
-    # reinterpret the term as a relational atom
-    match term:
-        case fol.App(fn=f, args=args):
-            return fol.Rel(f, args, span=t.span)
-        case fol.FVar(name=n):
-            return fol.Rel(n, (), span=t.span)
-    cur.fail("expected an atomic formula")
-
-
-def _fol_term(cur, env, binders):
-    t = cur.expect_kind("ident")
-    name = t.value
-    if cur.at("("):
-        cur.next()
-        args = []
-        if not cur.at(")"):
-            args.append(_fol_term(cur, env, binders))
-            while cur.at(","):
-                cur.next()
-                args.append(_fol_term(cur, env, binders))
-        cur.expect(")")
-        return fol.App(name, tuple(args), span=t.span)
-    for name2, sort in binders:
-        if name2 == name:
-            # parsed against the binder stack: keep as a tagged free variable,
-            # closed by the quantifier constructor above
-            return fol.FVar(name, sort, span=t.span)
-    if env.is_constant(name):
-        return fol.App(name, (), span=t.span)
-    return fol.FVar(name, env.default_sort(cur, name), span=t.span)
-
-
-# ---------------------------------------------------------------------------
-# STLC
-
-
-STLC_TYPE_KEYWORDS = {"Nat", "Bool"}
-
-
-def parse_stlc_type(cur: Cursor) -> stlc.SimpleType:
-    a = _stlc_sum_type(cur)
-    if cur.at("->"):
-        cur.next()
-        return stlc.Arrow(a, parse_stlc_type(cur), span=a.span)
-    return a
-
-
-def _stlc_sum_type(cur):
-    a = _stlc_prod_type(cur)
-    while cur.at("+"):
-        cur.next()
-        a = stlc.SumT(a, _stlc_prod_type(cur), span=a.span)
-    return a
-
-
-def _stlc_prod_type(cur):
-    a = _stlc_atom_type(cur)
-    while cur.at("*"):
-        cur.next()
-        a = stlc.Prod(a, _stlc_atom_type(cur), span=a.span)
-    return a
-
-
-def _stlc_atom_type(cur):
-    t = cur.peek()
-    if cur.at("("):
-        cur.next()
-        a = parse_stlc_type(cur)
-        cur.expect(")")
-        return a
-    name = cur.expect_kind("ident").value
-    if name == "Nat":
-        return stlc.NatT(span=t.span)
-    if name == "Bool":
-        return stlc.BoolT(span=t.span)
-    return stlc.Base(name, span=t.span)
-
-
-_STLC_OPS = {"succ": 1, "natrec": 3, "cond": 3, "cases": 3, "fst": 1, "snd": 1}
-
-
-def parse_stlc_term(cur: Cursor, consts: dict | None = None, binders=()) -> stlc.Term:
-    consts = consts or {}
-    t = cur.peek()
-    if t.kind == "ident" and t.value == "fun":
-        cur.next()
-        groups = []
-        while cur.at("("):
-            cur.next()
-            names = [cur.expect_kind("ident").value]
-            while cur.at_kind("ident") and not cur.at(":"):
-                names.append(cur.next().value)
-            cur.expect(":")
-            ty = parse_stlc_type(cur)
-            cur.expect(")")
-            groups.extend((n, ty) for n in names)
-        cur.expect("=>")
-        inner = binders
-        for n, ty in groups:
-            inner = ((n, ty),) + inner
-        body = parse_stlc_term(cur, consts, inner)
-        # binder references were parsed as Free(name); abstract innermost-first
-        for n, ty in reversed(groups):
-            body = stlc.Lam(ty, stlc.abstract_free(body, n), hint=n, span=t.span)
-        return body
-    return _stlc_app(cur, consts, binders)
-
-
-def _stlc_app(cur, consts, binders):
-    factors = [_stlc_factor(cur, consts, binders)]
-    while _stlc_starts_factor(cur):
-        factors.append(_stlc_factor(cur, consts, binders))
-    term = factors[0]
-    for f in factors[1:]:
-        term = stlc.App(term, f, span=term.span)
-    return term
-
-
-def _stlc_starts_factor(cur):
-    t = cur.peek()
-    if t.kind in ("int",):
-        return True
-    if t.kind == "ident":
-        return True
-    return cur.at("(")
-
-
-def _stlc_factor(cur, consts, binders):
-    t = cur.peek()
-    if t.kind == "int":
-        cur.next()
-        return stlc.numeral(int(t.value))
-    if cur.at("("):
-        cur.next()
-        a = parse_stlc_term(cur, consts, binders)
-        if cur.at(","):
-            cur.next()
-            b = parse_stlc_term(cur, consts, binders)
-            cur.expect(")")
-            return stlc.Pair(a, b, span=t.span)
-        cur.expect(")")
-        return a
-    name = cur.expect_kind("ident").value
-    if name == "zero":
-        return stlc.Zero(span=t.span)
-    if name == "tt":
-        return stlc.TT(span=t.span)
-    if name == "ff":
-        return stlc.FF(span=t.span)
-    if name == "inl" or name == "inr":
-        cur.expect("[")
-        ty = parse_stlc_type(cur)
-        cur.expect("]")
-        v = _stlc_factor(cur, consts, binders)
-        return (
-            stlc.Inj0(ty, v, span=t.span) if name == "inl" else stlc.Inj1(ty, v, span=t.span)
-        )
-    if name in _STLC_OPS:
-        arity = _STLC_OPS[name]
-        args = [_stlc_factor(cur, consts, binders) for _ in range(arity)]
-        match name:
-            case "succ":
-                return stlc.Succ(args[0], span=t.span)
-            case "natrec":
-                return stlc.RecNat(args[0], args[1], args[2], span=t.span)
-            case "cond":
-                return stlc.Cond(args[0], args[1], args[2], span=t.span)
-            case "cases":
-                return stlc.Cases(args[0], args[1], args[2], span=t.span)
-            case "fst":
-                return stlc.Proj0(args[0], span=t.span)
-            case "snd":
-                return stlc.Proj1(args[0], span=t.span)
-    for i, (n, _ty) in enumerate(binders):
-        if n == name:
-            return stlc.Free(name, span=t.span)  # rebound by _stlc_rebind
-    if name in consts:
-        val = consts[name]
-        if isinstance(val, stlc.Const):
-            return val
-        return val  # macro expansion
-    return stlc.Free(name, span=t.span)
-
-
-# ---------------------------------------------------------------------------
-# HOL
-
-
-def parse_hol_type(cur: Cursor, state: hk.KernelState) -> hk.HolType:
-    a = _hol_atom_type(cur, state)
-    if cur.at("->"):
-        cur.next()
-        return hk.fn(a, parse_hol_type(cur, state))
-    return a
-
-
-def _hol_atom_type(cur, state):
-    t = cur.peek()
-    if cur.at("("):
-        cur.next()
-        a = parse_hol_type(cur, state)
-        cur.expect(")")
-        return a
-    if t.kind == "tyvar":
-        cur.next()
-        return hk.TyVar(t.value, span=t.span)
-    name = cur.expect_kind("ident").value
-    args = ()
-    if cur.at("["):
-        cur.next()
-        lst = [parse_hol_type(cur, state)]
-        while cur.at(","):
-            cur.next()
-            lst.append(parse_hol_type(cur, state))
-        cur.expect("]")
-        args = tuple(lst)
-    ty = hk.TyApp(name, args, span=t.span)
-    hk.check_type(state, ty)
-    return ty
-
-
-class _Pending:
-    """A constant whose type instance is still being solved by matching."""
-
-    def __init__(self, name: str, generic, span):
-        self.name = name
-        self.generic = generic
-        self.env: dict = {}
-        self.args: list = []
-        self.residual = generic
-        self.span = span
-
-    def feed(self, cur, arg_term, arg_ty):
-        res = self.residual
-        if not (isinstance(res, hk.TyApp) and res.op == "fun"):
-            cur.fail(f"constant {self.name} applied to too many arguments")
-        if hk.type_match(res.args[0], arg_ty, self.env) is None:
-            cur.fail(
-                f"argument type {hk.pretty_type(arg_ty)} does not fit "
-                f"{hk.pretty_type(hk.type_subst(res.args[0], self.env))} of {self.name}"
-            )
-        self.args.append(arg_term)
-        self.residual = res.args[1]
-
-    def solved(self) -> bool:
-        # all of the constant's own type variables are pinned down (their
-        # images may mention ambient type variables)
-        return hk.ty_vars(self.generic) <= set(self.env)
-
-    def finalize(self, cur):
-        if not self.solved():
-            cur.fail(
-                f"cannot infer the type instance of {self.name}; "
-                f"annotate with {self.name}[...]"
-            )
-        inst = hk.type_subst(self.generic, self.env)
-        term = hk.Const(self.name, inst, span=self.span)
-        ty = inst
-        for a in self.args:
-            term = hk.App(term, a)
-            ty = ty.args[1]
-        return term, ty
-
-
-def parse_hol_term(cur: Cursor, state: hk.KernelState, macros=None, binders=()):
-    term, ty = _hol_eq(cur, state, macros or {}, binders)
-    return term
-
-
-def _hol_eq(cur, state, macros, binders):
-    t0 = cur.peek()
-    l, lty = _hol_app(cur, state, macros, binders)
-    if cur.at("="):
-        cur.next()
-        r, rty = _hol_app(cur, state, macros, binders)
-        if lty != rty:
-            cur.fail(
-                f"equation sides have types {hk.pretty_type(lty)} and {hk.pretty_type(rty)}"
-            )
-        return hk.mk_eq_at(lty, l, r), hk.PROP
-    return l, lty
-
-
-def _hol_app(cur, state, macros, binders):
-    head = _hol_factor(cur, state, macros, binders)
-    while _hol_starts_factor(cur):
-        arg = _hol_factor(cur, state, macros, binders)
-        head = _hol_apply(cur, head, arg)
-    return _hol_finish(cur, head)
-
-
-def _hol_apply(cur, head, arg):
-    arg_term, arg_ty = _hol_finish(cur, arg)
-    if isinstance(head, _Pending):
-        head.feed(cur, arg_term, arg_ty)
-        if head.solved():
-            return head.finalize(cur)
-        return head
-    fn_term, fn_ty = head
-    if not (isinstance(fn_ty, hk.TyApp) and fn_ty.op == "fun"):
-        cur.fail(f"application of non-function of type {hk.pretty_type(fn_ty)}")
-    if fn_ty.args[0] != arg_ty:
-        cur.fail(
-            f"argument type {hk.pretty_type(arg_ty)} does not match domain "
-            f"{hk.pretty_type(fn_ty.args[0])}"
-        )
-    return hk.App(fn_term, arg_term), fn_ty.args[1]
-
-
-def _hol_finish(cur, item):
-    if isinstance(item, _Pending):
-        return item.finalize(cur)
-    return item
-
-
-def _hol_starts_factor(cur):
-    t = cur.peek()
-    return t.kind in ("ident",) or cur.at("(")
-
-
-def _hol_factor(cur, state, macros, binders):
-    t = cur.peek()
-    if cur.at("("):
-        cur.next()
-        # variable ascription (x : ty) or parenthesized term
-        if (
-            cur.at_kind("ident")
-            and cur.tokens[cur.pos + 1].kind == "symbol"
-            and cur.tokens[cur.pos + 1].value == ":"
-            and not _is_hol_bound(cur.peek().value, binders)
-            and cur.peek().value not in state.constants
-            and cur.peek().value not in macros
-        ):
-            name = cur.next().value
-            cur.expect(":")
-            ty = parse_hol_type(cur, state)
-            cur.expect(")")
-            return hk.FVar(name, ty, span=t.span), ty
-        inner = _hol_eq(cur, state, macros, binders)
-        if cur.at(":"):
-            cur.next()
-            ty = parse_hol_type(cur, state)
-            term, got = _hol_finish(cur, inner)
-            if got != ty:
-                cur.fail(f"ascription mismatch: term has type {hk.pretty_type(got)}")
-            cur.expect(")")
-            return term, got
-        cur.expect(")")
-        return inner
-    if t.kind == "ident" and t.value == "fun":
-        cur.next()
-        groups = []
-        while cur.at("("):
-            cur.next()
-            names = [cur.expect_kind("ident").value]
-            while cur.at_kind("ident"):
-                names.append(cur.next().value)
-            cur.expect(":")
-            ty = parse_hol_type(cur, state)
-            cur.expect(")")
-            groups.extend((n, ty) for n in names)
-        cur.expect("=>")
-        inner = binders
-        for n, ty in groups:
-            inner = ((n, ty),) + inner
-        body, bty = _hol_eq(cur, state, macros, inner)
-        for n, ty in reversed(groups):
-            body = hk.abs_over(hk.FVar(n, ty), body)
-            bty = hk.fn(ty, bty)
-        return body, bty
-    name = cur.expect_kind("ident").value
-    for n, ty in binders:
-        if n == name:
-            return hk.FVar(name, ty, span=t.span), ty
-    if name in (macros or {}):
-        term = macros[name]
-        return term, hk.type_of(term)
-    if name in state.constants:
-        decl = state.constants[name]
-        if cur.at("["):
-            cur.next()
-            args = [parse_hol_type(cur, state)]
-            while cur.at(","):
-                cur.next()
-                args.append(parse_hol_type(cur, state))
-            cur.expect("]")
-            tvs = sorted(hk.ty_vars(decl.generic))
-            if len(tvs) != len(args):
-                cur.fail(f"{name} has {len(tvs)} type variable(s)")
-            inst = hk.type_subst(decl.generic, dict(zip(tvs, args)))
-            return hk.Const(name, inst, span=t.span), inst
-        if not hk.ty_vars(decl.generic):
-            return hk.Const(name, decl.generic, span=t.span), decl.generic
-        return _Pending(name, decl.generic, t.span)
-    cur.fail(f"unknown name {name}; bind it, declare it, or ascribe (x : ty)")
-
-
-def _is_hol_bound(name, binders):
-    return any(n == name for n, _ in binders)
-
-
-# ---------------------------------------------------------------------------
-# DTT
-
-
-_DTT_ATOMS = {
-    "Nat": dtt.Nat, "Empty": dtt.Empty, "Unit": dtt.Unit, "Bool": dtt.Bool,
-    "zero": dtt.Zero, "star": dtt.Star, "true": dtt.TrueE, "false": dtt.FalseE,
-}
-
-_DTT_BRACKET_OPS = {
-    # name: (number of bracket args, number of term args)
-    "pair": (1, 2),
-    "sigmacases": (1, 2),
-    "refl": (1, 1),
-    "idcases": (1, 4),
-    "natrec": (1, 3),
-    "emptycases": (1, 1),
-    "boolcases": (1, 3),
-    "inl": (1, 1),
-    "inr": (1, 1),
-    "sumcases": (1, 3),
-    "sup": (1, 2),
-    "wrec": (1, 2),
-}
-
-
-def parse_dtt_expr(cur: Cursor, defs: dict | None = None, binders=()) -> dtt.Expr:
-    return _dtt_expr(cur, defs or {}, binders)
-
-
-def _dtt_expr(cur, defs, binders):
-    t = cur.peek()
-    if t.kind == "ident" and t.value in ("fun", "Pi", "Sigma", "exists", "W"):
-        kw = t.value
-        cur.next()
-        groups = []  # (name, type, binder depth at which the type was parsed)
-        while cur.at("("):
-            cur.next()
-            names = [cur.expect_kind("ident").value]
-            while cur.at_kind("ident"):
-                names.append(cur.next().value)
-            cur.expect(":")
-            depth = len(groups)
-            ty = _dtt_expr(cur, defs, _extend_names(binders, [g[0] for g in groups]))
-            cur.expect(")")
-            groups.extend((n, ty, depth) for n in names)
-        cur.expect("=>" if kw == "fun" else ",")
-        body = _dtt_expr(cur, defs, _extend_names(binders, [g[0] for g in groups]))
-        for i, (n, ty, depth) in reversed(list(enumerate(groups))):
-            if i != depth:
-                ty = dtt.shift(ty, i - depth)
-            if kw == "fun":
-                body = dtt.Lam(ty, body, hint=n, span=t.span)
-            elif kw == "Pi":
-                body = dtt.Pi(ty, body, hint=n, span=t.span)
-            elif kw == "Sigma":
-                body = dtt.Sigma(ty, body, in_prop=False, hint=n, span=t.span)
-            elif kw == "exists":
-                body = dtt.Sigma(ty, body, in_prop=True, hint=n, span=t.span)
-            else:
-                body = dtt.W(ty, body, hint=n, span=t.span)
-        return body
-    return _dtt_arrow(cur, defs, binders)
-
-
-def _extend_names(binders, names):
-    inner = binders
-    for n in names:
-        inner = ((n,),) + inner
-    return inner
-
-
-def _dtt_arrow(cur, defs, binders):
-    a = _dtt_sum(cur, defs, binders)
-    if cur.at("->"):
-        cur.next()
-        # non-dependent arrow: parse the codomain under a dummy binder
-        b = _dtt_expr(cur, defs, _extend_names(binders, ["_"]))
-        return dtt.Pi(a, b, hint="_", span=a.span)
-    return a
-
-
-def _dtt_sum(cur, defs, binders):
-    a = _dtt_app(cur, defs, binders)
-    if cur.at("+"):
-        cur.next()
-        b = _dtt_sum(cur, defs, binders)
-        return dtt.Sum(a, b, span=a.span)
-    return a
-
-
-def _dtt_app(cur, defs, binders):
-    head = _dtt_factor(cur, defs, binders)
-    while _dtt_starts_factor(cur):
-        arg = _dtt_factor(cur, defs, binders)
-        head = dtt.App(head, arg, span=head.span)
-    return head
-
-
-def _dtt_starts_factor(cur):
-    t = cur.peek()
-    return t.kind in ("ident", "int") or cur.at("(")
-
-
-def _dtt_factor(cur, defs, binders):
-    t = cur.peek()
-    if t.kind == "int":
-        cur.next()
-        return dtt.numeral(int(t.value))
-    if cur.at("("):
-        cur.next()
-        e = _dtt_expr(cur, defs, binders)
-        cur.expect(")")
-        return e
-    name = cur.expect_kind("ident").value
-    if name == "Type":
-        lvl = cur.expect_kind("int")
-        return dtt.TypeSort(int(lvl.value), span=t.span)
-    if name == "Prop":
-        return dtt.PropSort(span=t.span)
-    if name == "succ":
-        return dtt.Succ(_dtt_factor(cur, defs, binders), span=t.span)
-    if name == "Id":
-        a = _dtt_factor(cur, defs, binders)
-        b = _dtt_factor(cur, defs, binders)
-        c = _dtt_factor(cur, defs, binders)
-        return dtt.Id(a, b, c, span=t.span)
-    if name == "axiom":
-        ax = cur.expect_kind("ident").value
-        return dtt.Axiom(ax, span=t.span)
-    if name in _DTT_ATOMS:
-        return _DTT_ATOMS[name](span=t.span)
-    if name in _DTT_BRACKET_OPS:
-        nbr, nterm = _DTT_BRACKET_OPS[name]
-        brackets = []
-        for _ in range(nbr):
-            cur.expect("[")
-            brackets.append(_dtt_expr(cur, defs, binders))
-            cur.expect("]")
-        args = [_dtt_factor(cur, defs, binders) for _ in range(nterm)]
-        return _dtt_build(name, brackets, args, t.span)
-    for i, (n, *_rest) in enumerate(binders):
-        if n == name:
-            return dtt.Var(i, span=t.span)
-    if name in defs:
-        return defs[name]
-    cur.fail(f"unknown name {name}")
-
-
-def _dtt_build(name, brackets, args, span):
-    m = brackets[0]
-    match name:
-        case "pair":
-            return dtt.Pair(m, args[0], args[1], span=span)
-        case "sigmacases":
-            return dtt.SigmaCases(m, args[0], args[1], span=span)
-        case "refl":
-            return dtt.Refl(m, args[0], span=span)
-        case "idcases":
-            return dtt.IdCases(m, args[0], args[1], args[2], args[3], span=span)
-        case "natrec":
-            return dtt.NatRec(m, args[0], args[1], args[2], span=span)
-        case "emptycases":
-            return dtt.EmptyCases(m, args[0], span=span)
-        case "boolcases":
-            return dtt.BoolCases(m, args[0], args[1], args[2], span=span)
-        case "inl":
-            return dtt.Inl(m, args[0], span=span)
-        case "inr":
-            return dtt.Inr(m, args[0], span=span)
-        case "sumcases":
-            return dtt.SumCases(m, args[0], args[1], args[2], span=span)
-        case "sup":
-            return dtt.Sup(m, args[0], args[1], span=span)
-        case "wrec":
-            return dtt.WRec(m, args[0], args[1], span=span)
-    raise ParseError(f"unknown eliminator {name}", span=span)
-
-
-# ---------------------------------------------------------------------------
-# entry point
 
 
 def parse_expr(calculus: str, text: str, filename: str = "<input>", **kwargs):
@@ -740,22 +24,29 @@ def parse_expr(calculus: str, text: str, filename: str = "<input>", **kwargs):
 
 
 def parse_expr_at(calculus: str, cur: Cursor, **kwargs):
-    if calculus == "fol":
+    if calculus in ("fol", "fol-term"):
+        from .fol_parser import FolEnv, parse_fol_formula, parse_fol_term
+
         env = FolEnv(kwargs.get("signature"), kwargs.get("var_sorts"))
-        return parse_fol_formula(cur, env)
-    if calculus == "fol-term":
-        env = FolEnv(kwargs.get("signature"), kwargs.get("var_sorts"))
-        return _fol_term(cur, env, ())
+        return (parse_fol_formula if calculus == "fol" else parse_fol_term)(cur, env)
     if calculus == "stlc":
+        from .stlc_parser import parse_stlc_term
+
         return parse_stlc_term(cur, kwargs.get("consts"))
     if calculus == "stlc-type":
+        from .stlc_parser import parse_stlc_type
+
         return parse_stlc_type(cur)
-    if calculus == "hol":
-        state = kwargs.get("state") or hk.initial_state()
-        return parse_hol_term(cur, state, kwargs.get("macros"))
-    if calculus == "hol-type":
-        state = kwargs.get("state") or hk.initial_state()
+    if calculus in ("hol", "hol-type"):
+        from ..hol.kernel import initial_state
+        from .hol_parser import parse_hol_term, parse_hol_type
+
+        state = kwargs.get("state") or initial_state()
+        if calculus == "hol":
+            return parse_hol_term(cur, state, kwargs.get("macros"))
         return parse_hol_type(cur, state)
     if calculus == "dtt":
+        from .dtt_parser import parse_dtt_expr
+
         return parse_dtt_expr(cur, kwargs.get("defs"))
     raise ParseError(f"unknown calculus {calculus}")

@@ -2,87 +2,32 @@
 
 from __future__ import annotations
 
-from .. import stlc
-from ..dtt.printer import pretty as pretty_dtt
-from ..fol.syntax import pretty_formula as pretty_fol, pretty_term as pretty_fol_term
-from ..hol.printer import pretty_term as _pretty_hol
-from ..stlc.typing import pretty_type as pretty_stlc_type
-
-
-def pretty_hol(t, types: bool = True) -> str:
-    return _pretty_hol(t, types=types)
-
-
-def pretty_stlc(t) -> str:
-    def fresh(base, names):
-        name = base or "x"
-        while name in names:
-            name += "'"
-        return name
-
-    frees = stlc.free_names(t)
-
-    def go(t, names, prec) -> str:
-        # prec: 0 lambda, 20 application, 21 atoms
-        n = stlc.numeral_value(t)
-        if n is not None:
-            return str(n)
-        match t:
-            case stlc.Var(index=k):
-                return names[k] if k < len(names) else f"#{k}"
-            case stlc.Free(name=nm):
-                return nm
-            case stlc.Const(name=nm):
-                return nm
-            case stlc.Lam(dom=d, body=b, hint=h):
-                x = fresh(h, set(names) | frees)
-                s = f"fun ({x} : {pretty_stlc_type(d)}) => {go(b, (x,) + names, 0)}"
-                return s if prec == 0 else f"({s})"
-            case stlc.App(fn=f, arg=a):
-                s = f"{go(f, names, 20)} {go(a, names, 21)}"
-                return s if prec <= 20 else f"({s})"
-            case stlc.Pair(left=a, right=b):
-                return f"({go(a, names, 0)}, {go(b, names, 0)})"
-            case stlc.Proj0(pair=p):
-                s = f"fst {go(p, names, 21)}"
-            case stlc.Proj1(pair=p):
-                s = f"snd {go(p, names, 21)}"
-            case stlc.Inj0(right=ty, value=v):
-                s = f"inl [{pretty_stlc_type(ty)}] {go(v, names, 21)}"
-            case stlc.Inj1(left=ty, value=v):
-                s = f"inr [{pretty_stlc_type(ty)}] {go(v, names, 21)}"
-            case stlc.Cases(on_left=f, on_right=g, scrutinee=sc):
-                s = f"cases {go(f, names, 21)} {go(g, names, 21)} {go(sc, names, 21)}"
-            case stlc.Zero():
-                return "zero"
-            case stlc.Succ(arg=a):
-                s = f"succ {go(a, names, 21)}"
-            case stlc.RecNat(base=f, step=g, target=nn):
-                s = f"natrec {go(f, names, 21)} {go(g, names, 21)} {go(nn, names, 21)}"
-            case stlc.TT():
-                return "tt"
-            case stlc.FF():
-                return "ff"
-            case stlc.Cond(if_true=f, if_false=g, target=b):
-                s = f"cond {go(f, names, 21)} {go(g, names, 21)} {go(b, names, 21)}"
-            case _:
-                raise TypeError(t)
-        return s if prec <= 20 else f"({s})"
-
-    return go(t, (), 0)
-
 
 def pretty(calculus: str, ast) -> str:
+    """The surface text of a node of the given calculus; only that calculus's
+    printer is imported."""
     if calculus == "fol":
-        return pretty_fol(ast)
+        from ..fol.syntax import pretty_formula
+
+        return pretty_formula(ast)
     if calculus == "fol-term":
-        return pretty_fol_term(ast)
+        from ..fol.syntax import pretty_term
+
+        return pretty_term(ast)
     if calculus == "stlc":
-        return pretty_stlc(ast)
+        from ..stlc.printer import pretty_term
+
+        return pretty_term(ast)
     if calculus == "stlc-type":
-        return pretty_stlc_type(ast)
+        from ..stlc.typing import pretty_type
+
+        return pretty_type(ast)
     if calculus == "hol":
-        return pretty_hol(ast)
+        from ..hol.printer import pretty_term
+
+        return pretty_term(ast, types=True)
     if calculus == "dtt":
+        from ..dtt.printer import pretty as pretty_dtt
+
         return pretty_dtt(ast)
     raise ValueError(f"unknown calculus {calculus}")

@@ -5,7 +5,7 @@ from __future__ import annotations
 from .. import fol
 from ..errors import ParseError
 from .lexer import Cursor
-from .parsers import FolEnv, parse_fol_formula, _fol_term
+from .fol_parser import FolEnv, parse_fol_formula, parse_fol_term
 
 
 def _formula(cur: Cursor, env: FolEnv):
@@ -17,7 +17,7 @@ def _formula(cur: Cursor, env: FolEnv):
 
 def _term(cur: Cursor, env: FolEnv):
     cur.expect("{")
-    t = _fol_term(cur, env, ())
+    t = parse_fol_term(cur, env)
     cur.expect("}")
     return t
 

@@ -18,12 +18,16 @@ from .lexer import Cursor, Token, tokenize
 
 @dataclass(frozen=True)
 class DeclareSort:
+    """Script command `sort S`."""
+
     name: str
     span: Span
 
 
 @dataclass(frozen=True)
 class DeclareFn:
+    """Script command `fn f : (S1, S2) -> S3` or `const c : S`."""
+
     name: str
     args: tuple[str, ...]
     result: str
@@ -32,6 +36,8 @@ class DeclareFn:
 
 @dataclass(frozen=True)
 class DeclareRel:
+    """Script command `rel R : (S1, S2)`."""
+
     name: str
     args: tuple[str, ...]
     span: Span
@@ -48,6 +54,8 @@ class DeclareTyped:
 
 @dataclass(frozen=True)
 class Define:
+    """Script command `define name [: {T}] := {e}`."""
+
     name: str
     type_tokens: tuple | None
     body_tokens: tuple
@@ -56,6 +64,8 @@ class Define:
 
 @dataclass(frozen=True)
 class DefineRel:
+    """Script command `define rel R (x : S) := {A}`."""
+
     name: str
     params: tuple  # (name, sort) pairs
     body_tokens: tuple
@@ -64,12 +74,16 @@ class DefineRel:
 
 @dataclass(frozen=True)
 class AxiomEnable:
+    """Script command `axiom-enable name`."""
+
     name: str
     span: Span
 
 
 @dataclass(frozen=True)
 class AxiomDecl:
+    """Script command `axiom Name : {A}`."""
+
     name: str
     body_tokens: tuple
     span: Span
@@ -77,6 +91,8 @@ class AxiomDecl:
 
 @dataclass(frozen=True)
 class Theorem:
+    """Script command `theorem name : {stmt} := PROOF`."""
+
     name: str
     statement_tokens: tuple
     proof_kind: str  # nd | hilbert | term | rule-expr
@@ -95,6 +111,8 @@ class Thm:
 
 @dataclass(frozen=True)
 class TermMacro:
+    """Script command `term name := {e}`."""
+
     name: str
     body_tokens: tuple
     span: Span
@@ -102,6 +120,8 @@ class TermMacro:
 
 @dataclass(frozen=True)
 class Check:
+    """Script command `check {e} [: {T}]`."""
+
     body_tokens: tuple
     type_tokens: tuple | None
     span: Span
@@ -109,12 +129,16 @@ class Check:
 
 @dataclass(frozen=True)
 class Eval:
+    """Script command `eval {e}`."""
+
     body_tokens: tuple
     span: Span
 
 
 @dataclass(frozen=True)
 class ModelDef:
+    """Script command `model M { ... }`: universes, function tables and relations."""
+
     name: str
     universes: tuple  # (sort, (elem, ...))
     functions: tuple  # (name, ((args...), result) tuple list)
@@ -124,18 +148,24 @@ class ModelDef:
 
 @dataclass(frozen=True)
 class Assume:
+    """Script command `assume {A}`."""
+
     body_tokens: tuple
     span: Span
 
 
 @dataclass(frozen=True)
 class Prove:
+    """Script command `prove {A}`."""
+
     body_tokens: tuple
     span: Span
 
 
 @dataclass(frozen=True)
 class ExpectError:
+    """Script command `expect-error TAG <command>`."""
+
     tag: str
     command: "ScriptCommand"
     span: Span

@@ -1,0 +1,151 @@
+"""Recursive-descent parser for simply typed lambda terms and their types."""
+
+from __future__ import annotations
+
+from .. import stlc
+from .lexer import Cursor
+
+
+def parse_stlc_type(cur: Cursor) -> stlc.SimpleType:
+    a = _stlc_sum_type(cur)
+    if cur.at("->"):
+        cur.next()
+        return stlc.Arrow(a, parse_stlc_type(cur), span=a.span)
+    return a
+
+
+def _stlc_sum_type(cur):
+    a = _stlc_prod_type(cur)
+    while cur.at("+"):
+        cur.next()
+        a = stlc.SumT(a, _stlc_prod_type(cur), span=a.span)
+    return a
+
+
+def _stlc_prod_type(cur):
+    a = _stlc_atom_type(cur)
+    while cur.at("*"):
+        cur.next()
+        a = stlc.Prod(a, _stlc_atom_type(cur), span=a.span)
+    return a
+
+
+def _stlc_atom_type(cur):
+    t = cur.peek()
+    if cur.at("("):
+        cur.next()
+        a = parse_stlc_type(cur)
+        cur.expect(")")
+        return a
+    name = cur.expect_kind("ident").value
+    if name == "Nat":
+        return stlc.NatT(span=t.span)
+    if name == "Bool":
+        return stlc.BoolT(span=t.span)
+    return stlc.Base(name, span=t.span)
+
+
+_STLC_OPS = {"succ": 1, "natrec": 3, "cond": 3, "cases": 3, "fst": 1, "snd": 1}
+
+
+def parse_stlc_term(cur: Cursor, consts: dict | None = None, binders=()) -> stlc.Term:
+    consts = consts or {}
+    t = cur.peek()
+    if t.kind == "ident" and t.value == "fun":
+        cur.next()
+        groups = []
+        while cur.at("("):
+            cur.next()
+            names = [cur.expect_kind("ident").value]
+            while cur.at_kind("ident") and not cur.at(":"):
+                names.append(cur.next().value)
+            cur.expect(":")
+            ty = parse_stlc_type(cur)
+            cur.expect(")")
+            groups.extend((n, ty) for n in names)
+        cur.expect("=>")
+        inner = binders
+        for n, ty in groups:
+            inner = ((n, ty),) + inner
+        body = parse_stlc_term(cur, consts, inner)
+        # binder references were parsed as Free(name); abstract innermost-first
+        for n, ty in reversed(groups):
+            body = stlc.Lam(ty, stlc.abstract_free(body, n), hint=n, span=t.span)
+        return body
+    return _stlc_app(cur, consts, binders)
+
+
+def _stlc_app(cur, consts, binders):
+    factors = [_stlc_factor(cur, consts, binders)]
+    while _stlc_starts_factor(cur):
+        factors.append(_stlc_factor(cur, consts, binders))
+    term = factors[0]
+    for f in factors[1:]:
+        term = stlc.App(term, f, span=term.span)
+    return term
+
+
+def _stlc_starts_factor(cur):
+    t = cur.peek()
+    if t.kind in ("int",):
+        return True
+    if t.kind == "ident":
+        return True
+    return cur.at("(")
+
+
+def _stlc_factor(cur, consts, binders):
+    t = cur.peek()
+    if t.kind == "int":
+        cur.next()
+        return stlc.numeral(int(t.value))
+    if cur.at("("):
+        cur.next()
+        a = parse_stlc_term(cur, consts, binders)
+        if cur.at(","):
+            cur.next()
+            b = parse_stlc_term(cur, consts, binders)
+            cur.expect(")")
+            return stlc.Pair(a, b, span=t.span)
+        cur.expect(")")
+        return a
+    name = cur.expect_kind("ident").value
+    if name == "zero":
+        return stlc.Zero(span=t.span)
+    if name == "tt":
+        return stlc.TT(span=t.span)
+    if name == "ff":
+        return stlc.FF(span=t.span)
+    if name == "inl" or name == "inr":
+        cur.expect("[")
+        ty = parse_stlc_type(cur)
+        cur.expect("]")
+        v = _stlc_factor(cur, consts, binders)
+        return (
+            stlc.Inj0(ty, v, span=t.span) if name == "inl" else stlc.Inj1(ty, v, span=t.span)
+        )
+    if name in _STLC_OPS:
+        arity = _STLC_OPS[name]
+        args = [_stlc_factor(cur, consts, binders) for _ in range(arity)]
+        match name:
+            case "succ":
+                return stlc.Succ(args[0], span=t.span)
+            case "natrec":
+                return stlc.RecNat(args[0], args[1], args[2], span=t.span)
+            case "cond":
+                return stlc.Cond(args[0], args[1], args[2], span=t.span)
+            case "cases":
+                return stlc.Cases(args[0], args[1], args[2], span=t.span)
+            case "fst":
+                return stlc.Proj0(args[0], span=t.span)
+            case "snd":
+                return stlc.Proj1(args[0], span=t.span)
+    for i, (n, _ty) in enumerate(binders):
+        if n == name:
+            return stlc.Free(name, span=t.span)  # rebound by _stlc_rebind
+    if name in consts:
+        val = consts[name]
+        if isinstance(val, stlc.Const):
+            return val
+        return val  # macro expansion
+    return stlc.Free(name, span=t.span)

@@ -131,16 +131,55 @@ def test_deep_input_is_a_tagged_error_not_a_traceback(tmp_path, capsys):
     assert report.ok and report.results[0].output == "expected error: depth-exceeded"
 
 
+def fresh_cli(*args):
+    """`python -m foundry.cli` in a fresh interpreter, run in the corpus
+    directory. Unlike the in-process tests, it sees only the modules the
+    command imports itself."""
+    env = dict(os.environ, PYTHONPATH=str(pathlib.Path(foundry.__file__).parents[1]))
+    return subprocess.run(
+        [sys.executable, "-m", "foundry.cli", *args],
+        capture_output=True, text=True, env=env, timeout=60, cwd=CORPUS,
+    )
+
+
 def test_eval_of_a_320_numeral_fits_the_stack(tmp_path):
     # A fresh process, because the test runner's own frames eat the stack.
     path = tmp_path / "n.dtt"
     path.write_text("eval {320}\n")
-    env = dict(os.environ, PYTHONPATH=str(pathlib.Path(foundry.__file__).parents[1]))
-    done = subprocess.run(
-        [sys.executable, "-m", "foundry.cli", "eval", str(path), "--calculus", "dtt"],
-        capture_output=True, text=True, env=env, timeout=60,
-    )
+    done = fresh_cli("eval", str(path), "--calculus", "dtt")
     assert (done.returncode, done.stdout.splitlines()[-1]) == (0, "320"), done.stderr
+
+
+@pytest.mark.parametrize("name, calculus, value", [
+    ("fol_basics.fol", "fol", None),
+    ("stlc_basics.stlc", "stlc", "5"),
+    ("connectives.hol", "hol", None),
+    ("nat_arith.dtt", "dtt", "12"),
+])
+def test_eval_in_a_fresh_process(name, calculus, value):
+    done = fresh_cli("eval", name, "--calculus", calculus)
+    report = (CORPUS / (name + ".expected")).read_text()
+    if value is None:  # FOL and HOL scripts have no eval command
+        assert (done.returncode, done.stdout) == (2, report)
+        assert done.stderr == "error: no eval command in the file\n"
+    else:
+        assert (done.returncode, done.stdout, done.stderr) == (0, f"{report}{value}\n", "")
+
+
+@pytest.mark.parametrize("args, code, out", [
+    (["cc", "cc_valid.fol"], 0, "cc_valid.fol: valid\n"),
+    (["cc", "cc_notentailed.fol"], 1,
+     "cc_notentailed.fol: not-entailed; subterm partition:\n  { a, f(f(a)) }\n  { f(a) }\n"),
+    (["countermodel", "cm_no_empty_set.fol", "--max-size", "3", "--report", "json"], 1,
+     json.dumps({"file": "cm_no_empty_set.fol", "found": True, "max_size": 3, "model": {
+         "functions": {}, "relations": {"in": ["0,0"]}, "universes": {"set": ["0"]},
+     }}, sort_keys=True, indent=2) + "\n"),
+    (["model-check", "geometry.model", "geometry.formula"], 0,
+     "geometry.formula: holds in geometry.model\n"),
+])
+def test_problem_commands_in_a_fresh_process(args, code, out):
+    done = fresh_cli(*args)
+    assert (done.returncode, done.stdout, done.stderr) == (code, out, "")
 
 
 def test_non_decimal_digits_are_parse_errors_not_tracebacks(tmp_path, capsys):

@@ -16,7 +16,8 @@ from foundry.hol import (
     new_definition, new_type_definition,
 )
 from foundry.hol.derived import EQT_INTRO, EXISTS, TRUTH, mk_exists_pred
-from foundry.run import HolRunner, Options
+from foundry.hol.runner import HolRunner
+from foundry.run import Options
 from foundry.surface.script import parse_script
 from foundry.span import Span
 

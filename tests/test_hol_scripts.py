@@ -25,7 +25,7 @@ def test_connectives_script():
     assert r.theorems_certified == 3
     # what the script defined matches the canonical bodies used by the axioms
     from foundry.hol import standard_definitions
-    from foundry.run import HolRunner
+    from foundry.hol.runner import HolRunner
     from foundry.surface import script as sc
 
     runner = HolRunner(Options(), "connectives.hol")
@@ -76,7 +76,7 @@ def test_every_minted_conclusion_is_a_well_typed_prop(monkeypatch, name, kw):
     # the typed rules rely on this invariant: see the kernel's docstring
     from foundry.hol import check_term
     from foundry.hol import kernel as hk
-    from foundry.run import HolRunner
+    from foundry.hol.runner import HolRunner
     from foundry.surface import script as sc
 
     minted = []
@@ -168,7 +168,7 @@ def test_run_script_reports_deep_input_as_a_tagged_script_error():
 
 
 def test_rule_table_matches_signatures_and_readme():
-    from foundry.run import HolRunner
+    from foundry.hol.runner import HolRunner
 
     assert HolRunner._RULES.keys() == HolRunner._SIGNATURES.keys()
     readme = (CORPUS.parent / "README.md").read_text()

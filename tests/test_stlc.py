@@ -114,3 +114,16 @@ def test_traced_eval_spends_the_fuel_once():
     plain = run_script_text("stlc", text)
     assert traced.ok and traced.results[0].output == plain.results[0].output == "60"
     assert len(traced.trace) > 5
+
+
+@pytest.mark.parametrize("strategy", [LEFTMOST_OUTERMOST, RIGHTMOST_INNERMOST])
+def test_fuel_bounds_contractions_only(strategy):
+    t = RecNat(Zero(), Lam(NatT(), Lam(NatT(), Succ(Var(0)))), numeral(4))
+    steps = []
+    nf = normalize(t, strategy=strategy, on_step=lambda a, b: steps.append(b))
+    n = len(steps)
+    assert n > 0 and numeral_value(nf) == 4
+    assert normalize(t, strategy=strategy, fuel=n) == nf
+    with pytest.raises(FuelError):
+        normalize(t, strategy=strategy, fuel=n - 1)
+    assert normalize(nf, fuel=0) == nf
