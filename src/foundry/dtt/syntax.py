@@ -450,15 +450,7 @@ def numeral_value(e: Expr) -> int | None:
 def contains_axiom(e: Expr) -> bool:
     if isinstance(e, Axiom):
         return True
-    found = [False]
-
-    def probe(sub, _extra):
-        if contains_axiom(sub):
-            found[0] = True
-        return sub
-
-    map_subexprs(e, probe)
-    return found[0]
+    return any(contains_axiom(getattr(e, name)) for name, _ in _SHAPE.get(type(e), ()))
 
 
 def arrow(dom: Expr, cod: Expr) -> Pi:

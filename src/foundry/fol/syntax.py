@@ -5,6 +5,13 @@ indices (`BVar`), free variables are named and sorted (`FVar`). Structural
 equality of formulas is therefore alpha-equivalence; substitution is
 capture-avoiding by construction because an index can never be captured by a
 named variable and vice versa.
+
+Opening a binder, closing one and substituting for a free variable are one
+walk with different actions at the variables: every one of them reads the
+one formula walker `_map_formula`, which maps each atom's terms at their
+binder depth, and the one term walker `_map_term`, which maps the variables.
+Both rebuild every node they pass except `Bot` and the variables, keeping
+binder hints and dropping spans.
 """
 
 from __future__ import annotations
@@ -162,36 +169,39 @@ TRUE = neg(Bot())  # a convenient intuitionistic tautology
 # Binder plumbing
 
 
-def _open_term(t: Term, k: int, u: Term) -> Term:
-    match t:
-        case BVar(index=i):
-            return u if i == k else t
-        case FVar():
-            return t
-        case App(fn=f, args=args):
-            return App(f, tuple(_open_term(a, k, u) for a in args))
+def _map_term(t: Term, at_var) -> Term:
+    """Rebuild t's applications, with at_var applied at each variable."""
+    if type(t) is App:
+        return App(t.fn, tuple(_map_term(a, at_var) for a in t.args))
+    if isinstance(t, (BVar, FVar)):
+        return at_var(t)
     raise TypeError(t)
 
 
-def _open(a: Formula, k: int, u: Term) -> Formula:
-    match a:
-        case Eq(lhs=l, rhs=r):
-            return Eq(_open_term(l, k, u), _open_term(r, k, u))
-        case Rel(name=n, args=args):
-            return Rel(n, tuple(_open_term(t, k, u) for t in args))
-        case Bot():
-            return a
-        case And(left=l, right=r):
-            return And(_open(l, k, u), _open(r, k, u))
-        case Or(left=l, right=r):
-            return Or(_open(l, k, u), _open(r, k, u))
-        case Implies(left=l, right=r):
-            return Implies(_open(l, k, u), _open(r, k, u))
-        case Forall(sort=s, body=b, hint=h):
-            return Forall(s, _open(b, k + 1, u), hint=h)
-        case Exists(sort=s, body=b, hint=h):
-            return Exists(s, _open(b, k + 1, u), hint=h)
+def _map_formula(a: Formula, at_term, k: int = 0) -> Formula:
+    """Rebuild a's atoms, connectives and quantifiers, replacing each atom's
+    term t by at_term(t, depth), where depth is k plus the number of binders
+    between a and the atom."""
+    cls = type(a)
+    if cls is Eq:
+        return Eq(at_term(a.lhs, k), at_term(a.rhs, k))
+    if cls is Rel:
+        return Rel(a.name, tuple(at_term(t, k) for t in a.args))
+    if cls is Bot:
+        return a
+    if cls is And or cls is Or or cls is Implies:
+        return cls(_map_formula(a.left, at_term, k), _map_formula(a.right, at_term, k))
+    if cls is Forall or cls is Exists:
+        return cls(a.sort, _map_formula(a.body, at_term, k + 1), hint=a.hint)
     raise TypeError(a)
+
+
+def _open_term(t: Term, k: int, u: Term) -> Term:
+    return _map_term(t, lambda v: u if type(v) is BVar and v.index == k else v)
+
+
+def _open(a: Formula, k: int, u: Term) -> Formula:
+    return _map_formula(a, lambda t, depth: _open_term(t, depth, u), k)
 
 
 def open_binder(a: Forall | Exists, u: Term) -> Formula:
@@ -200,35 +210,11 @@ def open_binder(a: Forall | Exists, u: Term) -> Formula:
 
 
 def _close_term(t: Term, k: int, x: FVar) -> Term:
-    match t:
-        case BVar():
-            return t
-        case FVar(name=n, sort=s):
-            return BVar(k) if (n, s) == (x.name, x.sort) else t
-        case App(fn=f, args=args):
-            return App(f, tuple(_close_term(a, k, x) for a in args))
-    raise TypeError(t)
+    return _map_term(t, lambda v: BVar(k) if v == x else v)
 
 
 def _close(a: Formula, k: int, x: FVar) -> Formula:
-    match a:
-        case Eq(lhs=l, rhs=r):
-            return Eq(_close_term(l, k, x), _close_term(r, k, x))
-        case Rel(name=n, args=args):
-            return Rel(n, tuple(_close_term(t, k, x) for t in args))
-        case Bot():
-            return a
-        case And(left=l, right=r):
-            return And(_close(l, k, x), _close(r, k, x))
-        case Or(left=l, right=r):
-            return Or(_close(l, k, x), _close(r, k, x))
-        case Implies(left=l, right=r):
-            return Implies(_close(l, k, x), _close(r, k, x))
-        case Forall(sort=s, body=b, hint=h):
-            return Forall(s, _close(b, k + 1, x), hint=h)
-        case Exists(sort=s, body=b, hint=h):
-            return Exists(s, _close(b, k + 1, x), hint=h)
-    raise TypeError(a)
+    return _map_formula(a, lambda t, depth: _close_term(t, depth, x), k)
 
 
 def forall(x: FVar, a: Formula) -> Forall:
@@ -288,14 +274,7 @@ def is_sentence(a: Formula) -> bool:
 
 
 def subst_in_term(t: Term, x: FVar, u: Term) -> Term:
-    match t:
-        case BVar():
-            return t
-        case FVar(name=n, sort=s):
-            return u if (n, s) == (x.name, x.sort) else t
-        case App(fn=f, args=args):
-            return App(f, tuple(subst_in_term(a, x, u) for a in args))
-    raise TypeError(t)
+    return _map_term(t, lambda v: u if v == x else v)
 
 
 def substitute(a: Formula, x: FVar, t: Term) -> Formula:
@@ -304,24 +283,7 @@ def substitute(a: Formula, x: FVar, t: Term) -> Formula:
     Bound variables are indices, so replacing the named variable x by the
     locally closed term t can never capture.
     """
-    match a:
-        case Eq(lhs=l, rhs=r):
-            return Eq(subst_in_term(l, x, t), subst_in_term(r, x, t))
-        case Rel(name=n, args=args):
-            return Rel(n, tuple(subst_in_term(u, x, t) for u in args))
-        case Bot():
-            return a
-        case And(left=l, right=r):
-            return And(substitute(l, x, t), substitute(r, x, t))
-        case Or(left=l, right=r):
-            return Or(substitute(l, x, t), substitute(r, x, t))
-        case Implies(left=l, right=r):
-            return Implies(substitute(l, x, t), substitute(r, x, t))
-        case Forall(sort=s, body=b, hint=h):
-            return Forall(s, substitute(b, x, t), hint=h)
-        case Exists(sort=s, body=b, hint=h):
-            return Exists(s, substitute(b, x, t), hint=h)
-    raise TypeError(a)
+    return _map_formula(a, lambda u, _depth: subst_in_term(u, x, t))
 
 
 def alpha_equal(a: Formula, b: Formula) -> bool:

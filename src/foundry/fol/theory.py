@@ -28,6 +28,8 @@ from .syntax import (
     Signature,
     Sort,
     Term,
+    _map_formula,
+    _map_term,
     alpha_equal,
     check_well_formed,
     exists,
@@ -46,15 +48,14 @@ from .syntax import (
 
 
 def substitute_parallel(a: Formula, mapping: Mapping[FVar, Term]) -> Formula:
-    """Simultaneous capture-free substitution of several free variables."""
-    temps = {}
-    for i, (x, t) in enumerate(mapping.items()):
-        tmp = FVar(f"!tmp{i}", x.sort)
-        a = substitute(a, x, tmp)
-        temps[tmp] = t
-    for tmp, t in temps.items():
-        a = substitute(a, tmp, t)
-    return a
+    """Simultaneous capture-free substitution of several free variables.
+
+    One pass replaces each mapped variable by its term; the inserted terms
+    are not walked again, so a variable they contain is never replaced.
+    """
+    if not mapping:
+        return a
+    return _map_formula(a, lambda t, _depth: _map_term(t, lambda v: mapping.get(v, v)))
 
 
 @dataclass(frozen=True)

@@ -73,37 +73,46 @@ class HolRunner(_Runner):
 
     # rule expression evaluation ------------------------------------------
 
-    # Each rule name's function: the kernel's primitives, the derived rules,
-    # axioms and defining theorems. It has the keys of _SIGNATURES.
+    # Each rule name's function (the kernel's primitives, the derived rules,
+    # axioms and defining theorems) and the arguments it takes, in order: a
+    # {term}, a {variable}, a theorem, a constant name or an axiom name.
     _RULES = {
-        **hk.RULES,
-        "sym": hd.SYM, "ap_term": hd.AP_TERM, "ap_thm": hd.AP_THM,
-        "beta_conv": hd.beta_conv, "truth": hd.TRUTH, "eqt_intro": hd.EQT_INTRO,
-        "eqt_elim": hd.EQT_ELIM, "spec": hd.SPEC, "gen": hd.GEN,
-        "disch": hd.DISCH, "undisch": hd.UNDISCH, "mp": hd.MP,
-        "conj": hd.CONJ, "conjunct1": hd.CONJUNCT1, "conjunct2": hd.CONJUNCT2,
-        "disj1": hd.DISJ1, "disj2": hd.DISJ2, "disj_cases": hd.DISJ_CASES,
-        "not_intro": hd.NOT_INTRO, "not_elim": hd.NOT_ELIM, "contr": hd.CONTR,
-        "exists_intro": hd.EXISTS, "ext": hd.EXT, "unfold": hd.unfold_rule,
-        "conv_rule": hd.CONV_RULE, "axiom": hk.axiom, "defthm": hk.defining_theorem,
-    }
-    # The arguments each rule takes, in order: a {term}, a {variable}, a
-    # theorem, a constant name or an axiom name.
-    _SIGNATURES = {
-        "refl": ("term",), "assume": ("term",), "trans": ("thm", "thm"),
-        "mk_comb": ("thm", "thm"), "abs": ("var", "thm"), "beta": ("term",),
-        "eta": ("term",), "eq_mp": ("thm", "thm"), "deduct_antisym": ("thm", "thm"),
-        "sym": ("thm",), "ap_term": ("term", "thm"), "ap_thm": ("thm", "term"),
-        "beta_conv": ("term",), "truth": (), "eqt_intro": ("thm",),
-        "eqt_elim": ("thm",), "spec": ("term", "thm"), "gen": ("var", "thm"),
-        "disch": ("term", "thm"), "undisch": ("thm",), "mp": ("thm", "thm"),
-        "conj": ("thm", "thm"), "conjunct1": ("thm",), "conjunct2": ("thm",),
-        "disj1": ("thm", "term"), "disj2": ("term", "thm"),
-        "disj_cases": ("thm", "thm", "thm"), "not_intro": ("thm",),
-        "not_elim": ("thm",), "contr": ("term", "thm"),
-        "exists_intro": ("term", "term", "thm"), "ext": ("var", "thm"),
-        "unfold": ("const", "thm"), "conv_rule": ("thm", "thm"),
-        "axiom": ("axiom",), "defthm": ("const",),
+        "refl": (hk.REFL, ("term",)),
+        "assume": (hk.ASSUME, ("term",)),
+        "trans": (hk.TRANS, ("thm", "thm")),
+        "mk_comb": (hk.MK_COMB, ("thm", "thm")),
+        "abs": (hk.ABS, ("var", "thm")),
+        "beta": (hk.BETA, ("term",)),
+        "eta": (hk.ETA, ("term",)),
+        "eq_mp": (hk.EQ_MP, ("thm", "thm")),
+        "deduct_antisym": (hk.DEDUCT_ANTISYM, ("thm", "thm")),
+        "sym": (hd.SYM, ("thm",)),
+        "ap_term": (hd.AP_TERM, ("term", "thm")),
+        "ap_thm": (hd.AP_THM, ("thm", "term")),
+        "beta_conv": (hd.beta_conv, ("term",)),
+        "truth": (hd.TRUTH, ()),
+        "eqt_intro": (hd.EQT_INTRO, ("thm",)),
+        "eqt_elim": (hd.EQT_ELIM, ("thm",)),
+        "spec": (hd.SPEC, ("term", "thm")),
+        "gen": (hd.GEN, ("var", "thm")),
+        "disch": (hd.DISCH, ("term", "thm")),
+        "undisch": (hd.UNDISCH, ("thm",)),
+        "mp": (hd.MP, ("thm", "thm")),
+        "conj": (hd.CONJ, ("thm", "thm")),
+        "conjunct1": (hd.CONJUNCT1, ("thm",)),
+        "conjunct2": (hd.CONJUNCT2, ("thm",)),
+        "disj1": (hd.DISJ1, ("thm", "term")),
+        "disj2": (hd.DISJ2, ("term", "thm")),
+        "disj_cases": (hd.DISJ_CASES, ("thm", "thm", "thm")),
+        "not_intro": (hd.NOT_INTRO, ("thm",)),
+        "not_elim": (hd.NOT_ELIM, ("thm",)),
+        "contr": (hd.CONTR, ("term", "thm")),
+        "exists_intro": (hd.EXISTS, ("term", "term", "thm")),
+        "ext": (hd.EXT, ("var", "thm")),
+        "unfold": (hd.unfold_rule, ("const", "thm")),
+        "conv_rule": (hd.CONV_RULE, ("thm", "thm")),
+        "axiom": (hk.axiom, ("axiom",)),
+        "defthm": (hk.defining_theorem, ("const",)),
     }
     _KIND_TEXT = {
         "term": "a {term}", "var": "a {variable}", "thm": "a theorem",
@@ -148,12 +157,12 @@ class HolRunner(_Runner):
             raise ScriptError(f"unknown theorem {a[1]}", span=a[2])
         raise ScriptError("expected a theorem argument", span=a[2])
 
-    def _rule_args(self, name: str, args) -> list:
-        """The values of a rule's arguments, checked against its signature.
+    def _rule_args(self, name: str, kinds, args) -> list:
+        """The values of a rule's arguments, checked against the argument
+        kinds it takes.
 
         A missing, extra or wrongly shaped argument fails at the command.
         """
-        kinds = self._SIGNATURES[name]
         fits = len(args) == len(kinds) and all(
             a[0] in ("thm", "name") if k == "thm"
             else a[0] == "name" if k in ("const", "axiom")
@@ -201,7 +210,8 @@ class HolRunner(_Runner):
                     mapping[x[1]] = v[1]
                 return hk.inst_term(st, th, mapping)
             if name in self._RULES:
-                return self._RULES[name](st, *self._rule_args(name, args))
+                rule, kinds = self._RULES[name]
+                return rule(st, *self._rule_args(name, kinds, args))
         except FoundryError:
             raise
         except TypeError as e:

@@ -147,18 +147,10 @@ def from_nd(derivation: nd.NdDerivation) -> tuple[Term, TypingContext]:
         )
 
     def _concluded_or(d: nd.NdDerivation) -> tuple[Formula, Formula]:
-        match d:
-            case nd.Hyp(formula=Or(left=a, right=b)):
-                return a, b
-            case nd.OrI1(premise=p, right=b):
-                return _conclusion(p), b
-            case nd.OrI2(left=a, premise=p):
-                return a, _conclusion(p)
-            case _:
-                c = _conclusion(d)
-                if isinstance(c, Or):
-                    return c.left, c.right
-                raise TypeCheckError("disjunction elimination on a non-disjunction")
+        c = _conclusion(d)
+        if isinstance(c, Or):
+            return c.left, c.right
+        raise TypeCheckError("disjunction elimination on a non-disjunction")
 
     def _conclusion(d: nd.NdDerivation) -> Formula:
         match d:

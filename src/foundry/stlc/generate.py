@@ -10,7 +10,7 @@ import random
 
 from .syntax import (
     App, Arrow, BoolT, Cases, Cond, FF, Inj0, Inj1, Lam, NatT, Pair, Prod,
-    Proj0, Proj1, RecNat, SimpleType, Succ, SumT, Term, TT, Var, Zero,
+    Proj0, Proj1, RecNat, SimpleType, Succ, SumT, Term, TT, Var, Zero, _SHAPE,
 )
 
 CORPUS_SEED = 20240601
@@ -112,13 +112,4 @@ def gen_closed_nat(rng: random.Random, depth: int = 5) -> Term:
 
 
 def term_size(t: Term) -> int:
-    from .syntax import map_children
-
-    size = [1]
-
-    def probe(u):
-        size[0] += term_size(u)
-        return u
-
-    map_children(t, probe)
-    return size[0]
+    return 1 + sum(term_size(getattr(t, name)) for name, _ in _SHAPE.get(type(t), ()))

@@ -12,7 +12,7 @@ from dataclasses import dataclass
 from ..errors import FuelError, TypeCheckError
 from .syntax import (
     App, Cases, Cond, FF, Inj0, Inj1, Lam, Pair, Proj0, Proj1, RecNat, Succ,
-    Term, TT, Var, Zero, beta_reduce, shift, var_free_in,
+    Term, TT, Var, Zero, _SHAPE, _rebuild, beta_reduce, shift, var_free_in,
 )
 from .typing import infer_type
 
@@ -65,65 +65,26 @@ def contract(t: Term, flags: ReductionFlags) -> Term | None:
     return None
 
 
-def _children(t: Term) -> list:
-    """(getter result, rebuild) pairs, left to right."""
-    match t:
-        case Lam(dom=d, body=b, hint=h):
-            return [(b, lambda nb: Lam(d, nb, hint=h))]
-        case App(fn=f, arg=a):
-            return [(f, lambda nf: App(nf, a)), (a, lambda na: App(f, na))]
-        case Pair(left=l, right=r):
-            return [(l, lambda nl: Pair(nl, r)), (r, lambda nr: Pair(l, nr))]
-        case Proj0(pair=p):
-            return [(p, lambda np: Proj0(np))]
-        case Proj1(pair=p):
-            return [(p, lambda np: Proj1(np))]
-        case Inj0(right=ty, value=v):
-            return [(v, lambda nv: Inj0(ty, nv))]
-        case Inj1(left=ty, value=v):
-            return [(v, lambda nv: Inj1(ty, nv))]
-        case Cases(on_left=f, on_right=g, scrutinee=s):
-            return [
-                (f, lambda nf: Cases(nf, g, s)),
-                (g, lambda ng: Cases(f, ng, s)),
-                (s, lambda ns: Cases(f, g, ns)),
-            ]
-        case Succ(arg=a):
-            return [(a, lambda na: Succ(na))]
-        case RecNat(base=f, step=g, target=n):
-            return [
-                (f, lambda nf: RecNat(nf, g, n)),
-                (g, lambda ng: RecNat(f, ng, n)),
-                (n, lambda nn: RecNat(f, g, nn)),
-            ]
-        case Cond(if_true=f, if_false=g, target=b):
-            return [
-                (f, lambda nf: Cond(nf, g, b)),
-                (g, lambda ng: Cond(f, ng, b)),
-                (b, lambda nb: Cond(f, g, nb)),
-            ]
-        case _:
-            return []
-
-
 def reduce_step(t: Term, flags: ReductionFlags = DEFAULT_FLAGS, strategy: str = LEFTMOST_OUTERMOST) -> Term | None:
-    """One contraction at the strategy-selected redex, or None if normal."""
+    """One contraction at the strategy-selected redex, or None if normal.
+
+    Only the nodes on the path from t to the contracted redex are rebuilt.
+    """
+    shape = _SHAPE.get(type(t), ())
     if strategy == LEFTMOST_OUTERMOST:
         root = contract(t, flags)
         if root is not None:
             return root
-        for child, rebuild in _children(t):
-            stepped = reduce_step(child, flags, strategy)
-            if stepped is not None:
-                return rebuild(stepped)
-        return None
-    if strategy == RIGHTMOST_INNERMOST:
-        for child, rebuild in reversed(_children(t)):
-            stepped = reduce_step(child, flags, strategy)
-            if stepped is not None:
-                return rebuild(stepped)
-        return contract(t, flags)
-    raise ValueError(f"unknown strategy {strategy}")
+        fields = shape
+    elif strategy == RIGHTMOST_INNERMOST:
+        fields = reversed(shape)
+    else:
+        raise ValueError(f"unknown strategy {strategy}")
+    for name, _ in fields:
+        stepped = reduce_step(getattr(t, name), flags, strategy)
+        if stepped is not None:
+            return _rebuild(t, [stepped if n == name else getattr(t, n) for n, _ in shape])
+    return contract(t, flags) if strategy == RIGHTMOST_INNERMOST else None
 
 
 def normalize(

@@ -3,6 +3,11 @@
 Bound variables are indices, so structural equality is alpha-equivalence.
 Free (context) variables are named. Binder annotations make type inference
 syntax-directed.
+
+`_SHAPE` lists each compound constructor's subterm fields and their binder
+depths once; `map_children`, `shift`, `subst`, `abstract_free`,
+`var_free_in`, `free_names`, `reduce.reduce_step` and `generate.term_size`
+all read that one table, so each constructor's subterms are listed once.
 """
 
 from __future__ import annotations
@@ -227,60 +232,59 @@ Term = Union[
 ]
 
 
-_LEAVES = (Var, Free, Const, Zero, TT, FF)
+# Each compound constructor's subterm fields, left to right, with the number
+# of binders each sits under; a constructor absent from the table is a leaf.
+_SHAPE = {
+    Lam: (("body", 1),),
+    App: (("fn", 0), ("arg", 0)),
+    Pair: (("left", 0), ("right", 0)),
+    Proj0: (("pair", 0),),
+    Proj1: (("pair", 0),),
+    Inj0: (("value", 0),),
+    Inj1: (("value", 0),),
+    Cases: (("on_left", 0), ("on_right", 0), ("scrutinee", 0)),
+    Succ: (("arg", 0),),
+    RecNat: (("base", 0), ("step", 0), ("target", 0)),
+    Cond: (("if_true", 0), ("if_false", 0), ("target", 0)),
+}
+
+
+def _rebuild(t: Term, children: list) -> Term:
+    """A new node of t's constructor over the given subterms (in `_SHAPE`
+    order), keeping its type annotation and binder hint and dropping its span."""
+    cls = type(t)
+    if cls is Lam:
+        return Lam(t.dom, *children, hint=t.hint)
+    if cls is Inj0:
+        return Inj0(t.right, *children)
+    if cls is Inj1:
+        return Inj1(t.left, *children)
+    return cls(*children)
 
 
 def map_children(t: Term, f) -> Term:
-    """Rebuild t with f applied to each immediate subterm (not under-binder
-    aware; callers adjust)."""
-    match t:
-        case Lam(dom=d, body=b, hint=h):
-            return Lam(d, f(b), hint=h)
-        case App(fn=a, arg=b):
-            return App(f(a), f(b))
-        case Pair(left=a, right=b):
-            return Pair(f(a), f(b))
-        case Proj0(pair=p):
-            return Proj0(f(p))
-        case Proj1(pair=p):
-            return Proj1(f(p))
-        case Inj0(right=ty, value=v):
-            return Inj0(ty, f(v))
-        case Inj1(left=ty, value=v):
-            return Inj1(ty, f(v))
-        case Cases(on_left=a, on_right=b, scrutinee=s):
-            return Cases(f(a), f(b), f(s))
-        case Succ(arg=a):
-            return Succ(f(a))
-        case RecNat(base=a, step=b, target=c):
-            return RecNat(f(a), f(b), f(c))
-        case Cond(if_true=a, if_false=b, target=c):
-            return Cond(f(a), f(b), f(c))
-        case _:
-            return t
+    """Rebuild t with f(subterm, binder depth) applied to each immediate
+    subterm; a leaf is returned as it is."""
+    shape = _SHAPE.get(type(t))
+    if shape is None:
+        return t
+    return _rebuild(t, [f(getattr(t, name), depth) for name, depth in shape])
 
 
 def shift(t: Term, d: int, cutoff: int = 0) -> Term:
-    match t:
-        case Var(index=k):
-            return Var(k + d) if k >= cutoff else t
-        case Lam(dom=dom, body=b, hint=h):
-            return Lam(dom, shift(b, d, cutoff + 1), hint=h)
-        case _:
-            return map_children(t, lambda s: shift(s, d, cutoff))
+    if type(t) is Var:
+        return Var(t.index + d) if t.index >= cutoff else t
+    return map_children(t, lambda u, depth: shift(u, d, cutoff + depth))
 
 
 def subst(t: Term, j: int, s: Term) -> Term:
     """Replace Var(j) by s (s is shifted under binders)."""
-    match t:
-        case Var(index=k):
-            if k == j:
-                return s
-            return Var(k - 1) if k > j else t
-        case Lam(dom=dom, body=b, hint=h):
-            return Lam(dom, subst(b, j + 1, shift(s, 1)), hint=h)
-        case _:
-            return map_children(t, lambda u: subst(u, j, s))
+    if type(t) is Var:
+        k = t.index
+        if k == j:
+            return s
+        return Var(k - 1) if k > j else t
+    return map_children(t, lambda u, depth: subst(u, j + depth, shift(s, depth) if depth else s))
 
 
 def beta_reduce(lam: Lam, arg: Term) -> Term:
@@ -288,51 +292,22 @@ def beta_reduce(lam: Lam, arg: Term) -> Term:
 
 
 def var_free_in(t: Term, j: int) -> bool:
-    match t:
-        case Var(index=k):
-            return k == j
-        case Lam(body=b):
-            return var_free_in(b, j + 1)
-        case _ if isinstance(t, _LEAVES):
-            return False
-        case _:
-            hit = [False]
-
-            def probe(u):
-                if var_free_in(u, j):
-                    hit[0] = True
-                return u
-
-            map_children(t, probe)
-            return hit[0]
+    if type(t) is Var:
+        return t.index == j
+    return any(var_free_in(getattr(t, name), j + depth) for name, depth in _SHAPE.get(type(t), ()))
 
 
 def free_names(t: Term) -> frozenset[str]:
-    match t:
-        case Free(name=n):
-            return frozenset((n,))
-        case _ if isinstance(t, _LEAVES):
-            return frozenset()
-        case _:
-            out = [frozenset()]
-
-            def probe(u):
-                out[0] |= free_names(u)
-                return u
-
-            map_children(t, probe)
-            return out[0]
+    if type(t) is Free:
+        return frozenset((t.name,))
+    return frozenset().union(*(free_names(getattr(t, name)) for name, _ in _SHAPE.get(type(t), ())))
 
 
 def abstract_free(t: Term, name: str, depth: int = 0) -> Term:
     """Turn the named free variable into the binder at the given depth."""
-    match t:
-        case Free(name=n) if n == name:
-            return Var(depth)
-        case Lam(dom=d, body=b, hint=h):
-            return Lam(d, abstract_free(b, name, depth + 1), hint=h)
-        case _:
-            return map_children(t, lambda u: abstract_free(u, name, depth))
+    if type(t) is Free and t.name == name:
+        return Var(depth)
+    return map_children(t, lambda u, extra: abstract_free(u, name, depth + extra))
 
 
 def numeral(n: int) -> Term:

@@ -204,6 +204,19 @@ def block_cursor(tokens: tuple, filename: str = "<block>") -> Cursor:
     return Cursor(list(tokens), filename)
 
 
+def _ident_tuple(cur: Cursor) -> tuple[str, ...]:
+    """`( ident {, ident} )`, or `()`."""
+    cur.expect("(")
+    idents = []
+    if not cur.at(")"):
+        idents.append(cur.expect_kind("ident").value)
+        while cur.at(","):
+            cur.next()
+            idents.append(cur.expect_kind("ident").value)
+    cur.expect(")")
+    return tuple(idents)
+
+
 def _parse_model(cur: Cursor, name: str, span: Span) -> ModelDef:
     cur.expect("{")
     universes, functions, relations = [], [], []
@@ -223,16 +236,9 @@ def _parse_model(cur: Cursor, name: str, span: Span) -> ModelDef:
         elif kw == "fn":
             entries = []
             while not cur.at("}"):
-                cur.expect("(")
-                args = []
-                if not cur.at(")"):
-                    args.append(cur.expect_kind("ident").value)
-                    while cur.at(","):
-                        cur.next()
-                        args.append(cur.expect_kind("ident").value)
-                cur.expect(")")
+                args = _ident_tuple(cur)
                 cur.expect("->")
-                entries.append((tuple(args), cur.expect_kind("ident").value))
+                entries.append((args, cur.expect_kind("ident").value))
                 if cur.at(",") or cur.at(";"):
                     cur.next()
             cur.expect("}")
@@ -240,15 +246,7 @@ def _parse_model(cur: Cursor, name: str, span: Span) -> ModelDef:
         elif kw == "rel":
             tuples = []
             while not cur.at("}"):
-                cur.expect("(")
-                args = []
-                if not cur.at(")"):
-                    args.append(cur.expect_kind("ident").value)
-                    while cur.at(","):
-                        cur.next()
-                        args.append(cur.expect_kind("ident").value)
-                cur.expect(")")
-                tuples.append(tuple(args))
+                tuples.append(_ident_tuple(cur))
                 if cur.at(",") or cur.at(";"):
                     cur.next()
             cur.expect("}")
@@ -269,17 +267,10 @@ def _parse_command(cur: Cursor, names: set) -> ScriptCommand:
         cur.expect(":")
         if cur.at("{"):
             return DeclareTyped(name, _collect_braces(cur), t.span)
-        cur.expect("(")
-        args = []
-        if not cur.at(")"):
-            args.append(cur.expect_kind("ident").value)
-            while cur.at(","):
-                cur.next()
-                args.append(cur.expect_kind("ident").value)
-        cur.expect(")")
+        args = _ident_tuple(cur)
         cur.expect("->")
         result = cur.expect_kind("ident").value
-        return DeclareFn(name, tuple(args), result, t.span)
+        return DeclareFn(name, args, result, t.span)
     if kw == "const":
         name = cur.expect_kind("ident").value
         cur.expect(":")
@@ -288,15 +279,7 @@ def _parse_command(cur: Cursor, names: set) -> ScriptCommand:
     if kw == "rel":
         name = cur.expect_kind("ident").value
         cur.expect(":")
-        cur.expect("(")
-        args = []
-        if not cur.at(")"):
-            args.append(cur.expect_kind("ident").value)
-            while cur.at(","):
-                cur.next()
-                args.append(cur.expect_kind("ident").value)
-        cur.expect(")")
-        return DeclareRel(name, tuple(args), t.span)
+        return DeclareRel(name, _ident_tuple(cur), t.span)
     if kw == "define":
         if cur.at_kind("ident") and cur.peek().value == "rel":
             cur.next()
@@ -431,9 +414,8 @@ def parse_script(text: str, filename: str = "<script>") -> list[ScriptCommand]:
     commands: list[ScriptCommand] = []
     while not cur.done():
         cmd = _parse_command(cur, names)
-        for attr in ("name",):
-            if hasattr(cmd, attr) and isinstance(cmd, (Define, Theorem, Thm, TermMacro)):
-                names.add(cmd.name)
+        if isinstance(cmd, (Define, Theorem, Thm, TermMacro)):
+            names.add(cmd.name)
         commands.append(cmd)
     return commands
 

@@ -86,12 +86,7 @@ def _stlc_app(cur, consts, binders):
 
 
 def _stlc_starts_factor(cur):
-    t = cur.peek()
-    if t.kind in ("int",):
-        return True
-    if t.kind == "ident":
-        return True
-    return cur.at("(")
+    return cur.peek().kind in ("int", "ident") or cur.at("(")
 
 
 def _stlc_factor(cur, consts, binders):
@@ -140,12 +135,9 @@ def _stlc_factor(cur, consts, binders):
                 return stlc.Proj0(args[0], span=t.span)
             case "snd":
                 return stlc.Proj1(args[0], span=t.span)
-    for i, (n, _ty) in enumerate(binders):
+    for n, _ty in binders:
         if n == name:
-            return stlc.Free(name, span=t.span)  # rebound by _stlc_rebind
+            return stlc.Free(name, span=t.span)  # parse_stlc_term abstracts it
     if name in consts:
-        val = consts[name]
-        if isinstance(val, stlc.Const):
-            return val
-        return val  # macro expansion
+        return consts[name]  # a constant or a macro expansion
     return stlc.Free(name, span=t.span)
