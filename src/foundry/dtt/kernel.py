@@ -48,18 +48,11 @@ class KernelConfig:
     impredicative_prop: bool = False
     proof_irrelevance: bool = False
     axioms: frozenset = frozenset()
-    id_in_prop: bool | None = None  # None: follow impredicative_prop
 
     def __post_init__(self):
         for a in self.axioms:
             if a not in DTT_AXIOMS:
                 raise TypeCheckError(f"unknown axiom {a}")
-
-    @property
-    def prop_valued_id(self) -> bool:
-        if self.id_in_prop is None:
-            return self.impredicative_prop
-        return self.id_in_prop
 
 
 @dataclass(frozen=True)
@@ -245,15 +238,13 @@ def sort_of(cfg: KernelConfig, ctx: DttContext, ty: Expr) -> Expr:
 
 def _guard_prop_elim(cfg: KernelConfig, scrutinee_sort: Expr, motive_sort: Expr, what: str) -> None:
     if isinstance(scrutinee_sort, PropSort) and not isinstance(motive_sort, PropSort):
+        from .printer import pretty
+
         raise TypeCheckError(
             f"large elimination from Prop: {what} eliminates a proposition into a "
-            f"{_sort_str(motive_sort)}-valued motive",
+            f"{pretty(motive_sort)}-valued motive",
             tag="prop-elimination",
         )
-
-
-def _sort_str(s: Expr) -> str:
-    return "Prop" if isinstance(s, PropSort) else f"Type {s.level}"
 
 
 # ---------------------------------------------------------------------------
@@ -485,9 +476,7 @@ def _infer_node(cfg: KernelConfig, ctx: Ctx, e: Expr) -> Expr:
             s = _sort(cfg, ctx, ty, "identity domain")
             _check(cfg, ctx, a, ty)
             _check(cfg, ctx, b, ty)
-            if cfg.prop_valued_id:
-                if not cfg.impredicative_prop:
-                    raise TypeCheckError("Prop-valued identity needs impredicative Prop")
+            if cfg.impredicative_prop:
                 return PropSort()
             return TypeSort(_level(s))
         case Refl(type=ty, term=a):

@@ -1,18 +1,58 @@
-"""Pretty-printer for dependent type theory expressions."""
+"""Pretty-printer for dependent type theory expressions.
+
+`KEYWORDS` and `BINDERS` spell every DTT surface keyword once, with the
+constructor it names; this printer and the parser in `surface.dtt_parser`
+both read them.
+"""
 
 from __future__ import annotations
 
 from .syntax import (
-    App, Axiom, Bool, BoolCases, Empty, EmptyCases, Expr, FalseE, Id, IdCases,
-    Inl, Inr, Lam, Nat, NatRec, Pair, Pi, PropSort, Refl, Sigma, SigmaCases,
-    Star, Succ, Sum, SumCases, Sup, TrueE, TypeSort, Unit, Var, W, WRec,
-    Zero, numeral_value,
+    _SHAPE, App, Axiom, Bool, BoolCases, Empty, EmptyCases, Expr, FalseE, Id,
+    IdCases, Inl, Inr, Lam, Nat, NatRec, Pair, Pi, PropSort, Refl, Sigma,
+    SigmaCases, Star, Succ, Sum, SumCases, Sup, TrueE, TypeSort, Unit, Var, W,
+    WRec, Zero, map_subexprs, numeral_value, shift,
 )
 
-_ATOMS = {
-    Nat: "Nat", Empty: "Empty", Unit: "Unit", Bool: "Bool",
-    Zero: "zero", Star: "star", TrueE: "true", FalseE: "false",
+# The keywords that open a factor, each with the constructor it names:
+# - an atom is the keyword alone;
+# - a prefix form is `kw [first] rest...` over its constructor's `_SHAPE`
+#   fields, the bracketed one read as a whole expression and the rest as
+#   arguments; the constructors in UNBRACKETED take every field as an
+#   argument;
+# - `Type` takes a level and `axiom` a name.
+KEYWORDS = {
+    "Prop": PropSort, "Nat": Nat, "Empty": Empty, "Unit": Unit, "Bool": Bool,
+    "zero": Zero, "star": Star, "true": TrueE, "false": FalseE,
+    "succ": Succ, "Id": Id, "pair": Pair, "sigmacases": SigmaCases,
+    "refl": Refl, "idcases": IdCases, "natrec": NatRec,
+    "emptycases": EmptyCases, "boolcases": BoolCases, "inl": Inl, "inr": Inr,
+    "sumcases": SumCases, "sup": Sup, "wrec": WRec,
+    "Type": TypeSort, "axiom": Axiom,
 }
+UNBRACKETED = (Succ, Id)
+
+# The keywords that open a binder `kw (x y : A) (z : B) ..., body`, with `=>`
+# in place of `,` for fun; the flag is the Sigma's in_prop.
+BINDERS = {
+    "fun": (Lam, False), "Pi": (Pi, False), "Sigma": (Sigma, False),
+    "exists": (Sigma, True), "W": (W, False),
+}
+
+_WORDS = {cls: kw for kw, cls in KEYWORDS.items()}
+_BINDER_WORDS = {entry: kw for kw, entry in BINDERS.items()}
+
+
+def _form(cls):
+    """(keyword, bracketed field or None, argument fields) of an atom or a
+    prefix form."""
+    fields = tuple(name for name, _ in _SHAPE.get(cls, ()))
+    if not fields or cls in UNBRACKETED:
+        return _WORDS[cls], None, fields
+    return _WORDS[cls], fields[0], fields[1:]
+
+
+_FORMS = {cls: _form(cls) for cls in KEYWORDS.values() if cls not in (TypeSort, Axiom)}
 
 
 def pretty(e: Expr) -> str:
@@ -28,39 +68,35 @@ def pretty(e: Expr) -> str:
         if n is not None:
             return str(n)
         cls = type(e)
-        if cls in _ATOMS:
-            return _ATOMS[cls]
+        if cls in _FORMS:
+            kw, bracketed, args = _FORMS[cls]
+            if bracketed is None and not args:
+                return kw
+            s = kw if bracketed is None else f"{kw} [{go(getattr(e, bracketed), names, 0)}]"
+            for name in args:
+                s = f"{s} {go(getattr(e, name), names, 21)}"
+            return s if prec <= 20 else f"({s})"
         match e:
             case Var(index=k):
                 return names[k] if k < len(names) else f"#{k}"
             case TypeSort(level=i):
-                s = f"Type {i}"
+                s = f"{_WORDS[TypeSort]} {i}"
                 return s if prec <= 20 else f"({s})"
-            case PropSort():
-                return "Prop"
             case Axiom(name=nm):
-                s = f"axiom {nm}"
+                s = f"{_WORDS[Axiom]} {nm}"
                 return s if prec <= 20 else f"({s})"
-            case Pi(dom=d, cod=c, hint=h):
-                # print as an arrow when non-dependent
-                if not _uses(c, 0):
-                    s = f"{go(d, names, 11)} -> {go(_unshift(c), names, 0)}"
-                    return s if prec == 0 else f"({s})"
-                x = fresh(h, names)
-                s = f"Pi ({x} : {go(d, names, 0)}), {go(c, (x,) + names, 0)}"
+            case Pi(dom=d, cod=c) if not _uses(c, 0):
+                # non-dependent: print as an arrow
+                s = f"{go(d, names, 11)} -> {go(shift(c, -1, 1), names, 0)}"
                 return s if prec == 0 else f"({s})"
-            case Sigma(dom=d, cod=c, in_prop=ip, hint=h):
+            case (
+                Pi(dom=d, cod=b, hint=h) | Sigma(dom=d, cod=b, hint=h)
+                | W(dom=d, cod=b, hint=h) | Lam(dom=d, body=b, hint=h)
+            ):
                 x = fresh(h, names)
-                kw = "exists" if ip else "Sigma"
-                s = f"{kw} ({x} : {go(d, names, 0)}), {go(c, (x,) + names, 0)}"
-                return s if prec == 0 else f"({s})"
-            case W(dom=d, cod=c, hint=h):
-                x = fresh(h, names)
-                s = f"W ({x} : {go(d, names, 0)}), {go(c, (x,) + names, 0)}"
-                return s if prec == 0 else f"({s})"
-            case Lam(dom=d, body=b, hint=h):
-                x = fresh(h, names)
-                s = f"fun ({x} : {go(d, names, 0)}) => {go(b, (x,) + names, 0)}"
+                kw = _BINDER_WORDS[cls, cls is Sigma and e.in_prop]
+                sep = " =>" if cls is Lam else ","
+                s = f"{kw} ({x} : {go(d, names, 0)}){sep} {go(b, (x,) + names, 0)}"
                 return s if prec == 0 else f"({s})"
             case Sum(left=l, right=r):
                 s = f"{go(l, names, 11)} + {go(r, names, 10)}"
@@ -68,68 +104,12 @@ def pretty(e: Expr) -> str:
             case App(fn=f, arg=a):
                 s = f"{go(f, names, 20)} {go(a, names, 21)}"
                 return s if prec <= 20 else f"({s})"
-            case Succ(arg=a):
-                s = f"succ {go(a, names, 21)}"
-                return s if prec <= 20 else f"({s})"
-            case Pair(sigma=t, fst=a, snd=b):
-                s = f"pair [{go(t, names, 0)}] {go(a, names, 21)} {go(b, names, 21)}"
-                return s if prec <= 20 else f"({s})"
-            case SigmaCases(motive=m, branch=br, scrutinee=p):
-                s = f"sigmacases [{go(m, names, 0)}] {go(br, names, 21)} {go(p, names, 21)}"
-                return s if prec <= 20 else f"({s})"
-            case Id(type=t, lhs=a, rhs=b):
-                s = f"Id {go(t, names, 21)} {go(a, names, 21)} {go(b, names, 21)}"
-                return s if prec <= 20 else f"({s})"
-            case Refl(type=t, term=a):
-                s = f"refl [{go(t, names, 0)}] {go(a, names, 21)}"
-                return s if prec <= 20 else f"({s})"
-            case IdCases(motive=m, refl_case=rc, lhs=a, rhs=b, proof=p):
-                s = (
-                    f"idcases [{go(m, names, 0)}] {go(rc, names, 21)} "
-                    f"{go(a, names, 21)} {go(b, names, 21)} {go(p, names, 21)}"
-                )
-                return s if prec <= 20 else f"({s})"
-            case NatRec(motive=m, base=b, step=st, target=t):
-                s = (
-                    f"natrec [{go(m, names, 0)}] {go(b, names, 21)} "
-                    f"{go(st, names, 21)} {go(t, names, 21)}"
-                )
-                return s if prec <= 20 else f"({s})"
-            case EmptyCases(motive=m, target=t):
-                s = f"emptycases [{go(m, names, 0)}] {go(t, names, 21)}"
-                return s if prec <= 20 else f"({s})"
-            case BoolCases(motive=m, if_true=a, if_false=b, target=t):
-                s = (
-                    f"boolcases [{go(m, names, 0)}] {go(a, names, 21)} "
-                    f"{go(b, names, 21)} {go(t, names, 21)}"
-                )
-                return s if prec <= 20 else f"({s})"
-            case Inl(sum=t, value=v):
-                s = f"inl [{go(t, names, 0)}] {go(v, names, 21)}"
-                return s if prec <= 20 else f"({s})"
-            case Inr(sum=t, value=v):
-                s = f"inr [{go(t, names, 0)}] {go(v, names, 21)}"
-                return s if prec <= 20 else f"({s})"
-            case SumCases(motive=m, on_left=f, on_right=g, scrutinee=sc):
-                s = (
-                    f"sumcases [{go(m, names, 0)}] {go(f, names, 21)} "
-                    f"{go(g, names, 21)} {go(sc, names, 21)}"
-                )
-                return s if prec <= 20 else f"({s})"
-            case Sup(wtype=t, label=a, children=f):
-                s = f"sup [{go(t, names, 0)}] {go(a, names, 21)} {go(f, names, 21)}"
-                return s if prec <= 20 else f"({s})"
-            case WRec(motive=m, step=st, target=t):
-                s = f"wrec [{go(m, names, 0)}] {go(st, names, 21)} {go(t, names, 21)}"
-                return s if prec <= 20 else f"({s})"
         raise TypeError(e)
 
     return go(e, (), 0)
 
 
 def _uses(e: Expr, depth: int) -> bool:
-    from .syntax import Var, map_subexprs
-
     if isinstance(e, Var):
         return e.index == depth
     hit = [False]
@@ -142,10 +122,3 @@ def _uses(e: Expr, depth: int) -> bool:
     map_subexprs(e, probe)
     return hit[0]
 
-
-def _unshift(e: Expr, depth: int = 0) -> Expr:
-    from .syntax import Var, map_subexprs
-
-    if isinstance(e, Var):
-        return Var(e.index - 1) if e.index > depth else e
-    return map_subexprs(e, lambda sub, extra: _unshift(sub, depth + extra))

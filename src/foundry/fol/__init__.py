@@ -3,7 +3,7 @@
 from .syntax import (  # noqa: F401
     And, App, Bot, BVar, Eq, Exists, Formula, Forall, FVar, Implies, Or, Rel,
     Signature, Sort, Term, alpha_equal, check_well_formed, const, exists,
-    forall, forall_many, free_vars, fresh_name, iff, is_neg, is_sentence, neg,
+    forall, forall_many, free_vars, fresh_name, iff, is_sentence, neg,
     open_binder, pretty_formula, pretty_term, single_sorted, subst_in_term,
     substitute, term_free_vars, term_sort,
 )

@@ -154,10 +154,6 @@ def neg(a: Formula) -> Implies:
     return Implies(a, Bot())
 
 
-def is_neg(a: Formula) -> bool:
-    return isinstance(a, Implies) and isinstance(a.right, Bot)
-
-
 def iff(a: Formula, b: Formula) -> And:
     return And(Implies(a, b), Implies(b, a))
 
@@ -455,16 +451,25 @@ def _binder_name(a: Forall | Exists, names: tuple[str, ...], frees: set[str]) ->
     return fresh_name(base, set(names) | frees)
 
 
+# The FOL surface words, each with the constructor it names and the
+# precedence it prints at: 4 atoms, 3 not, 2 and, 1 or, 0 implies and the
+# quantifiers. The connectives are infix and right-associative. This printer
+# and the parser in `surface.fol_parser` both read the table.
+SURFACE = {
+    "false": (Bot, 4),
+    "/\\": (And, 2), "\\/": (Or, 1), "->": (Implies, 0),
+    "forall": (Forall, 0), "exists": (Exists, 0),
+}
+_WORDS = {cls: (word, prec) for word, (cls, prec) in SURFACE.items()}
+
+
 def pretty_formula(a: Formula, names: tuple[str, ...] = (), _frees: set[str] | None = None) -> str:
     """Deterministic printer; binder names are hints freshened with primes."""
     if _frees is None:
         _frees = {v.name for v in free_vars(a)}
 
     def go(a: Formula, names: tuple[str, ...], prec: int) -> str:
-        # precedence: 4 atoms, 3 not, 2 and, 1 or, 0 implies/quantifier
         match a:
-            case Bot():
-                return "false"
             case Eq(lhs=l, rhs=r):
                 return f"{pretty_term(l, names)} = {pretty_term(r, names)}"
             case Rel(name=n, args=()):
@@ -474,20 +479,17 @@ def pretty_formula(a: Formula, names: tuple[str, ...] = (), _frees: set[str] | N
             case Implies(left=l, right=Bot()):
                 s = f"~{go(l, names, 3)}"
                 return s if prec <= 3 else f"({s})"
-            case And(left=l, right=r):
-                s = f"{go(l, names, 3)} /\\ {go(r, names, 2)}"
-                return s if prec <= 2 else f"({s})"
-            case Or(left=l, right=r):
-                s = f"{go(l, names, 2)} \\/ {go(r, names, 1)}"
-                return s if prec <= 1 else f"({s})"
-            case Implies(left=l, right=r):
-                s = f"{go(l, names, 1)} -> {go(r, names, 0)}"
-                return s if prec <= 0 else f"({s})"
+            case Bot():
+                return _WORDS[Bot][0]
             case Forall(sort=srt, body=b) | Exists(sort=srt, body=b):
-                kw = "forall" if isinstance(a, Forall) else "exists"
+                word, p = _WORDS[type(a)]
                 n = _binder_name(a, names, _frees)
-                s = f"{kw} {n} : {srt}, {go(b, (n,) + names, 0)}"
-                return s if prec <= 0 else f"({s})"
+                s = f"{word} {n} : {srt}, {go(b, (n,) + names, 0)}"
+                return s if prec <= p else f"({s})"
+            case And(left=l, right=r) | Or(left=l, right=r) | Implies(left=l, right=r):
+                word, p = _WORDS[type(a)]
+                s = f"{go(l, names, p + 1)} {word} {go(r, names, p)}"
+                return s if prec <= p else f"({s})"
         raise TypeError(a)
 
     return go(a, names, 0)

@@ -13,7 +13,7 @@ from dataclasses import dataclass, field, replace
 from typing import Mapping
 
 from ..errors import TheoryError
-from .proof import CertifiedSequent, Sequent
+from .proof import CertifiedSequent
 from .syntax import (
     And,
     App,

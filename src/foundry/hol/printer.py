@@ -25,8 +25,8 @@ def pretty_term(t: HolTerm, types: bool = False) -> str:
                 return names[k] if k < len(names) else f"#{k}"
             case FVar(name=n, type=ty):
                 return f"({n} : {pretty_type(ty)})" if types else n
-            case Const(name=n, type=ty):
-                return f"{n}" if not types else f"{n}"
+            case Const(name=n):
+                return n
             case App(fn=f, arg=a):
                 s = f"{go(f, names, 20)} {go(a, names, 21)}"
                 return s if prec <= 20 else f"({s})"

@@ -1,13 +1,40 @@
 """Pretty-printer for simply typed lambda terms, matched to the surface
-parser."""
+parser.
+
+`KEYWORDS` and `BINDERS` spell every STLC term keyword once, with the
+constructor it names; this printer and the parser in `surface.stlc_parser`
+both read them.
+"""
 
 from __future__ import annotations
 
 from .syntax import (
-    FF, TT, App, Cases, Cond, Const, Free, Inj0, Inj1, Lam, Pair, Proj0, Proj1,
-    RecNat, Succ, Term, Var, Zero, free_names, numeral_value,
+    _SHAPE, FF, TT, App, Cases, Cond, Const, Free, Inj0, Inj1, Lam, Pair,
+    Proj0, Proj1, RecNat, Succ, Term, Var, Zero, free_names, numeral_value,
 )
 from .typing import pretty_type
+
+# The keywords that open a factor, each with the constructor it names. An
+# atom is the keyword alone; a prefix form is `kw arg...` over its
+# constructor's `_SHAPE` fields, in order, after a bracketed type `[T]` for
+# the constructors in ANNOTATED, where T is the field named there.
+KEYWORDS = {
+    "zero": Zero, "tt": TT, "ff": FF,
+    "succ": Succ, "natrec": RecNat, "cond": Cond, "cases": Cases,
+    "fst": Proj0, "snd": Proj1, "inl": Inj0, "inr": Inj1,
+}
+ANNOTATED = {Inj0: "right", Inj1: "left"}
+
+# The keyword that opens a binder `kw (x y : A) (z : B) ... => body`.
+BINDERS = {"fun": Lam}
+
+_BINDER_WORDS = {cls: kw for kw, cls in BINDERS.items()}
+
+# constructor: (keyword, annotation field or None, argument fields)
+_FORMS = {
+    cls: (kw, ANNOTATED.get(cls), tuple(name for name, _ in _SHAPE.get(cls, ())))
+    for kw, cls in KEYWORDS.items()
+}
 
 
 def pretty_term(t: Term) -> str:
@@ -27,6 +54,15 @@ def pretty_term(t: Term) -> str:
         n = numeral_value(t)
         if n is not None:
             return str(n)
+        cls = type(t)
+        if cls in _FORMS:
+            kw, annotation, args = _FORMS[cls]
+            if annotation is None and not args:
+                return kw
+            s = kw if annotation is None else f"{kw} [{pretty_type(getattr(t, annotation))}]"
+            for name in args:
+                s = f"{s} {go(getattr(t, name), names, 21)}"
+            return s if prec <= 20 else f"({s})"
         match t:
             case Var(index=k):
                 return names[k] if k < len(names) else f"#{k}"
@@ -36,37 +72,13 @@ def pretty_term(t: Term) -> str:
                 return nm
             case Lam(dom=d, body=b, hint=h):
                 x = fresh(h, set(names) | frees)
-                s = f"fun ({x} : {pretty_type(d)}) => {go(b, (x,) + names, 0)}"
+                s = f"{_BINDER_WORDS[Lam]} ({x} : {pretty_type(d)}) => {go(b, (x,) + names, 0)}"
                 return s if prec == 0 else f"({s})"
             case App(fn=f, arg=a):
                 s = f"{go(f, names, 20)} {go(a, names, 21)}"
                 return s if prec <= 20 else f"({s})"
             case Pair(left=a, right=b):
                 return f"({go(a, names, 0)}, {go(b, names, 0)})"
-            case Proj0(pair=p):
-                s = f"fst {go(p, names, 21)}"
-            case Proj1(pair=p):
-                s = f"snd {go(p, names, 21)}"
-            case Inj0(right=ty, value=v):
-                s = f"inl [{pretty_type(ty)}] {go(v, names, 21)}"
-            case Inj1(left=ty, value=v):
-                s = f"inr [{pretty_type(ty)}] {go(v, names, 21)}"
-            case Cases(on_left=f, on_right=g, scrutinee=sc):
-                s = f"cases {go(f, names, 21)} {go(g, names, 21)} {go(sc, names, 21)}"
-            case Zero():
-                return "zero"
-            case Succ(arg=a):
-                s = f"succ {go(a, names, 21)}"
-            case RecNat(base=f, step=g, target=nn):
-                s = f"natrec {go(f, names, 21)} {go(g, names, 21)} {go(nn, names, 21)}"
-            case TT():
-                return "tt"
-            case FF():
-                return "ff"
-            case Cond(if_true=f, if_false=g, target=b):
-                s = f"cond {go(f, names, 21)} {go(g, names, 21)} {go(b, names, 21)}"
-            case _:
-                raise TypeError(t)
-        return s if prec <= 20 else f"({s})"
+        raise TypeError(t)
 
     return go(t, (), 0)

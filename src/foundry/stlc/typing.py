@@ -13,15 +13,18 @@ from .syntax import (
 
 TypingContext = Mapping[str, SimpleType]
 
+# The STLC type keywords, each with the constructor it names; pretty_type and
+# the type parser in `surface.stlc_parser` both read this table.
+TYPE_KEYWORDS = {"Nat": NatT, "Bool": BoolT}
+_TYPE_WORDS = {cls: kw for kw, cls in TYPE_KEYWORDS.items()}
+
 
 def pretty_type(ty: SimpleType) -> str:
+    if type(ty) in _TYPE_WORDS:
+        return _TYPE_WORDS[type(ty)]
     match ty:
         case Base(name=n):
             return n
-        case NatT():
-            return "Nat"
-        case BoolT():
-            return "Bool"
         case Arrow(dom=d, cod=c):
             dd = pretty_type(d)
             if isinstance(d, Arrow):

@@ -1,15 +1,17 @@
-"""Recursive-descent parser for sorted first-order formulas and terms."""
+"""Recursive-descent parser for sorted first-order formulas and terms.
+
+Every keyword and connective is spelled once, in the table
+`fol.syntax.SURFACE` that this parser and `pretty_formula` share; the
+connectives are read by one right-associative loop over its precedences.
+"""
 
 from __future__ import annotations
 
 from dataclasses import dataclass
 
 from .. import fol
-from ..fol.syntax import _close as close_impl
+from ..fol.syntax import SURFACE, _close as close_impl
 from .lexer import Cursor
-
-
-FOL_KEYWORDS = {"forall", "exists", "false"}
 
 
 @dataclass
@@ -46,39 +48,28 @@ def parse_fol_formula(cur: Cursor, env: FolEnv, binders=()) -> fol.Formula:
 
 def _fol_iff(cur, env, binders):
     start = cur.peek().span
-    a = _fol_imp(cur, env, binders)
+    a = _fol_binary(cur, env, binders, 0)
     if cur.at("<->"):
         cur.next()
-        b = _fol_imp(cur, env, binders)
+        b = _fol_binary(cur, env, binders, 0)
         return fol.And(fol.Implies(a, b), fol.Implies(b, a), span=start)
     return a
 
 
-def _fol_imp(cur, env, binders):
-    a = _fol_or(cur, env, binders)
-    if cur.at("->"):
-        cur.next()
-        b = _fol_imp(cur, env, binders)
-        return fol.Implies(a, b, span=a.span)
-    return a
-
-
-def _fol_or(cur, env, binders):
-    a = _fol_and(cur, env, binders)
-    if cur.at("\\/"):
-        cur.next()
-        b = _fol_or(cur, env, binders)
-        return fol.Or(a, b, span=a.span)
-    return a
-
-
-def _fol_and(cur, env, binders):
+def _fol_binary(cur, env, binders, floor):
+    """A formula joined by connectives of precedence floor or more; a
+    connective's right operand is read at its own precedence, so each level
+    associates to the right."""
     a = _fol_unary(cur, env, binders)
-    if cur.at("/\\"):
+    while True:
+        t = cur.peek()
+        if t.kind != "symbol" or t.value not in SURFACE:
+            return a
+        cls, prec = SURFACE[t.value]
+        if prec < floor:
+            return a
         cur.next()
-        b = _fol_and(cur, env, binders)
-        return fol.And(a, b, span=a.span)
-    return a
+        a = cls(a, _fol_binary(cur, env, binders, prec), span=a.span)
 
 
 def _fol_unary(cur, env, binders):
@@ -86,11 +77,14 @@ def _fol_unary(cur, env, binders):
     if cur.at("~"):
         cur.next()
         return fol.Implies(_fol_unary(cur, env, binders), fol.Bot(), span=t.span)
-    if t.kind == "ident" and t.value in ("forall", "exists"):
+    if t.kind == "ident" and t.value in SURFACE:
+        cls = SURFACE[t.value][0]
         cur.next()
+        if cls is fol.Bot:
+            return fol.Bot(span=t.span)
         names = [cur.expect_kind("ident").value]
         while cur.at_kind("ident") and not cur.at(":") and cur.peek().value not in (",",):
-            if cur.peek().value in FOL_KEYWORDS:
+            if cur.peek().value in SURFACE:
                 break
             names.append(cur.next().value)
         if cur.at(":"):
@@ -107,11 +101,7 @@ def _fol_unary(cur, env, binders):
             inner = ((name, sort),) + inner
         body = parse_fol_formula(cur, env, inner)
         for name in reversed(names):
-            body = (
-                fol.Forall(sort, _close(body, name, sort), hint=name, span=t.span)
-                if t.value == "forall"
-                else fol.Exists(sort, _close(body, name, sort), hint=name, span=t.span)
-            )
+            body = cls(sort, _close(body, name, sort), hint=name, span=t.span)
         return body
     return _fol_atom(cur, env, binders)
 
@@ -127,9 +117,6 @@ def _fol_atom(cur, env, binders):
         a = parse_fol_formula(cur, env, binders)
         cur.expect(")")
         return a
-    if t.kind == "ident" and t.value == "false":
-        cur.next()
-        return fol.Bot(span=t.span)
     term = parse_fol_term(cur, env, binders)
     if cur.at("="):
         cur.next()

@@ -8,36 +8,33 @@ from .lexer import Cursor
 
 
 def parse_hol_type(cur: Cursor, state: hk.KernelState) -> hk.HolType:
-    a = _hol_atom_type(cur, state)
+    t = cur.peek()
+    if cur.at("("):
+        cur.next()
+        a = parse_hol_type(cur, state)
+        cur.expect(")")
+    elif t.kind == "tyvar":
+        cur.next()
+        a = hk.TyVar(t.value, span=t.span)
+    else:
+        name = cur.expect_kind("ident").value
+        a = hk.TyApp(name, _hol_type_list(cur, state) if cur.at("[") else (), span=t.span)
+        hk.check_type(state, a)
     if cur.at("->"):
         cur.next()
         return hk.fn(a, parse_hol_type(cur, state))
     return a
 
 
-def _hol_atom_type(cur, state):
-    t = cur.peek()
-    if cur.at("("):
+def _hol_type_list(cur: Cursor, state: hk.KernelState) -> tuple:
+    """`[ ty {, ty} ]`."""
+    cur.expect("[")
+    types = [parse_hol_type(cur, state)]
+    while cur.at(","):
         cur.next()
-        a = parse_hol_type(cur, state)
-        cur.expect(")")
-        return a
-    if t.kind == "tyvar":
-        cur.next()
-        return hk.TyVar(t.value, span=t.span)
-    name = cur.expect_kind("ident").value
-    args = ()
-    if cur.at("["):
-        cur.next()
-        lst = [parse_hol_type(cur, state)]
-        while cur.at(","):
-            cur.next()
-            lst.append(parse_hol_type(cur, state))
-        cur.expect("]")
-        args = tuple(lst)
-    ty = hk.TyApp(name, args, span=t.span)
-    hk.check_type(state, ty)
-    return ty
+        types.append(parse_hol_type(cur, state))
+    cur.expect("]")
+    return tuple(types)
 
 
 class _Pending:
@@ -199,12 +196,7 @@ def _hol_factor(cur, state, macros, binders):
     if name in state.constants:
         decl = state.constants[name]
         if cur.at("["):
-            cur.next()
-            args = [parse_hol_type(cur, state)]
-            while cur.at(","):
-                cur.next()
-                args.append(parse_hol_type(cur, state))
-            cur.expect("]")
+            args = _hol_type_list(cur, state)
             tvs = sorted(hk.ty_vars(decl.generic))
             if len(tvs) != len(args):
                 cur.fail(f"{name} has {len(tvs)} type variable(s)")

@@ -1,8 +1,17 @@
-"""Recursive-descent parser for simply typed lambda terms and their types."""
+"""Recursive-descent parser for simply typed lambda terms and their types.
+
+Every keyword is spelled once, in the tables this parser shares with the
+printers: `stlc.printer.KEYWORDS` and `BINDERS` for terms and
+`stlc.typing.TYPE_KEYWORDS` for types; a prefix form's arguments are its
+constructor's `stlc.syntax._SHAPE` fields, in order.
+"""
 
 from __future__ import annotations
 
 from .. import stlc
+from ..stlc.printer import ANNOTATED, BINDERS, KEYWORDS
+from ..stlc.syntax import _SHAPE
+from ..stlc.typing import TYPE_KEYWORDS
 from .lexer import Cursor
 
 
@@ -38,20 +47,16 @@ def _stlc_atom_type(cur):
         cur.expect(")")
         return a
     name = cur.expect_kind("ident").value
-    if name == "Nat":
-        return stlc.NatT(span=t.span)
-    if name == "Bool":
-        return stlc.BoolT(span=t.span)
+    if name in TYPE_KEYWORDS:
+        return TYPE_KEYWORDS[name](span=t.span)
     return stlc.Base(name, span=t.span)
-
-
-_STLC_OPS = {"succ": 1, "natrec": 3, "cond": 3, "cases": 3, "fst": 1, "snd": 1}
 
 
 def parse_stlc_term(cur: Cursor, consts: dict | None = None, binders=()) -> stlc.Term:
     consts = consts or {}
     t = cur.peek()
-    if t.kind == "ident" and t.value == "fun":
+    if t.kind == "ident" and t.value in BINDERS:
+        binder = BINDERS[t.value]
         cur.next()
         groups = []
         while cur.at("("):
@@ -70,7 +75,7 @@ def parse_stlc_term(cur: Cursor, consts: dict | None = None, binders=()) -> stlc
         body = parse_stlc_term(cur, consts, inner)
         # binder references were parsed as Free(name); abstract innermost-first
         for n, ty in reversed(groups):
-            body = stlc.Lam(ty, stlc.abstract_free(body, n), hint=n, span=t.span)
+            body = binder(ty, stlc.abstract_free(body, n), hint=n, span=t.span)
         return body
     return _stlc_app(cur, consts, binders)
 
@@ -105,36 +110,16 @@ def _stlc_factor(cur, consts, binders):
         cur.expect(")")
         return a
     name = cur.expect_kind("ident").value
-    if name == "zero":
-        return stlc.Zero(span=t.span)
-    if name == "tt":
-        return stlc.TT(span=t.span)
-    if name == "ff":
-        return stlc.FF(span=t.span)
-    if name == "inl" or name == "inr":
-        cur.expect("[")
-        ty = parse_stlc_type(cur)
-        cur.expect("]")
-        v = _stlc_factor(cur, consts, binders)
-        return (
-            stlc.Inj0(ty, v, span=t.span) if name == "inl" else stlc.Inj1(ty, v, span=t.span)
-        )
-    if name in _STLC_OPS:
-        arity = _STLC_OPS[name]
-        args = [_stlc_factor(cur, consts, binders) for _ in range(arity)]
-        match name:
-            case "succ":
-                return stlc.Succ(args[0], span=t.span)
-            case "natrec":
-                return stlc.RecNat(args[0], args[1], args[2], span=t.span)
-            case "cond":
-                return stlc.Cond(args[0], args[1], args[2], span=t.span)
-            case "cases":
-                return stlc.Cases(args[0], args[1], args[2], span=t.span)
-            case "fst":
-                return stlc.Proj0(args[0], span=t.span)
-            case "snd":
-                return stlc.Proj1(args[0], span=t.span)
+    if name in KEYWORDS:
+        cls = KEYWORDS[name]
+        args = []
+        if cls in ANNOTATED:
+            cur.expect("[")
+            args.append(parse_stlc_type(cur))
+            cur.expect("]")
+        for _ in _SHAPE.get(cls, ()):
+            args.append(_stlc_factor(cur, consts, binders))
+        return cls(*args, span=t.span)
     for n, _ty in binders:
         if n == name:
             return stlc.Free(name, span=t.span)  # parse_stlc_term abstracts it
