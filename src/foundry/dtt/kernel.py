@@ -25,7 +25,7 @@ those step, and `_conv` accepts two sides that are one object.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 
 from ..errors import FuelError, TypeCheckError, UniverseError
 from .syntax import (

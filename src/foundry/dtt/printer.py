@@ -11,7 +11,7 @@ from .syntax import (
     _SHAPE, App, Axiom, Bool, BoolCases, Empty, EmptyCases, Expr, FalseE, Id,
     IdCases, Inl, Inr, Lam, Nat, NatRec, Pair, Pi, PropSort, Refl, Sigma,
     SigmaCases, Star, Succ, Sum, SumCases, Sup, TrueE, TypeSort, Unit, Var, W,
-    WRec, Zero, map_subexprs, numeral_value, shift,
+    WRec, Zero, _loose_range, map_subexprs, numeral_value, shift,
 )
 
 # The keywords that open a factor, each with the constructor it names:
@@ -110,6 +110,8 @@ def pretty(e: Expr) -> str:
 
 
 def _uses(e: Expr, depth: int) -> bool:
+    if _loose_range(e) <= depth:
+        return False
     if isinstance(e, Var):
         return e.index == depth
     hit = [False]

@@ -35,7 +35,6 @@ from .syntax import (
     subst_in_term,
     substitute,
     term_free_vars,
-    term_sort,
 )
 
 

@@ -24,7 +24,11 @@ miss. This is sound because a state's constant and type-operator tables are
 read-only copies, a memo belongs to exactly one state object (replace()
 starts an empty one), terms are immutable, and check_term ignores spans and
 hints, which term equality ignores as well. Failed checks are not stored.
-check_term itself stays the unmemoized recursive checker.
+Inside check_term the leaves go through the same memo: a constant instance
+or free variable is closed wherever it occurs, so its type is checked (and a
+constant's instance matched against its generic type) on its first
+occurrence under a state only. Applications, abstractions and bound
+variables are still checked at every node of every term that misses.
 """
 
 from __future__ import annotations
@@ -448,11 +452,11 @@ class KernelState:
     """Constant and type-operator tables; append-only, no redefinition.
 
     The tables are stored as read-only copies, so a state's tables never
-    change after construction. `checked` memoizes check_term on closed terms
-    for this state object only; every new state, replace() included, starts
-    with an empty memo. `lemmas` is the derived layer's cache of theorems
-    that kernel rules minted under this state object; it starts empty in the
-    same way.
+    change after construction. `checked` memoizes check_term on closed terms,
+    leaf constants and free variables included, for this state object only;
+    every new state, replace() included, starts with an empty memo. `lemmas`
+    is the derived layer's cache of theorems that kernel rules minted under
+    this state object; it starts empty in the same way.
     """
 
     constants: Mapping[str, ConstDecl]
@@ -503,25 +507,32 @@ def check_type(state: KernelState, ty: HolType) -> None:
 
 def check_term(state: KernelState, t: HolTerm, stack: tuple[HolType, ...] = ()) -> HolType:
     """Well-formedness against the state: known constants at instances of
-    their generic types, known type operators, well-typed applications."""
+    their generic types, known type operators, well-typed applications.
+
+    Constant and free-variable leaves are closed wherever they occur, so
+    each is checked once per state and then found in state.checked."""
     match t:
         case BVar(index=k):
             if k >= len(stack):
                 raise KernelError(f"unbound de Bruijn index {k}")
             return stack[k]
         case FVar(type=ty):
-            check_type(state, ty)
+            if t not in state.checked:
+                check_type(state, ty)
+                state.checked[t] = ty
             return ty
         case Const(name=n, type=ty):
-            decl = state.constants.get(n)
-            if decl is None:
-                raise KernelError(f"unknown constant {n}")
-            check_type(state, ty)
-            if type_match(decl.generic, ty) is None:
-                raise KernelError(
-                    f"constant {n} used at {pretty_type(ty)}, not an instance of "
-                    f"{pretty_type(decl.generic)}"
-                )
+            if t not in state.checked:
+                decl = state.constants.get(n)
+                if decl is None:
+                    raise KernelError(f"unknown constant {n}")
+                check_type(state, ty)
+                if type_match(decl.generic, ty) is None:
+                    raise KernelError(
+                        f"constant {n} used at {pretty_type(ty)}, not an instance of "
+                        f"{pretty_type(decl.generic)}"
+                    )
+                state.checked[t] = ty
             return ty
         case App(fn=f, arg=a):
             tf = check_term(state, f, stack)

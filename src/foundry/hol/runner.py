@@ -43,8 +43,9 @@ class HolRunner(_Runner):
                 thm = self.block(proof, "proof expression", self._eval_expr)
                 self.thms[name] = thm
                 self.named.append((name, thm))
-                self.trace(f"{name}: {thm!r}")
-                return repr(thm)
+                text = repr(thm)
+                self.trace(f"{name}: {text}")
+                return text
             case sc.Theorem(name=name, statement_tokens=stmt, proof_kind="rule-expr", proof_tokens=proof):
                 statement = self._term(stmt)
                 thm = self.block(proof, "proof expression", self._eval_expr)

@@ -8,7 +8,7 @@ kernel error aborts with its script line number.
 from __future__ import annotations
 
 from ..errors import ScriptError
-from .kernel import HolTheorem, KernelState, initial_state
+from .kernel import KernelState, initial_state
 
 
 def run_script(state: KernelState | None, text: str, filename: str = "<script>"):

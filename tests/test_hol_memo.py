@@ -185,6 +185,170 @@ def test_memoized_checks_agree_with_a_fresh_state(base, t, rule):
     assert _outcome(rule, warm, t) == _outcome(rule, dataclasses.replace(base), t)
 
 
+# ---------------------------------------------------------------------------
+# Leaves: check_term checks a constant instance or a free variable on its
+# first occurrence under a state and then finds it in state.checked.
+
+
+@pytest.fixture(scope="module")
+def extended(base):
+    """base plus a constant c : Prop, a polymorphic k : 'a -> 'a and a type
+    operator single with its abs/repr constants."""
+    idp = Abs(PROP, BVar(0))
+    state, _ = new_definition(base, "c", mk_eq(idp, idp))
+    state, _ = new_definition(state, "k", Abs(TyVar("a"), BVar(0), hint="x"))
+    pred = Abs(PROP, mk_eq_at(PROP, BVar(0), Const("true", PROP)))
+    nonempty = EXISTS(state, mk_exists_pred(pred), Const("true", PROP), EQT_INTRO(state, TRUTH(state)))
+    state, *_ = new_type_definition(state, "single", pred, nonempty)
+    return state
+
+
+def test_a_leaf_accepted_under_a_definition_stays_unknown_before_it():
+    s0 = initial_state()
+    idp = Abs(PROP, BVar(0))
+    s1, _ = new_definition(s0, "c", mk_eq(idp, idp))
+    c = Const("c", PROP)
+    t = App(Abs(PROP, BVar(0), hint="p"), c)
+    assert hk.check_term(s1, t) == PROP
+    assert s1.checked[c] == PROP
+    for _ in range(2):
+        with pytest.raises(KernelError, match="unknown constant c"):
+            hk.check_term(s0, t)
+        with pytest.raises(KernelError, match="unknown constant c"):
+            REFL(s0, mk_eq_at(PROP, c, c))
+    assert c not in s0.checked
+
+
+@pytest.mark.parametrize("leaf, message", [
+    (Const("not", fn(IND, PROP)), "not an instance"),
+    (Const("=", fn(IND, fn(PROP, PROP))), "not an instance"),
+    (Const("=", fn(TyApp("Foo"), fn(TyApp("Foo"), PROP))), "unknown type operator Foo"),
+    (Const("eps", fn(fn(TyApp("fun", (IND,)), PROP), TyApp("fun", (IND,)))), "arity 2, got 1"),
+    (FVar("x", TyApp("Foo")), "unknown type operator Foo"),
+])
+def test_a_rejected_leaf_is_not_stored(base, leaf, message):
+    state = dataclasses.replace(base)
+    t = Abs(PROP, App(leaf, BVar(0)), hint="p")
+    for term in (leaf, t):
+        for _ in range(2):
+            with pytest.raises(KernelError, match=message):
+                hk.check_term(state, term)
+    assert leaf not in state.checked and t not in state.checked
+
+
+def test_a_respanned_leaf_hits_the_memo(monkeypatch, base):
+    state = dataclasses.replace(base)
+    eq = Const("=", fn(IND, fn(IND, PROP)))
+    t = App(App(eq, FVar("x", IND)), App(Const("eps", fn(fn(IND, PROP), IND)), FVar("P", fn(IND, PROP))))
+    assert hk.check_term(state, t) == PROP
+    stored = dict(state.checked)
+    assert stored[eq] == fn(IND, fn(IND, PROP))
+    calls = []
+
+    def counted(name):
+        real = getattr(hk, name)
+
+        def wrapper(*args):
+            calls.append(name)
+            return real(*args)
+        return wrapper
+
+    for name in ("check_type", "type_match"):
+        monkeypatch.setattr(hk, name, counted(name))
+    assert hk.check_term(state, respan(t, 9)) == PROP
+    assert hk.check_term(state, respan(eq, 8)) == eq.type
+    assert calls == [] and state.checked == stored
+    hk.check_term(state, Const("=", fn(PROP, fn(PROP, PROP))))
+    assert calls[0] == "check_type" and "type_match" in calls
+
+
+def ref_check_type(state, ty):
+    """check_type, restated."""
+    if isinstance(ty, TyApp):
+        if state.type_ops.get(ty.op) != len(ty.args):
+            raise KernelError(f"bad type operator {ty.op}")
+        for a in ty.args:
+            ref_check_type(state, a)
+
+
+def ref_check(state, t, stack=()):
+    """check_term without any memo: every leaf checked at every occurrence."""
+    match t:
+        case BVar(index=k):
+            if k >= len(stack):
+                raise KernelError("unbound")
+            return stack[k]
+        case FVar(type=ty):
+            ref_check_type(state, ty)
+            return ty
+        case Const(name=n, type=ty):
+            if n not in state.constants:
+                raise KernelError("unknown constant")
+            ref_check_type(state, ty)
+            if hk.type_match(state.constants[n].generic, ty) is None:
+                raise KernelError("not an instance")
+            return ty
+        case App(fn=f, arg=a):
+            tf = ref_check(state, f, stack)
+            if not (isinstance(tf, TyApp) and tf.op == "fun" and ref_check(state, a, stack) == tf.args[0]):
+                raise KernelError("ill-typed application")
+            return tf.args[1]
+        case Abs(dom=d, body=b):
+            ref_check_type(state, d)
+            return fn(d, ref_check(state, b, (d,) + stack))
+    raise TypeError(t)
+
+
+def _verdict(check, state, t):
+    try:
+        return check(state, t)
+    except KernelError:
+        return "error"
+
+
+_SINGLE = TyApp("single")
+_leaf_types = st.recursive(
+    st.sampled_from([PROP, IND, TyVar("a"), _SINGLE, TyApp("Foo"), TyApp("fun", (PROP,))]),
+    lambda sub: st.builds(fn, sub, sub),
+    max_leaves=3,
+)
+_vocabulary = st.one_of(
+    st.builds(BVar, st.integers(0, 2)),
+    st.builds(FVar, st.sampled_from(["x", "y"]), _leaf_types),
+    st.builds(
+        Const,
+        st.sampled_from(["=", "eps", "not", "c", "k", "abs_single", "repr_single", "undefined"]),
+        _leaf_types,
+    ),
+    st.sampled_from([
+        Const("c", PROP), Const("true", PROP), Const("not", fn(PROP, PROP)),
+        Const("k", fn(PROP, PROP)), Const("k", fn(_SINGLE, _SINGLE)),
+        Const("repr_single", fn(_SINGLE, PROP)), Const("abs_single", fn(PROP, _SINGLE)),
+        Const("=", fn(_SINGLE, fn(_SINGLE, PROP))), FVar("s", _SINGLE), FVar("p", PROP),
+    ]),
+)
+_mixed_terms = st.recursive(
+    _vocabulary,
+    lambda sub: st.one_of(
+        st.builds(App, sub, sub),
+        st.builds(Abs, st.sampled_from([PROP, _SINGLE, TyApp("Foo")]) | _leaf_types, sub),
+    ),
+    max_leaves=10,
+)
+
+
+@settings(max_examples=300, deadline=None)
+@given(st.lists(st.tuples(st.booleans(), _mixed_terms, st.integers(0, 2)), min_size=1, max_size=8))
+def test_memoized_check_term_agrees_with_an_unmemoized_reference(base, extended, steps):
+    states = (dataclasses.replace(base), dataclasses.replace(extended))
+    for later, t, i in steps:
+        state = states[later]
+        for term in (t, respan(t, i)):
+            want = _verdict(ref_check, state, term)
+            assert _verdict(hk.check_term, state, term) == want
+        assert all(ref_check(state, k) == v for k, v in state.checked.items())
+
+
 def test_empty_type_instantiation_returns_the_theorem(base):
     th = REFL(base, FVar("x", TyVar("a")))
     assert hk.inst_type(base, th, {}) is th

@@ -820,6 +820,27 @@ def test_dtt_prints_as_the_reference():
         assert dtt.pretty(e) == ref_dtt_pretty(e)
 
 
+def test_an_arrow_chain_tests_each_codomain_once(monkeypatch):
+    # A closed codomain cannot use the binder, so `_uses` answers at its
+    # root instead of walking the rest of the chain: n entries, not n².
+    n = 200
+    chain = Nat()
+    for i in range(n):
+        chain = dtt.arrow(Bool() if i % 3 else Nat(), chain)
+    calls = [0]
+    real = dtt_printer._uses
+
+    def counted(e, depth):
+        calls[0] += 1
+        return real(e, depth)
+
+    monkeypatch.setattr(dtt_printer, "_uses", counted)
+    text = dtt.pretty(chain)
+    assert 0 < calls[0] <= 2 * n
+    monkeypatch.undo()
+    assert text == ref_dtt_pretty(chain)
+
+
 def test_stlc_prints_as_the_reference():
     for t in STLC_TERMS:
         assert stlc_printer.pretty_term(t) == ref_stlc_pretty(t)

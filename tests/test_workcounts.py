@@ -8,11 +8,13 @@ of a kernel that repeats work it has already done:
 - diaconescu.hol: `_thm` (theorems minted) about 710, against 6,062 when
   every derived rule unfolds the connective definitions from scratch instead
   of instantiating the lemmas it proved once per state; `check_term` about
-  1,670 and `check_type` about 2,370 entries, against 3,180 and 4,510 when
-  every rule re-checks its terms instead of consulting the state's check
-  memo, and 8,146 and 11,117 without the lemmas; `type_of` about 130,
-  against 3,500 when the defining theorems re-infer their equations' types
-  and 197,000 when the rules re-infer equation types;
+  1,670 entries, against 3,180 when every rule re-checks its terms instead
+  of consulting the state's check memo and 8,146 without the lemmas;
+  `check_type` about 545 and `type_match` about 220, against 2,390 and
+  1,817 when check_term re-checks every occurrence of a constant instance
+  or free variable instead of finding the leaf in that memo; `type_of`
+  about 130, against 3,500 when the defining theorems re-infer their
+  equations' types and 197,000 when the rules re-infer equation types;
 - connectives.hol: `_thm` about 250, against 669 without the lemmas;
 - add_comm.dtt: `_infer` 340 entries, against 1,191 when the kernel
   re-infers every occurrence of a closed subterm instead of reusing the type
@@ -56,7 +58,8 @@ def count_entries(monkeypatch, module, name):
         ("diaconescu.hol", "hol", {"axioms": ("choice", "propext")}, hol_kernel, "type_of", 1_000),
         ("add_comm.dtt", "dtt", {}, dtt_syntax, "shift", 1_000),
         ("diaconescu.hol", "hol", {"axioms": ("choice", "propext")}, hol_kernel, "check_term", 2_500),
-        ("diaconescu.hol", "hol", {"axioms": ("choice", "propext")}, hol_kernel, "check_type", 3_500),
+        ("diaconescu.hol", "hol", {"axioms": ("choice", "propext")}, hol_kernel, "check_type", 1_200),
+        ("diaconescu.hol", "hol", {"axioms": ("choice", "propext")}, hol_kernel, "type_match", 500),
         ("diaconescu.hol", "hol", {"axioms": ("choice", "propext")}, hol_kernel, "_thm", 2_500),
         ("connectives.hol", "hol", {}, hol_kernel, "_thm", 400),
         ("add_comm.dtt", "dtt", {}, dtt_kernel, "_infer", 600),
@@ -79,3 +82,24 @@ def test_no_inference_work_carries_over_between_runs(monkeypatch):
         assert run_script_text("dtt", text, Options(), "add_comm.dtt").ok
         counts.append(calls[0])
     assert counts[0] == counts[1] > 0
+
+
+@pytest.mark.parametrize("trace", [False, True])
+def test_each_theorem_is_formatted_once(monkeypatch, trace):
+    """diaconescu.hol prints 42 theorems; formatting one for a trace line
+    that is off, or again for its result, would enter `__repr__` 75 times."""
+    real = hol_kernel.HolTheorem.__repr__
+    calls = [0]
+
+    def counted(self):
+        calls[0] += 1
+        return real(self)
+
+    monkeypatch.setattr(hol_kernel.HolTheorem, "__repr__", counted)
+    options = Options(axioms=("choice", "propext"), trace=trace)
+    report = run_script_text("hol", (CORPUS / "diaconescu.hol").read_text(), options, "diaconescu.hol")
+    assert report.ok, report.first_error()
+    printed = [r for r in report.results if "|-" in r.output]
+    assert calls[0] == len(printed) == 42
+    thms = [f"{r.name}: {r.output}" for r in report.results if r.command == "Thm"]
+    assert report.trace == (thms if trace else [])
