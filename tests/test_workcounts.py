@@ -59,11 +59,11 @@ def count_entries(monkeypatch, module, name):
         ("add_comm.dtt", "dtt", {}, dtt_syntax, "shift", 1_000),
         ("diaconescu.hol", "hol", {"axioms": ("choice", "propext")}, hol_kernel, "check_term", 2_500),
         ("diaconescu.hol", "hol", {"axioms": ("choice", "propext")}, hol_kernel, "check_type", 1_200),
-        ("diaconescu.hol", "hol", {"axioms": ("choice", "propext")}, hol_kernel, "type_match", 500),
         ("diaconescu.hol", "hol", {"axioms": ("choice", "propext")}, hol_kernel, "_thm", 2_500),
         ("connectives.hol", "hol", {}, hol_kernel, "_thm", 400),
         ("add_comm.dtt", "dtt", {}, dtt_kernel, "_infer", 600),
         ("add_comm.dtt", "dtt", {}, dtt_kernel, "whnf", 1_200),
+        ("diaconescu.hol", "hol", {"axioms": ("choice", "propext")}, hol_kernel, "type_match", 500),
     ],
 )
 def test_term_layer_work_bound(monkeypatch, script, calculus, options, module, name, bound):
