@@ -11,7 +11,7 @@ from .syntax import (
     _SHAPE, App, Axiom, Bool, BoolCases, Empty, EmptyCases, Expr, FalseE, Id,
     IdCases, Inl, Inr, Lam, Nat, NatRec, Pair, Pi, PropSort, Refl, Sigma,
     SigmaCases, Star, Succ, Sum, SumCases, Sup, TrueE, TypeSort, Unit, Var, W,
-    WRec, Zero, _loose_range, map_subexprs, numeral_value, shift,
+    WRec, Zero, _loose_range, numeral_value, shift,
 )
 
 # The keywords that open a factor, each with the constructor it names:
@@ -114,13 +114,4 @@ def _uses(e: Expr, depth: int) -> bool:
         return False
     if isinstance(e, Var):
         return e.index == depth
-    hit = [False]
-
-    def probe(sub, extra):
-        if _uses(sub, depth + extra):
-            hit[0] = True
-        return sub
-
-    map_subexprs(e, probe)
-    return hit[0]
-
+    return any(_uses(getattr(e, name), depth + extra) for name, extra in _SHAPE.get(type(e), ()))

@@ -7,7 +7,10 @@ else in the package (derived rules, scripts, tests) builds on this surface.
 Types are Prop, Ind, the binary `fun` operator, type variables, and user
 operators added by type definition. Terms use de Bruijn binders with named
 free variables, so alpha-equivalence is structural equality and hypothesis
-sets deduplicate up to alpha.
+sets deduplicate up to alpha. The term operations that rebuild a term
+(term_ty_subst, subst_fvars, open_term, abstract_fvar) differ only at the
+leaves and share one walk, _map; those that read one (free_vars,
+term_ty_vars, _uses_bvar) share _nodes.
 
 The rules rely on one invariant: every minted conclusion is a well-typed
 Prop term. Whatever new term or type a rule, an instantiation, a definition
@@ -250,89 +253,78 @@ def type_of(t: HolTerm, stack: tuple[HolType, ...] = ()) -> HolType:
     raise TypeError(t)
 
 
+def _nodes(t: HolTerm, depth: int = 0):
+    """Each node of t but the applications, left to right, with its binder
+    depth (depth plus the abstractions above it); an abstraction comes
+    before its body. It keeps its own stack, so no Python frame is spent per
+    level."""
+    stack = [(t, depth)]
+    while stack:
+        u, d = stack.pop()
+        cls = type(u)
+        if cls is App:
+            stack.append((u.arg, d))
+            stack.append((u.fn, d))
+            continue
+        yield u, d
+        if cls is Abs:
+            stack.append((u.body, d + 1))
+
+
 def term_ty_vars(t: HolTerm) -> frozenset[str]:
-    match t:
-        case BVar():
-            return frozenset()
-        case FVar(type=ty) | Const(type=ty):
-            return ty_vars(ty)
-        case App(fn=f, arg=a):
-            return term_ty_vars(f) | term_ty_vars(a)
-        case Abs(dom=d, body=b):
-            return ty_vars(d) | term_ty_vars(b)
-    raise TypeError(t)
+    return frozenset().union(
+        *(ty_vars(u.dom if type(u) is Abs else u.type) for u, _ in _nodes(t) if type(u) is not BVar)
+    )
+
+
+def _map(t: HolTerm, leaf, depth: int = 0, dom=None) -> HolTerm:
+    """Rebuild t with each leaf u replaced by leaf(u, binder depth) and, if
+    dom is given, each binder domain d by dom(d). Applications and
+    abstractions are rebuilt without spans; binder hints are kept."""
+    cls = type(t)
+    if cls is App:
+        return App(_map(t.fn, leaf, depth, dom), _map(t.arg, leaf, depth, dom))
+    if cls is Abs:
+        d = t.dom if dom is None else dom(t.dom)
+        return Abs(d, _map(t.body, leaf, depth + 1, dom), hint=t.hint)
+    return leaf(t, depth)
 
 
 def term_ty_subst(t: HolTerm, mapping: Mapping[str, HolType]) -> HolTerm:
-    match t:
-        case BVar():
-            return t
-        case FVar(name=n, type=ty):
-            return FVar(n, type_subst(ty, mapping))
-        case Const(name=n, type=ty):
-            return Const(n, type_subst(ty, mapping))
-        case App(fn=f, arg=a):
-            return App(term_ty_subst(f, mapping), term_ty_subst(a, mapping))
-        case Abs(dom=d, body=b, hint=h):
-            return Abs(type_subst(d, mapping), term_ty_subst(b, mapping), hint=h)
-    raise TypeError(t)
+    def leaf(u, _depth):
+        return u if type(u) is BVar else type(u)(u.name, type_subst(u.type, mapping))
+
+    return _map(t, leaf, dom=lambda d: type_subst(d, mapping))
 
 
 def free_vars(t: HolTerm) -> frozenset[FVar]:
-    match t:
-        case BVar() | Const():
-            return frozenset()
-        case FVar():
-            return frozenset((t,))
-        case App(fn=f, arg=a):
-            return free_vars(f) | free_vars(a)
-        case Abs(body=b):
-            return free_vars(b)
-    raise TypeError(t)
+    return frozenset(u for u, _ in _nodes(t) if type(u) is FVar)
 
 
 def subst_fvars(t: HolTerm, mapping: Mapping[FVar, "HolTerm"]) -> HolTerm:
     """Simultaneous substitution for free variables; capture-free because
     bound variables are indices."""
-    match t:
-        case BVar() | Const():
-            return t
-        case FVar():
-            return mapping.get(t, t)
-        case App(fn=f, arg=a):
-            return App(subst_fvars(f, mapping), subst_fvars(a, mapping))
-        case Abs(dom=d, body=b, hint=h):
-            return Abs(d, subst_fvars(b, mapping), hint=h)
-    raise TypeError(t)
+    return _map(t, lambda u, _depth: mapping.get(u, u) if type(u) is FVar else u)
 
 
 def open_term(body: HolTerm, value: HolTerm, depth: int = 0) -> HolTerm:
     """Instantiate BVar(depth) with a locally closed term."""
-    match body:
-        case BVar(index=k):
-            return value if k == depth else (BVar(k - 1) if k > depth else body)
-        case FVar() | Const():
-            return body
-        case App(fn=f, arg=a):
-            return App(open_term(f, value, depth), open_term(a, value, depth))
-        case Abs(dom=d, body=b, hint=h):
-            return Abs(d, open_term(b, value, depth + 1), hint=h)
-    raise TypeError(body)
+
+    def leaf(u, d):
+        if type(u) is not BVar or u.index < d:
+            return u
+        return value if u.index == d else BVar(u.index - 1)
+
+    return _map(body, leaf, depth)
 
 
 def abstract_fvar(t: HolTerm, x: FVar, depth: int = 0) -> HolTerm:
-    match t:
-        case BVar(index=k):
-            return BVar(k + 1) if k >= depth else t
-        case FVar():
-            return BVar(depth) if t == x else t
-        case Const():
-            return t
-        case App(fn=f, arg=a):
-            return App(abstract_fvar(f, x, depth), abstract_fvar(a, x, depth))
-        case Abs(dom=d, body=b, hint=h):
-            return Abs(d, abstract_fvar(b, x, depth + 1), hint=h)
-    raise TypeError(t)
+    def leaf(u, d):
+        if type(u) is BVar:
+            return BVar(u.index + 1) if u.index >= d else u
+        return BVar(d) if u == x else u
+
+    return _map(t, leaf, depth)
 
 
 def abs_over(x: FVar, body: HolTerm) -> Abs:
@@ -372,10 +364,6 @@ def _dest_eq_typed(t: HolTerm):
         case App(fn=App(fn=Const(name=n, type=TyApp(op="fun", args=(ty, _))), arg=l), arg=r) if n == EQ:
             return ty, l, r
     return None
-
-
-def mk_comb(f: HolTerm, a: HolTerm) -> App:
-    return App(f, a)
 
 
 # ---------------------------------------------------------------------------
@@ -633,34 +621,13 @@ def ETA(state: KernelState, t: HolTerm) -> HolTheorem:
     ty = _closed_type(state, t)
     match t:
         case Abs(dom=d, body=App(fn=f, arg=BVar(index=0))) if not _uses_bvar(f, 0):
-            return _thm(frozenset(), mk_eq_at(ty, t, _unshift(f)))
+            # index 0 does not occur in f, so opening it only lowers the others
+            return _thm(frozenset(), mk_eq_at(ty, t, open_term(f, t)))
     raise KernelError("ETA expects an abstraction of shape (fun x => f x) with x not free in f")
 
 
 def _uses_bvar(t: HolTerm, depth: int) -> bool:
-    match t:
-        case BVar(index=k):
-            return k == depth
-        case FVar() | Const():
-            return False
-        case App(fn=f, arg=a):
-            return _uses_bvar(f, depth) or _uses_bvar(a, depth)
-        case Abs(body=b):
-            return _uses_bvar(b, depth + 1)
-    raise TypeError(t)
-
-
-def _unshift(t: HolTerm, depth: int = 0) -> HolTerm:
-    match t:
-        case BVar(index=k):
-            return BVar(k - 1) if k > depth else t
-        case FVar() | Const():
-            return t
-        case App(fn=f, arg=a):
-            return App(_unshift(f, depth), _unshift(a, depth))
-        case Abs(dom=d, body=b, hint=h):
-            return Abs(d, _unshift(b, depth + 1), hint=h)
-    raise TypeError(t)
+    return any(type(u) is BVar and u.index == d for u, d in _nodes(t, depth))
 
 
 def EQ_MP(state: KernelState, th_eq: HolTheorem, th: HolTheorem) -> HolTheorem:

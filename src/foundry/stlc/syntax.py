@@ -5,9 +5,10 @@ Free (context) variables are named. Binder annotations make type inference
 syntax-directed.
 
 `_SHAPE` lists each compound constructor's subterm fields and their binder
-depths once; `map_children`, `shift`, `subst`, `abstract_free`,
-`var_free_in`, `free_names`, `reduce.reduce_step` and `generate.term_size`
-all read that one table, so each constructor's subterms are listed once.
+depths once; `var_free_in`, `free_names`, `reduce.reduce_step`,
+`generate.term_size` and `_map`, the one rebuilding walk under `shift`,
+`subst` and `abstract_free`, all read that one table, so each constructor's
+subterms are listed once.
 """
 
 from __future__ import annotations
@@ -262,29 +263,36 @@ def _rebuild(t: Term, children: list) -> Term:
     return cls(*children)
 
 
-def map_children(t: Term, f) -> Term:
-    """Rebuild t with f(subterm, binder depth) applied to each immediate
-    subterm; a leaf is returned as it is."""
+def _map(t: Term, leaf, depth: int = 0) -> Term:
+    """Rebuild t with each leaf u replaced by leaf(u, binder depth); every
+    compound node is rebuilt as `_rebuild` does."""
     shape = _SHAPE.get(type(t))
     if shape is None:
-        return t
-    return _rebuild(t, [f(getattr(t, name), depth) for name, depth in shape])
+        return leaf(t, depth)
+    children = []
+    for name, extra in shape:
+        children.append(_map(getattr(t, name), leaf, depth + extra))
+    return _rebuild(t, children)
 
 
 def shift(t: Term, d: int, cutoff: int = 0) -> Term:
-    if type(t) is Var:
-        return Var(t.index + d) if t.index >= cutoff else t
-    return map_children(t, lambda u, depth: shift(u, d, cutoff + depth))
+    def leaf(u, depth):
+        return Var(u.index + d) if type(u) is Var and u.index >= depth else u
+
+    return _map(t, leaf, cutoff)
 
 
 def subst(t: Term, j: int, s: Term) -> Term:
     """Replace Var(j) by s (s is shifted under binders)."""
-    if type(t) is Var:
-        k = t.index
-        if k == j:
-            return s
-        return Var(k - 1) if k > j else t
-    return map_children(t, lambda u, depth: subst(u, j + depth, shift(s, depth) if depth else s))
+
+    def leaf(u, depth):
+        if type(u) is not Var or u.index < depth:
+            return u
+        if u.index == depth:
+            return shift(s, depth - j) if depth > j else s
+        return Var(u.index - 1)
+
+    return _map(t, leaf, j)
 
 
 def beta_reduce(lam: Lam, arg: Term) -> Term:
@@ -305,9 +313,7 @@ def free_names(t: Term) -> frozenset[str]:
 
 def abstract_free(t: Term, name: str, depth: int = 0) -> Term:
     """Turn the named free variable into the binder at the given depth."""
-    if type(t) is Free and t.name == name:
-        return Var(depth)
-    return map_children(t, lambda u, extra: abstract_free(u, name, depth + extra))
+    return _map(t, lambda u, d: Var(d) if type(u) is Free and u.name == name else u, depth)
 
 
 def numeral(n: int) -> Term:

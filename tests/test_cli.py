@@ -150,6 +150,34 @@ def test_eval_of_a_320_numeral_fits_the_stack(tmp_path):
     assert (done.returncode, done.stdout.splitlines()[-1]) == (0, "320"), done.stderr
 
 
+def test_stlc_fun_over_400_succs_fits_the_stack(tmp_path):
+    # The parser abstracts x out of the body, and the rebuild costs one
+    # frame per level.
+    path = tmp_path / "deep.stlc"
+    path.write_text("eval {fun (x : Nat) => " + "succ " * 400 + "x}\n")
+    done = fresh_cli("eval", str(path), "--calculus", "stlc")
+    assert done.returncode == 0, done.stdout + done.stderr
+    assert done.stdout.splitlines()[-1] == "fun (x : Nat) => " + "succ (" * 399 + "succ x" + ")" * 399
+
+
+def test_hol_terms_300_deep_fits_the_stack(tmp_path):
+    n = 300
+    path = tmp_path / "deep.hol"
+    path.write_text(
+        "thm lams := refl {" + "".join(f"fun (x{i} : Prop) => " for i in range(n)) + "(p : Prop)}\n"
+        "thm parens := refl {" + "(" * n + "(p : Prop)" + ")" * n + "}\n"
+        "thm inst := inst_term {(x : Prop)} {(y : Prop)} (refl {"
+        + "(f : Prop -> Prop) (" * n + "(x : Prop)" + ")" * n + "})\n"
+    )
+    done = fresh_cli("check", str(path), "--calculus", "hol")
+    assert done.returncode == 0, done.stdout + done.stderr
+    lams, parens, inst = done.stdout.splitlines()[:3]
+    assert lams.startswith("[  1] Thm lams: ok -- |- (fun (x0 : Prop) =>") and lams.count("fun") == 2 * n
+    assert parens == "[  2] Thm parens: ok -- |- p = p"
+    side = "f (" * (n - 1) + "f y" + ")" * (n - 1)
+    assert inst == f"[  3] Thm inst: ok -- |- {side} = {side}"
+
+
 @pytest.mark.parametrize("name, calculus, value", [
     ("fol_basics.fol", "fol", None),
     ("stlc_basics.stlc", "stlc", "5"),
