@@ -15,7 +15,7 @@ import sys
 from typing import TYPE_CHECKING
 
 from .errors import FoundryError
-from .run import Options, RunReport, depth_limit, run_script_text
+from .run import RUNNERS, Options, RunReport, depth_limit, run_script_text
 from .surface import script as sc
 from .surface.lexer import tokenize
 
@@ -225,13 +225,13 @@ def build_parser() -> argparse.ArgumentParser:
 
     pc = sub.add_parser("check", help="run a proof script")
     pc.add_argument("file")
-    pc.add_argument("--calculus", choices=("fol", "stlc", "hol", "dtt"), required=True)
+    pc.add_argument("--calculus", choices=RUNNERS, required=True)
     _add_flags(pc)
     pc.set_defaults(fn=_cmd_check)
 
     pe = sub.add_parser("eval", help="run a script and print its final eval")
     pe.add_argument("file")
-    pe.add_argument("--calculus", choices=("fol", "stlc", "hol", "dtt"), default="stlc")
+    pe.add_argument("--calculus", choices=RUNNERS, default="stlc")
     _add_flags(pe)
     pe.set_defaults(fn=_cmd_eval)
 

@@ -19,7 +19,7 @@ from .hilbert import (  # noqa: F401
 from .theory import (  # noqa: F401
     AxiomSchema, LogEntry, SchemaSlot, Theory, add_skolem_function,
     builtin_theory, decidable_equality, exists_unique, extend_by_function,
-    extend_by_relation, instantiate_schema, pra_extend, pure_theory,
+    extend_by_relation, instantiate_schema, pure_theory,
     schema_recognizes, separation_schema, pra_induction_schema,
     replacement_schema, substitute_parallel,
 )

@@ -18,15 +18,11 @@ from .proof import _check
 class FolRunner(_Runner):
     calculus = "fol"
 
-    def __init__(self, options: Options, filename: str = "<script>", theory=None):
+    def __init__(self, options: Options, filename: str = "<script>"):
         super().__init__(options, filename)
         mode = "classical" if options.classical else "intuitionistic"
-        self.theory = theory or fol.pure_theory(fol.single_sorted(), mode)
-        if theory is None:
-            # scripts normally declare their own sorts; start with none
-            self.theory = replace(
-                self.theory, signature=fol.Signature(sorts=frozenset())
-            )
+        # scripts declare their own sorts; start with none
+        self.theory = fol.pure_theory(fol.Signature(sorts=frozenset()), mode)
         self.models: dict[str, fol.FiniteModel] = {}
         self.assumptions: list = []
         self.goal = None

@@ -629,15 +629,3 @@ def builtin_theory(name: str) -> Theory:
         return t
     raise TheoryError(f"unknown builtin theory {name}")
 
-
-def pra_extend(theory: Theory, name: str, arity: int, defining_equations) -> Theory:
-    """Declare a primitive recursive function symbol and add its defining
-    equations as axioms (quantifier-free, universally closed)."""
-    sig = theory.signature.with_function(name, (NAT,) * arity, NAT)
-    out = replace(theory, signature=sig)
-    for i, eq in enumerate(defining_equations):
-        frees = sorted(free_vars(eq), key=lambda v: v.name)
-        if not _is_quantifier_free(eq):
-            raise TheoryError("defining equations must be quantifier-free")
-        out = out.with_axiom(f"def_{name}_{i}", forall_many(frees, eq))
-    return out.log(LogEntry("primrec-definition", name, f"arity {arity}"))

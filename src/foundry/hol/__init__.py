@@ -21,4 +21,3 @@ from .derived import (  # noqa: F401
     mk_imp, mk_neg, spine_beta, unfold_rule,
 )
 from .printer import pretty_term  # noqa: F401
-from .script import run_script  # noqa: F401

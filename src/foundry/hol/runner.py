@@ -16,14 +16,13 @@ from .printer import pretty_term
 class HolRunner(_Runner):
     calculus = "hol"
 
-    def __init__(self, options: Options, filename: str = "<script>", state=None):
+    def __init__(self, options: Options, filename: str = "<script>"):
         super().__init__(options, filename)
-        self.state = state if state is not None else hk.initial_state()
+        self.state = hk.initial_state()
         for ax in options.axioms:
             self.state = self.state.enable_axiom(ax)
         self.thms: dict[str, hk.HolTheorem] = {}
         self.macros: dict[str, hk.HolTerm] = {}
-        self.named: list = []  # (name, theorem) in script order
 
     def _term(self, tokens):
         return self.block(tokens, "term", parse_hol_term, self.state, self.macros)
@@ -33,7 +32,6 @@ class HolRunner(_Runner):
             case sc.Define(name=name, type_tokens=None, body_tokens=body):
                 t = self._term(body)
                 self.state, thm = hk.new_definition(self.state, name, t)
-                self.named.append((name, thm))
                 return repr(thm)
             case sc.TermMacro(name=name, body_tokens=body):
                 self.macros[name] = self._term(body)
@@ -42,7 +40,6 @@ class HolRunner(_Runner):
             case sc.Thm(name=name, proof_tokens=proof):
                 thm = self.block(proof, "proof expression", self._eval_expr)
                 self.thms[name] = thm
-                self.named.append((name, thm))
                 text = repr(thm)
                 self.trace(f"{name}: {text}")
                 return text
@@ -57,7 +54,6 @@ class HolRunner(_Runner):
                         f"says {pretty_term(statement, types=True)}"
                     )
                 self.thms[name] = thm
-                self.named.append((name, thm))
                 self.report.theorems_certified += 1
                 return repr(thm)
             case sc.Check(body_tokens=body, type_tokens=ty):

@@ -1,13 +1,22 @@
-"""Random well-typed closed DTT terms of type Nat (canonicity corpus)."""
+"""DTT test helpers: random well-typed closed terms of type Nat (the
+canonicity corpus), the definitions a corpus script leaves, and an
+enumeration of the canonical inhabitants of Fin n."""
 
 from __future__ import annotations
 
+import pathlib
 import random
 
 from foundry.dtt import (
-    App, Bool, BoolCases, FalseE, Inl, Inr, Lam, Nat, NatRec, Pair, Sigma,
-    SigmaCases, Sum, SumCases, Succ, TrueE, Var, numeral,
+    App, Bool, BoolCases, DttContext, FalseE, Inl, Inr, Lam, Nat, NatRec, Pair,
+    Refl, Sigma, SigmaCases, Sum, SumCases, Succ, TrueE, Var, check,
+    instantiate, numeral, whnf,
 )
+from foundry.dtt.runner import DttRunner
+from foundry.run import Options
+from foundry.surface.script import parse_script
+
+CORPUS = pathlib.Path(__file__).resolve().parent.parent / "corpus"
 
 NAT = Nat()
 NAT_MOTIVE = Lam(NAT, NAT, hint="_")
@@ -62,3 +71,31 @@ def gen_dtt_nat(rng: random.Random, depth: int = 4, nvars: int = 0):
     if nvars and k == 6:
         return Var(rng.randrange(nvars))
     return numeral(rng.randrange(4))
+
+
+def corpus_defs(name: str) -> dict:
+    """The definitions and theorems of a corpus `.dtt` script, as its
+    runner holds them after running the whole script."""
+    runner = DttRunner(Options(), name)
+    report = runner.run(parse_script((CORPUS / name).read_text(), name))
+    assert report.ok, report.first_error()
+    return runner.defs
+
+
+def fin_inhabitants(cfg, fin, n: int) -> list:
+    """Every closed canonical inhabitant pair x (pair z (refl m)) of the
+    weak head normal form of `fin n` with numerals x, z, m at most n + 1."""
+    ctx = DttContext()
+    ty = whnf(cfg, App(fin, numeral(n)))
+    found = []
+    for x in range(n + 2):
+        inner_ty = instantiate(ty.cod, numeral(x))
+        for z in range(n + 2):
+            for m in range(n + 2):
+                cand = Pair(ty, numeral(x), Pair(inner_ty, numeral(z), Refl(Nat(), numeral(m))))
+                try:
+                    check(cfg, ctx, cand, ty)
+                except Exception:
+                    continue
+                found.append(cand)
+    return found

@@ -21,7 +21,7 @@ from helpers import (
     gen_formula, gen_ground_problem, gen_hilbert, gen_nd, ground_signature,
     nd_signature, sequent_valid,
 )
-from helpers_dtt import gen_dtt_nat
+from helpers_dtt import corpus_defs, fin_inhabitants, gen_dtt_nat
 
 CORPUS = pathlib.Path(__file__).resolve().parent.parent / "corpus"
 
@@ -197,9 +197,8 @@ def test_criterion_08_dtt_regression_scripts():
     out = [x.output for x in r3.results if x.command == "Eval"][-1]
     assert "axiom funext" in out
 
-    from foundry.dtt.library import fin_inhabitants
-
-    counts = [len(fin_inhabitants(dtt.KernelConfig(), n)) for n in range(5)]
+    fin = corpus_defs("fin.dtt")["fin"]
+    counts = [len(fin_inhabitants(dtt.KernelConfig(), fin, n)) for n in range(5)]
     assert counts == [0, 1, 2, 3, 4]
     _report(8, "add-commutativity checks; Type:Type rejected with a universe error; "
                f"funext-stuck normal form keeps the axiom; Fin counts {counts}")

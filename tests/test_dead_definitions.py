@@ -3,11 +3,13 @@
 A definition that nothing reads is code to maintain and to trust for nothing.
 Each module under `src/foundry` is parsed with `ast`, and each top-level
 function or class it defines must be referenced somewhere in `src`, `tests`
-or `benchmarks`: as a name, as an attribute, as an imported name (a package
-`__init__` re-exports its public names this way), or as a string constant,
-as `run.RUNNERS` names each runner class. A dict key is a label, such as the
-rule name a script types, so a string used as one does not count; a name
-that appears only in a docstring or a comment does not count either.
+or `benchmarks`: as a name, as an attribute, as an imported name, or as a
+string constant, as `run.RUNNERS` names each runner class. A package
+`__init__` imports its public names only to re-export them, so an import
+there does not count: a re-exported name must still be used elsewhere. A dict
+key is a label, such as the rule name a script types, so a string used as one
+does not count; a name that appears only in a docstring or a comment does not
+count either.
 """
 
 import ast
@@ -26,7 +28,9 @@ def definitions(tree: ast.Module) -> dict[str, int]:
     }
 
 
-def references(tree: ast.Module) -> set[str]:
+def references(tree: ast.Module, imports: bool = True) -> set[str]:
+    """The names the module refers to, counting the names it imports only if
+    `imports` is set."""
     keys = {id(k) for node in ast.walk(tree) if isinstance(node, ast.Dict) for k in node.keys}
     out = set()
     for node in ast.walk(tree):
@@ -35,16 +39,20 @@ def references(tree: ast.Module) -> set[str]:
         elif isinstance(node, ast.Attribute):
             out.add(node.attr)
         elif isinstance(node, ast.alias):
-            out.add(node.name)
+            if imports:
+                out.add(node.name)
         elif isinstance(node, ast.Constant) and isinstance(node.value, str) and id(node) not in keys:
             out.add(node.value)
     return out
 
 
-def dead(modules: dict[str, str], sources: list[str]) -> list[str]:
+def dead(modules: dict[str, str], sources: dict[str, str]) -> list[str]:
     """`module: name (line n)` for each definition in modules that no source
-    references."""
-    used = set().union(*(references(ast.parse(text)) for text in sources))
+    references; the sources are keyed by file path."""
+    used = set().union(*(
+        references(ast.parse(text), imports=pathlib.PurePath(path).name != "__init__.py")
+        for path, text in sources.items()
+    ))
     return [
         f"{module}: {name} (line {line})"
         for module, text in modules.items()
@@ -56,7 +64,7 @@ def dead(modules: dict[str, str], sources: list[str]) -> list[str]:
 def test_every_top_level_definition_is_referenced():
     modules = {str(p.relative_to(SRC)): p.read_text() for p in sorted(SRC.rglob("*.py"))}
     assert len(modules) > 30
-    assert dead(modules, [p.read_text() for p in SOURCES]) == []
+    assert dead(modules, {str(p): p.read_text() for p in SOURCES}) == []
 
 
 def test_the_scan_sees_what_it_should():
@@ -73,6 +81,7 @@ class Attr: pass
 class Exported: pass
 def Recursive(): return Recursive()
 def dead_helper(): pass
+def Reexported(): pass
 '''
     user = '''
 from m import Exported
@@ -80,6 +89,11 @@ import m
 m.Attr
 Called()
 '''
-    assert dead({"m.py": module}, [module, user]) == [
+    package = '''
+from .m import Exported, Reexported
+'''
+    sources = {"m.py": module, "user.py": user, "__init__.py": package}
+    assert dead({"m.py": module}, sources) == [
         "m.py: Docstring (line 7)", "m.py: Keyed (line 8)", "m.py: dead_helper (line 13)",
+        "m.py: Reexported (line 14)",
     ]

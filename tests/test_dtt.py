@@ -9,10 +9,10 @@ from foundry.dtt import (
     contains_axiom, defeq, infer, normalize, numeral, numeral_value,
     prop_elim_guard, shift, sort_of, whnf,
 )
-from foundry.dtt.library import ADD, ADD_COMM, ADD_COMM_TYPE, add, fin, fin_inhabitants
 from foundry.errors import FuelError, TypeCheckError, UniverseError
+from foundry.surface.parsers import parse_expr
 
-from helpers_dtt import gen_dtt_nat
+from helpers_dtt import corpus_defs, fin_inhabitants, gen_dtt_nat
 
 CFG = KernelConfig()
 CTX = DttContext()
@@ -129,8 +129,11 @@ def test_canonicity_without_axioms():
 
 
 def test_add_commutativity_proof_checks():
-    check(CFG, CTX, ADD_COMM, ADD_COMM_TYPE)
-    assert numeral_value(normalize(CFG, CTX, add(numeral(2), numeral(3)))) == 5
+    defs = corpus_defs("add_comm.dtt")
+    stated = parse_expr("dtt", "Pi (x : Nat) (y : Nat), Id Nat (add x y) (add y x)", defs=defs)
+    check(CFG, CTX, defs["add_comm"], stated)
+    two_plus_three = App(App(defs["add"], numeral(2)), numeral(3))
+    assert numeral_value(normalize(CFG, CTX, two_plus_three)) == 5
 
 
 def test_normalize_wrec_unfolds_and_axioms_stick():
@@ -202,12 +205,13 @@ def test_eta_for_pi_flag():
 
 
 def test_fin_has_exactly_n_inhabitants():
+    fin = corpus_defs("fin.dtt")["fin"]
     for n in range(5):
-        assert len(fin_inhabitants(CFG, n)) == n
+        assert len(fin_inhabitants(CFG, fin, n)) == n
 
 
 def test_fuel_exhaustion_is_distinct():
-    big = add(numeral(50), numeral(50))
+    big = App(App(corpus_defs("add_comm.dtt")["add"], numeral(50)), numeral(50))
     with pytest.raises(FuelError):
         normalize(CFG, CTX, big, fuel=10)
 

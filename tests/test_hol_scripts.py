@@ -141,30 +141,17 @@ def test_forge_5_dataclass_replace_and_copy(a_theorem):
         copy.copy(a_theorem)
 
 
-def test_run_script_returns_named_theorems():
-    from foundry.hol import run_script
-    from foundry.errors import ScriptError
-
-    named = run_script(None, (CORPUS / "connectives.hol").read_text())
-    names = [n for n, _ in named]
-    assert names[:4] == ["true", "forall", "and", "imp"]
-    assert names[-1] == "and_commutes_here"
-    for _, thm in named:
-        assert isinstance(thm, HolTheorem)
-    # a failing script aborts with its line number
-    st = initial_state()  # choice not enabled
-    with pytest.raises(ScriptError) as e:
-        run_script(st, (CORPUS / "diaconescu.hol").read_text())
-    assert "line" in str(e.value) and e.value.tag == "axiom-disabled"
+def test_diaconescu_without_axioms_fails_at_its_line():
+    r = run("diaconescu.hol")
+    err = r.first_error()
+    assert err is not None and err.tag == "axiom-disabled" and err.line > 0
 
 
 def test_run_script_reports_deep_input_as_a_tagged_script_error():
-    from foundry.hol import run_script
-    from foundry.errors import ScriptError
-
-    with pytest.raises(ScriptError) as e:
-        run_script(None, "expect-error x " * 3000 + "thm t := refl {(x : Prop)}\n")
-    assert e.value.tag == "depth-exceeded"
+    r = run_script_text("hol", "expect-error x " * 3000 + "thm t := refl {(x : Prop)}\n")
+    err = r.first_error()
+    assert err is not None and err.tag == "depth-exceeded"
+    assert (err.line, err.col) == (1, 1)
 
 
 def test_rule_table_matches_signatures_and_readme():
