@@ -7,11 +7,11 @@ exactly alpha-equivalence.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from dataclasses import field
+from typing import NamedTuple
 
 
-@dataclass(frozen=True)
-class Span:
+class Span(NamedTuple):
     """A source range: file, start line and column, end line and column."""
 
     file: str

@@ -1,12 +1,26 @@
 """Shared lexer for all four calculi and the script command language.
 
-ASCII-first; comments run from `--` to end of line; identifiers may carry
-prime marks; HOL type variables are quoted ('a).
+One compiled pattern is walked with `finditer`; its alternatives are tried in
+order, and the order is significant: newline, blanks (space, tab, carriage
+return), a `--` comment to the end of the line, an identifier, a HOL type
+variable ('a), a numeral, then `SYMBOLS` in list order, where every symbol
+comes before its own prefixes.
+
+- An identifier starts with a character that is `isalpha()` or `_`, and
+  continues with characters that are `isalnum()`, `_` or a prime `'`.
+- A type variable is `'` followed by an identifier without primes.
+- A numeral is a run of `isdecimal()` characters, exactly the digits `int()`
+  accepts (so `٣` is one, `²` is not).
+
+Columns count characters from 1. The column does not advance over a comment:
+the `eof` token after a trailing comment with no newline sits at the
+comment's first column.
 """
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+import re
+from typing import NamedTuple
 
 from ..errors import ParseError
 from ..span import Span
@@ -16,9 +30,21 @@ SYMBOLS = [
     "(", ")", "{", "}", "[", "]", ",", ":", ";", "=", "~", "*", "+", "?", "!", ".", "-",
 ]
 
+# On str patterns `\w` is exactly `isalnum()` or `_`, and `\d` is exactly
+# `isdecimal()`. `[^\W\d]` also admits characters such as `²` that are
+# `isalnum()` but not `isalpha()`; `tokenize` rejects those as a first
+# character. Groups: 1 newline, 2 comment, 3 identifier, 4 type variable,
+# 5 numeral, 6 symbol; blanks have none.
+_LEXEME = re.compile(
+    r"(\n)|[ \t\r]+|(--)[^\n]*|([^\W\d][\w']*)|'([^\W\d]\w*)|(\d+)|("
+    + "|".join(map(re.escape, SYMBOLS))
+    + ")"
+)
+_NEWLINE, _COMMENT, _IDENT, _TYVAR = 1, 2, 3, 4
+_KINDS = (None, None, None, "ident", "tyvar", "int", "symbol")
 
-@dataclass(frozen=True)
-class Token:
+
+class Token(NamedTuple):
     """One lexeme: its kind, its text and its span."""
 
     kind: str  # ident | tyvar | int | symbol | eof
@@ -26,77 +52,39 @@ class Token:
     span: Span
 
 
-def _is_ident_start(c: str) -> bool:
-    return c.isalpha() or c == "_"
-
-
-def _is_ident_char(c: str) -> bool:
-    return c.isalnum() or c in "_'"
+def _unexpected(text: str, i: int, filename: str, line: int, line_start: int) -> ParseError:
+    col = i - line_start + 1
+    return ParseError(
+        f"unexpected character {text[i]!r}", span=Span(filename, line, col, line, col + 1)
+    )
 
 
 def tokenize(text: str, filename: str = "<input>") -> list[Token]:
     tokens: list[Token] = []
-    line, col = 1, 1
-    i = 0
-    n = len(text)
-
-    def span(l0, c0, l1, c1):
-        return Span(filename, l0, c0, l1, c1)
-
-    while i < n:
-        c = text[i]
-        if c == "\n":
+    append = tokens.append
+    line, line_start, pos = 1, 0, 0
+    group = start = 0
+    for m in _LEXEME.finditer(text):
+        start = m.start()
+        if start != pos:
+            raise _unexpected(text, pos, filename, line, line_start)
+        pos = m.end()
+        group = m.lastindex
+        if group is None or group == _COMMENT:
+            continue
+        if group == _NEWLINE:
             line += 1
-            col = 1
-            i += 1
+            line_start = pos
             continue
-        if c in " \t\r":
-            i += 1
-            col += 1
-            continue
-        if text.startswith("--", i):
-            while i < n and text[i] != "\n":
-                i += 1
-            continue
-        l0, c0 = line, col
-        if _is_ident_start(c):
-            j = i
-            while j < n and _is_ident_char(text[j]):
-                j += 1
-            value = text[i:j]
-            col += j - i
-            tokens.append(Token("ident", value, span(l0, c0, line, col)))
-            i = j
-            continue
-        if c == "'" and i + 1 < n and _is_ident_start(text[i + 1]):
-            j = i + 1
-            while j < n and _is_ident_char(text[j]) and text[j] != "'":
-                j += 1
-            value = text[i + 1 : j]
-            col += j - i
-            tokens.append(Token("tyvar", value, span(l0, c0, line, col)))
-            i = j
-            continue
-        if c.isdecimal():  # exactly the digits int() accepts; not '²'
-            j = i
-            while j < n and text[j].isdecimal():
-                j += 1
-            value = text[i:j]
-            col += j - i
-            tokens.append(Token("int", value, span(l0, c0, line, col)))
-            i = j
-            continue
-        for sym in SYMBOLS:
-            if text.startswith(sym, i):
-                col += len(sym)
-                tokens.append(Token("symbol", sym, span(l0, c0, line, col)))
-                i += len(sym)
-                break
-        else:
-            raise ParseError(
-                f"unexpected character {c!r}", span=span(l0, c0, l0, c0 + 1)
-            )
-    tokens.append(Token("eof", "", span(line, col, line, col)))
+        value = m[group]
+        if (group == _IDENT or group == _TYVAR) and not (value[0].isalpha() or value[0] == "_"):
+            raise _unexpected(text, start, filename, line, line_start)
+        append(Token(_KINDS[group], value,
+                     Span(filename, line, start - line_start + 1, line, pos - line_start + 1)))
+    if pos != len(text):
+        raise _unexpected(text, pos, filename, line, line_start)
+    col = (start if group == _COMMENT else pos) - line_start + 1
+    append(Token("eof", "", Span(filename, line, col, line, col)))
     return tokens
 
 

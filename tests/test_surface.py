@@ -7,7 +7,8 @@ from foundry import dtt, fol, stlc
 from foundry.errors import FoundryError, ParseError
 from foundry.hol import PROP, IND, FVar as HVar, fn, initial_state, define_connectives, type_of
 from foundry.run import Options, run_script_text
-from foundry.surface import parse_expr, parse_script, pretty, tokenize
+from foundry.span import Span
+from foundry.surface import Token, parse_expr, parse_script, pretty, tokenize
 
 from helpers import gen_formula, nd_signature
 from helpers_dtt import gen_dtt_nat
@@ -177,3 +178,27 @@ def test_model_block_parses():
     cmds = parse_script((CORPUS / "geometry.model").read_text())
     kinds = [type(c).__name__ for c in cmds]
     assert "ModelDef" in kinds
+
+
+def test_token_and_span_keep_their_constructors_repr_hash_and_equality():
+    """What the frozen-dataclass Token and Span gave: positional and keyword
+    construction, field order, repr text, the hash of the field tuple, value
+    equality, and `file:line:col` as str."""
+    span = Span("t", 1, 2, 3, 4)
+    assert span == Span(file="t", line=1, col=2, end_line=3, end_col=4)
+    assert (span.file, span.line, span.col, span.end_line, span.end_col) == ("t", 1, 2, 3, 4)
+    assert repr(span) == "Span(file='t', line=1, col=2, end_line=3, end_col=4)"
+    assert hash(span) == hash(("t", 1, 2, 3, 4))
+    assert span != Span("t", 1, 2, 3, 5)
+    assert str(span) == "t:1:2"
+
+    token = Token("ident", "x", span)
+    assert token == Token(kind="ident", value="x", span=Span("t", 1, 2, 3, 4))
+    assert (token.kind, token.value, token.span) == ("ident", "x", span)
+    assert repr(token) == (
+        "Token(kind='ident', value='x', "
+        "span=Span(file='t', line=1, col=2, end_line=3, end_col=4))"
+    )
+    assert hash(token) == hash(("ident", "x", ("t", 1, 2, 3, 4)))
+    assert token != Token("ident", "y", span)
+    assert tokenize("x", "t")[0] == Token("ident", "x", Span("t", 1, 1, 1, 2))
