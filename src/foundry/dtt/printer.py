@@ -11,7 +11,7 @@ from .syntax import (
     _SHAPE, App, Axiom, Bool, BoolCases, Empty, EmptyCases, Expr, FalseE, Id,
     IdCases, Inl, Inr, Lam, Nat, NatRec, Pair, Pi, PropSort, Refl, Sigma,
     SigmaCases, Star, Succ, Sum, SumCases, Sup, TrueE, TypeSort, Unit, Var, W,
-    WRec, Zero, _loose_range, numeral_value, shift,
+    WRec, Zero, numeral_value,
 )
 
 # The keywords that open a factor, each with the constructor it names:
@@ -54,8 +54,16 @@ def _form(cls):
 
 _FORMS = {cls: _form(cls) for cls in KEYWORDS.values() if cls not in (TypeSort, Axiom)}
 
+# The name of an arrow's binder, which its codomain does not use. `fresh`
+# never returns an empty name, so with this one in scope it picks the names it
+# would pick without it.
+_HOLE = ""
+
 
 def pretty(e: Expr) -> str:
+    dependent: set[int] = set()
+    _uses(e, dependent)
+
     def fresh(base: str, names) -> str:
         name = base or "x"
         while name in names:
@@ -78,16 +86,17 @@ def pretty(e: Expr) -> str:
             return s if prec <= 20 else f"({s})"
         match e:
             case Var(index=k):
-                return names[k] if k < len(names) else f"#{k}"
+                # a loose index is printed as if the arrows' binders were not there
+                return names[k] if k < len(names) else f"#{k - names.count(_HOLE)}"
             case TypeSort(level=i):
                 s = f"{_WORDS[TypeSort]} {i}"
                 return s if prec <= 20 else f"({s})"
             case Axiom(name=nm):
                 s = f"{_WORDS[Axiom]} {nm}"
                 return s if prec <= 20 else f"({s})"
-            case Pi(dom=d, cod=c) if not _uses(c, 0):
+            case Pi(dom=d, cod=c) if id(e) not in dependent:
                 # non-dependent: print as an arrow
-                s = f"{go(d, names, 11)} -> {go(shift(c, -1, 1), names, 0)}"
+                s = f"{go(d, names, 11)} -> {go(c, (_HOLE,) + names, 0)}"
                 return s if prec == 0 else f"({s})"
             case (
                 Pi(dom=d, cod=b, hint=h) | Sigma(dom=d, cod=b, hint=h)
@@ -109,9 +118,27 @@ def pretty(e: Expr) -> str:
     return go(e, (), 0)
 
 
-def _uses(e: Expr, depth: int) -> bool:
-    if _loose_range(e) <= depth:
-        return False
-    if isinstance(e, Var):
-        return e.index == depth
-    return any(_uses(getattr(e, name), depth + extra) for name, extra in _SHAPE.get(type(e), ()))
+def _uses(e: Expr, dependent: set) -> int:
+    """The loose de Bruijn indices of e as a bit mask, bit k for Var(k).
+
+    The same walk adds to `dependent` the id of every Pi in e whose codomain
+    uses its own variable, so one walk decides arrow or Pi for every binder.
+    A leaf child is read in place, not entered."""
+    cls = type(e)
+    if cls is Var:
+        return 1 << e.index
+    used = 0
+    for name, extra in _SHAPE.get(cls, ()):
+        sub = getattr(e, name)
+        if type(sub) is Var:
+            m = 1 << sub.index
+        elif type(sub) in _SHAPE:
+            m = _uses(sub, dependent)
+        else:
+            continue
+        if extra:
+            if m & 1 and cls is Pi:
+                dependent.add(id(e))
+            m >>= 1
+        used |= m
+    return used

@@ -342,17 +342,16 @@ _SHAPE = {
 }
 
 
-def _rebuild(e: Expr, new_fields: dict) -> Expr:
+def _rebuild(e: Expr, children: list) -> Expr:
+    """A new node of e's constructor over the given subexpressions (in
+    `_SHAPE` order, which is each constructor's positional field order),
+    keeping its binder hint and Sigma's in_prop and dropping its span."""
     cls = type(e)
-    kwargs = {name: getattr(e, name) for name, _ in _SHAPE[cls]}
-    kwargs.update(new_fields)
-    if hasattr(e, "hint"):
-        kwargs["hint"] = e.hint
-    if isinstance(e, Sigma):
-        kwargs["in_prop"] = e.in_prop
-    if isinstance(e, Axiom):
-        kwargs["name"] = e.name
-    return cls(**kwargs)
+    if cls is Pi or cls is Lam or cls is W:
+        return cls(*children, hint=e.hint)
+    if cls is Sigma:
+        return Sigma(*children, e.in_prop, hint=e.hint)
+    return cls(*children)
 
 
 def map_subexprs(e: Expr, f) -> Expr:
@@ -365,17 +364,19 @@ def map_subexprs(e: Expr, f) -> Expr:
     shape = _SHAPE.get(type(e))
     if shape is None:
         return e
-    changed = {}
+    children = []
+    changed = False
     for name, depth in shape:
         sub = getattr(e, name)
         new = f(sub, depth)
         if new is not sub:
-            changed[name] = new
-    return _rebuild(e, changed) if changed else e
+            changed = True
+        children.append(new)
+    return _rebuild(e, children) if changed else e
 
 
 def replace_field(e: Expr, name: str, value: Expr) -> Expr:
-    return _rebuild(e, {name: value})
+    return _rebuild(e, [value if n == name else getattr(e, n) for n, _ in _SHAPE[type(e)]])
 
 
 def _loose_range(e: Expr) -> int:

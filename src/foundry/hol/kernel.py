@@ -10,7 +10,10 @@ free variables, so alpha-equivalence is structural equality and hypothesis
 sets deduplicate up to alpha. The term operations that rebuild a term
 (term_ty_subst, subst_fvars, open_term, abstract_fvar) differ only at the
 leaves and share one walk, _map; those that read one (free_vars,
-term_ty_vars, _uses_bvar) share _nodes.
+term_ty_vars, _uses_bvar) share _nodes. Like HOL Light's substitution, _map
+and type_subst return a span-less subterm they leave unchanged as the same
+object, so a rule's result shares the parts of its premises it does not
+touch instead of copying them; terms are immutable, so sharing is safe.
 
 The rules rely on one invariant: every minted conclusion is a well-typed
 Prop term. Whatever new term or type a rule, an instantiation, a definition
@@ -59,12 +62,11 @@ def _hashed_once(cls):
     structural = cls.__hash__
 
     def __hash__(self):
-        try:
-            return self._h
-        except AttributeError:
+        h = getattr(self, "_h", None)
+        if h is None:
             h = structural(self)
             object.__setattr__(self, "_h", h)
-            return h
+        return h
 
     cls.__hash__ = __hash__
     return cls
@@ -119,11 +121,17 @@ def ty_vars(ty: HolType) -> frozenset[str]:
 
 
 def type_subst(ty: HolType, mapping: Mapping[str, HolType]) -> HolType:
+    """ty with each type variable in mapping replaced. A span-less operator
+    application none of whose arguments changed is returned as the same
+    object; one that carries a span is rebuilt without it."""
     match ty:
         case TyVar(name=n):
             return mapping.get(n, ty)
         case TyApp(op=op, args=args):
-            return TyApp(op, tuple(type_subst(a, mapping) for a in args))
+            new = tuple(type_subst(a, mapping) for a in args)
+            if ty.span is None and all(a is b for a, b in zip(new, args)):
+                return ty
+            return TyApp(op, new)
     raise TypeError(ty)
 
 
@@ -279,20 +287,32 @@ def term_ty_vars(t: HolTerm) -> frozenset[str]:
 
 def _map(t: HolTerm, leaf, depth: int = 0, dom=None) -> HolTerm:
     """Rebuild t with each leaf u replaced by leaf(u, binder depth) and, if
-    dom is given, each binder domain d by dom(d). Applications and
-    abstractions are rebuilt without spans; binder hints are kept."""
+    dom is given, each binder domain d by dom(d). A span-less application or
+    abstraction none of whose parts changed (`is`) is returned as the same
+    object, so an unchanged subterm is shared, not copied; the others are
+    rebuilt without spans. Binder hints are kept."""
     cls = type(t)
     if cls is App:
-        return App(_map(t.fn, leaf, depth, dom), _map(t.arg, leaf, depth, dom))
+        f = _map(t.fn, leaf, depth, dom)
+        a = _map(t.arg, leaf, depth, dom)
+        if f is t.fn and a is t.arg and t.span is None:
+            return t
+        return App(f, a)
     if cls is Abs:
         d = t.dom if dom is None else dom(t.dom)
-        return Abs(d, _map(t.body, leaf, depth + 1, dom), hint=t.hint)
+        b = _map(t.body, leaf, depth + 1, dom)
+        if d is t.dom and b is t.body and t.span is None:
+            return t
+        return Abs(d, b, hint=t.hint)
     return leaf(t, depth)
 
 
 def term_ty_subst(t: HolTerm, mapping: Mapping[str, HolType]) -> HolTerm:
     def leaf(u, _depth):
-        return u if type(u) is BVar else type(u)(u.name, type_subst(u.type, mapping))
+        if type(u) is BVar:
+            return u
+        ty = type_subst(u.type, mapping)
+        return u if ty is u.type and u.span is None else type(u)(u.name, ty)
 
     return _map(t, leaf, dom=lambda d: type_subst(d, mapping))
 
@@ -331,9 +351,14 @@ def abs_over(x: FVar, body: HolTerm) -> Abs:
     return Abs(x.type, abstract_fvar(body, x), hint=x.name)
 
 
+# The `=` constant at Prop, shared by every equation between propositions.
+_EQ_PROP = Const(EQ, fn(PROP, fn(PROP, PROP)))
+
+
 def mk_eq_at(ty: HolType, lhs: HolTerm, rhs: HolTerm) -> HolTerm:
     """Equation former with the instance type given (usable on open terms)."""
-    return App(App(Const(EQ, fn(ty, fn(ty, PROP))), lhs), rhs)
+    eq = _EQ_PROP if ty == PROP else Const(EQ, fn(ty, fn(ty, PROP)))
+    return App(App(eq, lhs), rhs)
 
 
 def mk_eq(lhs: HolTerm, rhs: HolTerm) -> HolTerm:

@@ -18,6 +18,7 @@ from dataclasses import dataclass, field
 from .errors import FoundryError, ScriptError
 from .span import Span
 from .surface import script as sc
+from .surface.lexer import Cursor
 
 
 @dataclass
@@ -187,7 +188,7 @@ class _Runner:
     def block(self, tokens, what: str, parse, *args):
         """parse(cursor, *args) over the tokens of one `{...}` block, which
         must use the block up."""
-        cur = sc.block_cursor(tokens, self.filename)
+        cur = Cursor(tokens, self.filename)
         value = parse(cur, *args)
         if not cur.done():
             cur.fail(f"trailing input in {what}")

@@ -15,12 +15,17 @@ comes before its own prefixes.
 Columns count characters from 1. The column does not advance over a comment:
 the `eof` token after a trailing comment with no newline sits at the
 comment's first column.
+
+`tokenize` builds each `Token` and `Span` with `tuple.__new__`, which is what
+a NamedTuple's generated `__new__` calls after binding its arguments; calling
+it directly skips that Python-level frame for every lexeme, and the results
+are still exact instances of both classes.
 """
 
 from __future__ import annotations
 
 import re
-from typing import NamedTuple
+from typing import NamedTuple, Sequence
 
 from ..errors import ParseError
 from ..span import Span
@@ -62,6 +67,7 @@ def _unexpected(text: str, i: int, filename: str, line: int, line_start: int) ->
 def tokenize(text: str, filename: str = "<input>") -> list[Token]:
     tokens: list[Token] = []
     append = tokens.append
+    new = tuple.__new__
     line, line_start, pos = 1, 0, 0
     group = start = 0
     for m in _LEXEME.finditer(text):
@@ -79,8 +85,8 @@ def tokenize(text: str, filename: str = "<input>") -> list[Token]:
         value = m[group]
         if (group == _IDENT or group == _TYVAR) and not (value[0].isalpha() or value[0] == "_"):
             raise _unexpected(text, start, filename, line, line_start)
-        append(Token(_KINDS[group], value,
-                     Span(filename, line, start - line_start + 1, line, pos - line_start + 1)))
+        append(new(Token, (_KINDS[group], value, new(
+            Span, (filename, line, start - line_start + 1, line, pos - line_start + 1)))))
     if pos != len(text):
         raise _unexpected(text, pos, filename, line, line_start)
     col = (start if group == _COMMENT else pos) - line_start + 1
@@ -91,7 +97,7 @@ def tokenize(text: str, filename: str = "<input>") -> list[Token]:
 class Cursor:
     """Token stream with one-token lookahead and span-carrying errors."""
 
-    def __init__(self, tokens: list[Token], filename: str = "<input>"):
+    def __init__(self, tokens: Sequence[Token], filename: str = "<input>"):
         self.tokens = tokens
         self.pos = 0
         self.filename = filename
@@ -100,11 +106,11 @@ class Cursor:
         return self.tokens[self.pos]
 
     def at(self, value: str) -> bool:
-        t = self.peek()
+        t = self.tokens[self.pos]
         return (t.kind == "symbol" or t.kind == "ident") and t.value == value
 
     def at_kind(self, kind: str) -> bool:
-        return self.peek().kind == kind
+        return self.tokens[self.pos].kind == kind
 
     def next(self) -> Token:
         t = self.tokens[self.pos]
@@ -113,16 +119,19 @@ class Cursor:
         return t
 
     def expect(self, value: str) -> Token:
-        t = self.peek()
-        if (t.kind in ("symbol", "ident")) and t.value == value:
-            return self.next()
+        t = self.tokens[self.pos]
+        if (t.kind == "symbol" or t.kind == "ident") and t.value == value:
+            self.pos += 1
+            return t
         self.fail(f"expected {value!r}", expected={value})
 
     def expect_kind(self, kind: str) -> Token:
-        t = self.peek()
+        t = self.tokens[self.pos]
         if t.kind != kind:
             self.fail(f"expected {kind}", expected={kind})
-        return self.next()
+        if kind != "eof":
+            self.pos += 1
+        return t
 
     def fail(self, message: str, expected=None):
         t = self.peek()
@@ -131,4 +140,4 @@ class Cursor:
         raise ParseError(f"{message}, got {got!r}{exp}", span=t.span)
 
     def done(self) -> bool:
-        return self.peek().kind == "eof"
+        return self.tokens[self.pos].kind == "eof"

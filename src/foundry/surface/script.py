@@ -180,28 +180,26 @@ ScriptCommand = Union[
 
 def _collect_braces(cur: Cursor) -> tuple:
     """Consume a brace-delimited block, returning the inner tokens plus a
-    trailing eof token (so they can be re-parsed with a fresh cursor)."""
+    trailing eof token at the opening brace (so they can be re-parsed with a
+    fresh cursor)."""
     open_tok = cur.expect("{")
+    tokens = cur.tokens
+    start = i = cur.pos
     depth = 1
-    out: list[Token] = []
     while True:
-        t = cur.peek()
-        if t.kind == "eof":
+        t = tokens[i]
+        if t.kind == "symbol":
+            if t.value == "{":
+                depth += 1
+            elif t.value == "}":
+                depth -= 1
+                if depth == 0:
+                    break
+        elif t.kind == "eof":
             raise ParseError("unbalanced brace block", span=open_tok.span)
-        if t.kind == "symbol" and t.value == "{":
-            depth += 1
-        elif t.kind == "symbol" and t.value == "}":
-            depth -= 1
-            if depth == 0:
-                cur.next()
-                break
-        out.append(cur.next())
-    out.append(Token("eof", "", open_tok.span))
-    return tuple(out)
-
-
-def block_cursor(tokens: tuple, filename: str = "<block>") -> Cursor:
-    return Cursor(list(tokens), filename)
+        i += 1
+    cur.pos = i + 1
+    return (*tokens[start:i], Token("eof", "", open_tok.span))
 
 
 def _ident_tuple(cur: Cursor) -> tuple[str, ...]:
@@ -370,22 +368,23 @@ def _parse_command(cur: Cursor, names: set) -> ScriptCommand:
 
 def _collect_rule_expr(cur: Cursor) -> tuple:
     """Consume a HOL rule expression: everything up to the next top-level
-    command keyword (balanced in parens/braces/brackets).
+    command keyword (balanced in parens/braces/brackets), plus a trailing eof
+    token at its first token.
 
     `assume` and `axiom` are also rule names, so they terminate the
     expression only when they look like command starts (axiom-enable).
     """
-    out: list[Token] = []
+    tokens = cur.tokens
+    start = i = cur.pos
     depth = 0
-    start = cur.peek().span
     while True:
-        t = cur.peek()
+        t = tokens[i]
         if t.kind == "eof":
             break
         if depth == 0 and t.kind == "ident" and t.value in _COMMAND_KEYWORDS:
             if t.value != "axiom":
                 break
-            nxt = cur.tokens[cur.pos + 1]
+            nxt = tokens[i + 1]
             if nxt.kind == "symbol" and nxt.value == "-":
                 break
         if t.kind == "symbol" and t.value in ("(", "{", "["):
@@ -394,11 +393,12 @@ def _collect_rule_expr(cur: Cursor) -> tuple:
             depth -= 1
             if depth < 0:
                 raise ParseError("unbalanced bracket in rule expression", span=t.span)
-        out.append(cur.next())
-    if not out:
-        raise ParseError("empty proof expression", span=start)
-    out.append(Token("eof", "", start))
-    return tuple(out)
+        i += 1
+    first = tokens[start].span
+    if i == start:
+        raise ParseError("empty proof expression", span=first)
+    cur.pos = i
+    return (*tokens[start:i], Token("eof", "", first))
 
 
 _COMMAND_KEYWORDS = {

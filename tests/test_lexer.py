@@ -156,3 +156,15 @@ def test_eof_after_a_trailing_comment_sits_at_the_comment(text, expected):
     eof = tokenize(text)[-1]
     assert eof.kind == "eof"
     assert (eof.span.line, eof.span.col, eof.span.end_line, eof.span.end_col) == expected * 2
+
+
+@pytest.mark.parametrize("path", SCRIPTS, ids=lambda p: p.name)
+def test_tokens_and_spans_are_exact_instances(path):
+    """`tokenize` builds its tuples with `tuple.__new__`; they must still be
+    exactly `Token` and `Span`, with their fields, repr and `Span.__str__`."""
+    tokens = tokenize(path.read_text(), path.name)
+    assert all(type(t) is Token and type(t.span) is Span for t in tokens)
+    t = tokens[0]
+    assert t == Token(t.kind, t.value, Span(*t.span))
+    assert repr(t) == f"Token(kind={t.kind!r}, value={t.value!r}, span={t.span!r})"
+    assert str(t.span) == f"{path.name}:{t.span.line}:{t.span.col}"

@@ -1,8 +1,8 @@
 """Work-count guards for the kernels' term layer.
 
 Counts function entries, recursive ones included, by rebinding the function
-in every foundry module that holds it, so the bounds do not depend on the
-machine. Each bound sits well above today's count and well below the count
+in every foundry module that holds it, and node constructions by wrapping the
+class's `__init__`, so the bounds do not depend on the machine. Each bound sits well above today's count and well below the count
 of a kernel that repeats work it has already done:
 
 - diaconescu.hol: `_thm` (theorems minted) about 710, against 6,062 when
@@ -15,6 +15,9 @@ of a kernel that repeats work it has already done:
   or free variable instead of finding the leaf in that memo; `type_of`
   about 130, against 3,500 when the defining theorems re-infer their
   equations' types and 197,000 when the rules re-infer equation types;
+  `TyApp` constructions about 710, `Const` about 265 and `Abs` about 107,
+  against 1,317, 540 and 223 when the term walks copy every subterm they
+  leave unchanged and every equation at Prop builds its own `=` constant;
 - connectives.hol: `_thm` about 250, against 669 without the lemmas;
 - add_comm.dtt: `_infer` 340 entries, against 1,191 when the kernel
   re-infers every occurrence of a closed subterm instead of reusing the type
@@ -41,6 +44,15 @@ CORPUS = pathlib.Path(__file__).resolve().parent.parent / "corpus"
 def count_entries(monkeypatch, module, name):
     fn = getattr(module, name)
     calls = [0]
+    if isinstance(fn, type):
+        init = fn.__init__
+
+        def counted_init(self, *args, **kwargs):
+            calls[0] += 1
+            init(self, *args, **kwargs)
+
+        monkeypatch.setattr(fn, "__init__", counted_init)
+        return calls
 
     def counted(*args, **kwargs):
         calls[0] += 1
@@ -64,6 +76,9 @@ def count_entries(monkeypatch, module, name):
         ("add_comm.dtt", "dtt", {}, dtt_kernel, "_infer", 600),
         ("add_comm.dtt", "dtt", {}, dtt_kernel, "whnf", 1_200),
         ("diaconescu.hol", "hol", {"axioms": ("choice", "propext")}, hol_kernel, "type_match", 500),
+        ("diaconescu.hol", "hol", {"axioms": ("choice", "propext")}, hol_kernel, "TyApp", 1_000),
+        ("diaconescu.hol", "hol", {"axioms": ("choice", "propext")}, hol_kernel, "Const", 400),
+        ("diaconescu.hol", "hol", {"axioms": ("choice", "propext")}, hol_kernel, "Abs", 160),
     ],
 )
 def test_term_layer_work_bound(monkeypatch, script, calculus, options, module, name, bound):
@@ -82,6 +97,25 @@ def test_no_inference_work_carries_over_between_runs(monkeypatch):
         assert run_script_text("dtt", text, Options(), "add_comm.dtt").ok
         counts.append(calls[0])
     assert counts[0] == counts[1] > 0
+
+
+def test_no_hol_work_carries_over_between_runs(monkeypatch):
+    """Theorems minted, terms checked and nodes built are the same in a
+    second run in the same process, so no memo outlives its kernel state.
+    The connectives' bodies are built once per process, as constants."""
+    text = (CORPUS / "diaconescu.hol").read_text()
+    options = Options(axioms=("choice", "propext"))
+    hol_kernel._standard_bodies()
+    names = ("_thm", "check_term", "TyApp", "Const", "Abs", "App")
+    counters = {name: count_entries(monkeypatch, hol_kernel, name) for name in names}
+    counts = []
+    for _ in range(2):
+        for calls in counters.values():
+            calls[0] = 0
+        assert run_script_text("hol", text, options, "diaconescu.hol").ok
+        counts.append({name: calls[0] for name, calls in counters.items()})
+    assert counts[0] == counts[1]
+    assert all(counts[0].values())
 
 
 @pytest.mark.parametrize("trace", [False, True])
