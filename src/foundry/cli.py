@@ -10,7 +10,6 @@ problem-file subcommands that use it.
 from __future__ import annotations
 
 import argparse
-import json
 import sys
 from typing import TYPE_CHECKING
 
@@ -56,6 +55,12 @@ def _read(path: str) -> str:
     except OSError as e:
         print(f"error: cannot read {path}: {e}", file=sys.stderr)
         raise SystemExit(2)
+
+
+def _print_json(doc: dict) -> None:
+    import json  # only a JSON report loads it
+
+    print(json.dumps(doc, sort_keys=True, indent=2))
 
 
 def _emit(report: RunReport, fmt: str) -> int:
@@ -135,7 +140,7 @@ def _cmd_cc(args) -> int:
         )
     if args.report == "json":
         doc = {"file": args.file, "valid": result.valid, "classes": classes}
-        print(json.dumps(doc, sort_keys=True, indent=2))
+        _print_json(doc)
     elif result.valid:
         print(f"{args.file}: valid")
     else:
@@ -160,7 +165,7 @@ def _cmd_countermodel(args) -> int:
         doc = {"file": args.file, "max_size": args.max_size, "found": model is not None}
         if model is not None:
             doc["model"] = _model_doc(model)
-        print(json.dumps(doc, sort_keys=True, indent=2))
+        _print_json(doc)
         return 0 if model is None else 1
     if model is None:
         print(f"{args.file}: no countermodel with universes up to size {args.max_size}")
@@ -213,7 +218,7 @@ def _cmd_model_check(args) -> int:
         ok = fol.valid_in(model, formula)
     if args.report == "json":
         doc = {"formula_file": args.formula_file, "model_file": args.model_file, "holds": ok}
-        print(json.dumps(doc, sort_keys=True, indent=2))
+        _print_json(doc)
     else:
         print(f"{args.formula_file}: {'holds' if ok else 'fails'} in {args.model_file}")
     return 0 if ok else 1

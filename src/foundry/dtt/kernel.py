@@ -28,6 +28,7 @@ from __future__ import annotations
 from dataclasses import dataclass
 
 from ..errors import FuelError, TypeCheckError, UniverseError
+from ..span import node
 from .syntax import (
     App, Axiom, Bool, BoolCases, Empty, EmptyCases, Expr, FalseE, Id, IdCases,
     Inl, Inr, Lam, Nat, NatRec, Pair, Pi, PropSort, Refl, Sigma, SigmaCases,
@@ -55,7 +56,7 @@ class KernelConfig:
                 raise TypeCheckError(f"unknown axiom {a}")
 
 
-@dataclass(frozen=True)
+@node
 class DttContext:
     """Ordered telescope; each entry's type lives in the prefix before it."""
 

@@ -4,9 +4,9 @@ De Bruijn binders (Pi/Lam/Sigma/W bind one variable in their second
 component); eliminators carry their motive explicitly, so checking is
 syntax-directed. Axioms are inert constants.
 
-Each node carries two caches outside its dataclass fields, so `==`, `hash`,
-`repr`, pattern matching and `dataclasses.fields` never see them. Both are
-set with `object.__setattr__` on first use:
+Each node carries two caches outside its fields, so `==`, `hash`, `repr`,
+pattern matching and the class's `_fields` never see them. Both are set with
+`object.__setattr__` on first use:
 
 - `_loose`: one more than the largest loose de Bruijn index (0 when closed),
   which lets shift and subst return a subterm they cannot change untouched;
@@ -15,13 +15,12 @@ set with `object.__setattr__` on first use:
 
 from __future__ import annotations
 
-from dataclasses import dataclass
 from typing import Union
 
-from ..span import hint_field, span_field
+from ..span import hint_field, node, span_field
 
 
-@dataclass(frozen=True)
+@node
 class Var:
     """A bound variable, as a de Bruijn index."""
 
@@ -29,7 +28,7 @@ class Var:
     span: object = span_field()
 
 
-@dataclass(frozen=True)
+@node
 class TypeSort:
     """The universe Type at a concrete level."""
 
@@ -37,14 +36,14 @@ class TypeSort:
     span: object = span_field()
 
 
-@dataclass(frozen=True)
+@node
 class PropSort:
     """The universe of propositions."""
 
     span: object = span_field()
 
 
-@dataclass(frozen=True)
+@node
 class Pi:
     """A dependent function type; the codomain is under one binder."""
 
@@ -54,7 +53,7 @@ class Pi:
     span: object = span_field()
 
 
-@dataclass(frozen=True)
+@node
 class Lam:
     """A lambda abstraction with its domain annotated."""
 
@@ -64,7 +63,7 @@ class Lam:
     span: object = span_field()
 
 
-@dataclass(frozen=True)
+@node
 class App:
     """Function application."""
 
@@ -73,7 +72,7 @@ class App:
     span: object = span_field()
 
 
-@dataclass(frozen=True)
+@node
 class Sigma:
     """A dependent pair type, or with in_prop an existential proposition."""
 
@@ -84,7 +83,7 @@ class Sigma:
     span: object = span_field()
 
 
-@dataclass(frozen=True)
+@node
 class Pair:
     """A dependent pair annotated with its Sigma type."""
 
@@ -94,7 +93,7 @@ class Pair:
     span: object = span_field()
 
 
-@dataclass(frozen=True)
+@node
 class SigmaCases:
     """The Sigma eliminator: a motive, a curried branch and the pair it takes apart."""
 
@@ -104,7 +103,7 @@ class SigmaCases:
     span: object = span_field()
 
 
-@dataclass(frozen=True)
+@node
 class Id:
     """The identity type of two terms of one type."""
 
@@ -114,7 +113,7 @@ class Id:
     span: object = span_field()
 
 
-@dataclass(frozen=True)
+@node
 class Refl:
     """The reflexivity proof of a term equal to itself."""
 
@@ -123,7 +122,7 @@ class Refl:
     span: object = span_field()
 
 
-@dataclass(frozen=True)
+@node
 class IdCases:
     """The identity eliminator (J), with its motive and its case for refl."""
 
@@ -135,21 +134,21 @@ class IdCases:
     span: object = span_field()
 
 
-@dataclass(frozen=True)
+@node
 class Nat:
     """The type of natural numbers."""
 
     span: object = span_field()
 
 
-@dataclass(frozen=True)
+@node
 class Zero:
     """The natural number zero."""
 
     span: object = span_field()
 
 
-@dataclass(frozen=True)
+@node
 class Succ:
     """The successor of a natural number."""
 
@@ -157,7 +156,7 @@ class Succ:
     span: object = span_field()
 
 
-@dataclass(frozen=True)
+@node
 class NatRec:
     """The Nat recursor: a motive, a base case, a step and the number it recurses on."""
 
@@ -168,14 +167,14 @@ class NatRec:
     span: object = span_field()
 
 
-@dataclass(frozen=True)
+@node
 class Empty:
     """The empty type."""
 
     span: object = span_field()
 
 
-@dataclass(frozen=True)
+@node
 class EmptyCases:
     """The Empty eliminator (ex falso) at a motive."""
 
@@ -184,42 +183,42 @@ class EmptyCases:
     span: object = span_field()
 
 
-@dataclass(frozen=True)
+@node
 class Unit:
     """The unit type."""
 
     span: object = span_field()
 
 
-@dataclass(frozen=True)
+@node
 class Star:
     """The unit type's one element."""
 
     span: object = span_field()
 
 
-@dataclass(frozen=True)
+@node
 class Bool:
     """The type of booleans."""
 
     span: object = span_field()
 
 
-@dataclass(frozen=True)
+@node
 class TrueE:
     """The boolean true."""
 
     span: object = span_field()
 
 
-@dataclass(frozen=True)
+@node
 class FalseE:
     """The boolean false."""
 
     span: object = span_field()
 
 
-@dataclass(frozen=True)
+@node
 class BoolCases:
     """The Bool eliminator: a motive, one case per boolean and the boolean it inspects."""
 
@@ -230,7 +229,7 @@ class BoolCases:
     span: object = span_field()
 
 
-@dataclass(frozen=True)
+@node
 class Sum:
     """The disjoint sum of two types."""
 
@@ -239,7 +238,7 @@ class Sum:
     span: object = span_field()
 
 
-@dataclass(frozen=True)
+@node
 class Inl:
     """The left injection into an annotated Sum type."""
 
@@ -248,7 +247,7 @@ class Inl:
     span: object = span_field()
 
 
-@dataclass(frozen=True)
+@node
 class Inr:
     """The right injection into an annotated Sum type."""
 
@@ -257,7 +256,7 @@ class Inr:
     span: object = span_field()
 
 
-@dataclass(frozen=True)
+@node
 class SumCases:
     """The Sum eliminator: a motive, one function per injection and the scrutinee."""
 
@@ -268,7 +267,7 @@ class SumCases:
     span: object = span_field()
 
 
-@dataclass(frozen=True)
+@node
 class W:
     """A W-type of well-founded trees: labels in dom, one child per element of cod."""
 
@@ -278,7 +277,7 @@ class W:
     span: object = span_field()
 
 
-@dataclass(frozen=True)
+@node
 class Sup:
     """A W-type node: a label and the function giving its children."""
 
@@ -288,7 +287,7 @@ class Sup:
     span: object = span_field()
 
 
-@dataclass(frozen=True)
+@node
 class WRec:
     """The W-type recursor: a motive, a step and the tree it recurses on."""
 
@@ -298,7 +297,7 @@ class WRec:
     span: object = span_field()
 
 
-@dataclass(frozen=True)
+@node
 class Axiom:
     """A named axiom constant, usable only when the config enables it."""
 

@@ -1,5 +1,6 @@
 """First-order logic: syntax, proof checking, theories, semantic oracles."""
 
+from .. import lazy_names
 from .syntax import (  # noqa: F401
     And, App, Bot, BVar, Eq, Exists, Formula, Forall, FVar, Implies, Or, Rel,
     Signature, Sort, Term, alpha_equal, check_well_formed, const, exists,
@@ -23,12 +24,18 @@ from .theory import (  # noqa: F401
     schema_recognizes, separation_schema, pra_induction_schema,
     replacement_schema, substitute_parallel,
 )
-from .primrec import (  # noqa: F401
-    ADD, FACT, MUL, Comp, PrimRec, PrimRecDef, Proj, Succ, Zero, arity,
-    eval_primrec, validate,
-)
-from .semantics import (  # noqa: F401
-    Assignment, FiniteModel, KripkeModel, all_models, eval_term, forces,
-    holds, search_countermodel, valid_in,
-)
-from .congruence import CCResult, congruence_closure, model_from_partition  # noqa: F401
+
+# A check never evaluates a model, closes congruences or runs primitive
+# recursion, so these three modules load on first use of one of their names.
+lazy_names(__name__, {
+    "ADD": "primrec", "FACT": "primrec", "MUL": "primrec", "Comp": "primrec",
+    "PrimRec": "primrec", "PrimRecDef": "primrec", "Proj": "primrec",
+    "Succ": "primrec", "Zero": "primrec", "arity": "primrec",
+    "eval_primrec": "primrec", "validate": "primrec",
+    "Assignment": "semantics", "FiniteModel": "semantics",
+    "KripkeModel": "semantics", "all_models": "semantics",
+    "eval_term": "semantics", "forces": "semantics", "holds": "semantics",
+    "search_countermodel": "semantics", "valid_in": "semantics",
+    "CCResult": "congruence", "congruence_closure": "congruence",
+    "model_from_partition": "congruence",
+})

@@ -9,14 +9,14 @@ returned; it induces a finite countermodel (see `model_from_partition`).
 from __future__ import annotations
 
 import itertools
-from dataclasses import dataclass
 
 from ..errors import SemanticsError
+from ..span import node
 from .semantics import FiniteModel
 from .syntax import App, Signature, Term, pretty_term
 
 
-@dataclass(frozen=True)
+@node
 class CCResult:
     """Whether the goal equation follows, and the subterm partition when it does not."""
 

@@ -8,10 +8,10 @@ so the checker constructs each line's formula rather than trusting a claim.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
 from typing import Union
 
 from ..errors import ProofError
+from ..span import node
 from .proof import CertifiedSequent, Sequent, _certify
 from .syntax import (
     And,
@@ -38,7 +38,7 @@ from .syntax import (
 )
 
 
-@dataclass(frozen=True)
+@node
 class AxLine:
     """A Hilbert line instantiating an axiom schema with its fillers."""
 
@@ -46,14 +46,14 @@ class AxLine:
     payload: tuple
 
 
-@dataclass(frozen=True)
+@node
 class HypLine:
     """A Hilbert line citing a hypothesis."""
 
     formula: Formula
 
 
-@dataclass(frozen=True)
+@node
 class MpLine:
     """A Hilbert line by modus ponens from two earlier lines."""
 
@@ -61,7 +61,7 @@ class MpLine:
     antecedent: int
 
 
-@dataclass(frozen=True)
+@node
 class AllLine:
     """A Hilbert line generalizing an earlier line over a variable."""
 
@@ -69,7 +69,7 @@ class AllLine:
     var: FVar
 
 
-@dataclass(frozen=True)
+@node
 class ExLine:
     """A Hilbert line bounding an earlier line's variable existentially in its antecedent."""
 
@@ -80,7 +80,7 @@ class ExLine:
 Line = Union[AxLine, HypLine, MpLine, AllLine, ExLine]
 
 
-@dataclass(frozen=True)
+@node
 class HilbertProof:
     """A Hilbert proof: a list of lines, each citing only earlier ones."""
 

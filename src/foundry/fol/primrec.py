@@ -8,23 +8,23 @@ precision naturals, guarded by a step fuel.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
 from typing import Union
 
 from ..errors import FuelError, TheoryError
+from ..span import node
 
 
-@dataclass(frozen=True)
+@node
 class Zero:
     """The constant zero function."""
 
 
-@dataclass(frozen=True)
+@node
 class Succ:
     """The successor function."""
 
 
-@dataclass(frozen=True)
+@node
 class Proj:
     """The projection of one argument out of arity many."""
 
@@ -32,7 +32,7 @@ class Proj:
     index: int
 
 
-@dataclass(frozen=True)
+@node
 class Comp:
     """The composition of an outer function with inner functions of a shared arity."""
 
@@ -41,7 +41,7 @@ class Comp:
     arity_: int
 
 
-@dataclass(frozen=True)
+@node
 class PrimRec:
     """Primitive recursion from a base function and a step function."""
 

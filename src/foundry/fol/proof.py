@@ -9,10 +9,10 @@ the rule figure leaves implicit.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
 from typing import Union
 
 from ..errors import ProofError
+from ..span import node
 from .syntax import (
     And,
     Bot,
@@ -37,7 +37,7 @@ from .syntax import (
 )
 
 
-@dataclass(frozen=True)
+@node
 class Sequent:
     """Hypotheses and a conclusion: the judgement a derivation proves."""
 
@@ -87,14 +87,14 @@ def _certify(sequent: Sequent, theory) -> CertifiedSequent:
 # Derivation nodes (one per Fig-style rule, plus ex falso, RAA and weakening)
 
 
-@dataclass(frozen=True)
+@node
 class Hyp:
     """Natural deduction: assume a formula."""
 
     formula: Formula
 
 
-@dataclass(frozen=True)
+@node
 class AndI:
     """Natural deduction: conjunction introduction."""
 
@@ -102,21 +102,21 @@ class AndI:
     right: "NdDerivation"
 
 
-@dataclass(frozen=True)
+@node
 class AndE1:
     """Natural deduction: the left conjunct of a conjunction."""
 
     premise: "NdDerivation"
 
 
-@dataclass(frozen=True)
+@node
 class AndE2:
     """Natural deduction: the right conjunct of a conjunction."""
 
     premise: "NdDerivation"
 
 
-@dataclass(frozen=True)
+@node
 class OrI1:
     """Natural deduction: a disjunction from its left disjunct."""
 
@@ -124,7 +124,7 @@ class OrI1:
     right: Formula
 
 
-@dataclass(frozen=True)
+@node
 class OrI2:
     """Natural deduction: a disjunction from its right disjunct."""
 
@@ -132,7 +132,7 @@ class OrI2:
     premise: "NdDerivation"
 
 
-@dataclass(frozen=True)
+@node
 class OrE:
     """Natural deduction: disjunction elimination by cases."""
 
@@ -141,7 +141,7 @@ class OrE:
     right_case: "NdDerivation"
 
 
-@dataclass(frozen=True)
+@node
 class ImpI:
     """Natural deduction: implication introduction, discharging an assumption."""
 
@@ -149,7 +149,7 @@ class ImpI:
     premise: "NdDerivation"
 
 
-@dataclass(frozen=True)
+@node
 class ImpE:
     """Natural deduction: modus ponens."""
 
@@ -157,7 +157,7 @@ class ImpE:
     argument: "NdDerivation"
 
 
-@dataclass(frozen=True)
+@node
 class BotE:
     """Natural deduction: any formula from falsity."""
 
@@ -165,7 +165,7 @@ class BotE:
     premise: "NdDerivation"
 
 
-@dataclass(frozen=True)
+@node
 class Raa:
     """Natural deduction: reductio ad absurdum, classical mode only."""
 
@@ -173,7 +173,7 @@ class Raa:
     premise: "NdDerivation"
 
 
-@dataclass(frozen=True)
+@node
 class AllI:
     """Natural deduction: universal introduction over a fresh variable."""
 
@@ -181,7 +181,7 @@ class AllI:
     premise: "NdDerivation"
 
 
-@dataclass(frozen=True)
+@node
 class AllE:
     """Natural deduction: universal elimination at a term."""
 
@@ -189,7 +189,7 @@ class AllE:
     term: Term
 
 
-@dataclass(frozen=True)
+@node
 class ExI:
     """Natural deduction: existential introduction from a witness."""
 
@@ -198,7 +198,7 @@ class ExI:
     premise: "NdDerivation"
 
 
-@dataclass(frozen=True)
+@node
 class ExE:
     """Natural deduction: existential elimination through a fresh variable."""
 
@@ -207,14 +207,14 @@ class ExE:
     case: "NdDerivation"
 
 
-@dataclass(frozen=True)
+@node
 class EqRefl:
     """Natural deduction: a term equals itself."""
 
     term: Term
 
 
-@dataclass(frozen=True)
+@node
 class EqSubstTerm:
     """Natural deduction: rewrite an equation's sides inside a term template."""
 
@@ -223,7 +223,7 @@ class EqSubstTerm:
     hole: FVar
 
 
-@dataclass(frozen=True)
+@node
 class EqSubstForm:
     """Natural deduction: rewrite by an equation inside a formula template."""
 
@@ -233,7 +233,7 @@ class EqSubstForm:
     hole: FVar
 
 
-@dataclass(frozen=True)
+@node
 class Weaken:
     """Natural deduction: add unused hypotheses."""
 

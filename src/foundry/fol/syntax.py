@@ -20,10 +20,10 @@ from dataclasses import dataclass, field, replace
 from typing import Iterable, Mapping, Union
 
 from ..errors import SortError
-from ..span import hint_field, span_field
+from ..span import hint_field, node, span_field
 
 
-@dataclass(frozen=True)
+@node
 class Sort:
     """A first-order sort."""
 
@@ -37,7 +37,7 @@ class Sort:
 # Terms
 
 
-@dataclass(frozen=True)
+@node
 class BVar:
     """A bound variable, as a de Bruijn index."""
 
@@ -45,7 +45,7 @@ class BVar:
     span: object = span_field()
 
 
-@dataclass(frozen=True)
+@node
 class FVar:
     """A free variable of a sort."""
 
@@ -54,7 +54,7 @@ class FVar:
     span: object = span_field()
 
 
-@dataclass(frozen=True)
+@node
 class App:
     """A function symbol applied to terms; constants take no arguments."""
 
@@ -74,7 +74,7 @@ def const(name: str) -> App:
 # Formulas
 
 
-@dataclass(frozen=True)
+@node
 class Eq:
     """An equation between two terms of one sort."""
 
@@ -83,7 +83,7 @@ class Eq:
     span: object = span_field()
 
 
-@dataclass(frozen=True)
+@node
 class Rel:
     """A relation symbol applied to terms."""
 
@@ -92,14 +92,14 @@ class Rel:
     span: object = span_field()
 
 
-@dataclass(frozen=True)
+@node
 class Bot:
     """Falsity."""
 
     span: object = span_field()
 
 
-@dataclass(frozen=True)
+@node
 class And:
     """Conjunction."""
 
@@ -108,7 +108,7 @@ class And:
     span: object = span_field()
 
 
-@dataclass(frozen=True)
+@node
 class Or:
     """Disjunction."""
 
@@ -117,7 +117,7 @@ class Or:
     span: object = span_field()
 
 
-@dataclass(frozen=True)
+@node
 class Implies:
     """Implication; negation is implication of falsity."""
 
@@ -126,7 +126,7 @@ class Implies:
     span: object = span_field()
 
 
-@dataclass(frozen=True)
+@node
 class Forall:
     """Universal quantification over a sort; the body is under one binder."""
 
@@ -136,7 +136,7 @@ class Forall:
     span: object = span_field()
 
 
-@dataclass(frozen=True)
+@node
 class Exists:
     """Existential quantification over a sort; the body is under one binder."""
 

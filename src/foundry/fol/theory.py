@@ -13,6 +13,7 @@ from dataclasses import dataclass, field, replace
 from typing import Mapping
 
 from ..errors import TheoryError
+from ..span import node
 from .proof import CertifiedSequent
 from .syntax import (
     And,
@@ -58,7 +59,7 @@ def substitute_parallel(a: Formula, mapping: Mapping[FVar, Term]) -> Formula:
     return _map_formula(a, lambda t, _depth: _map_term(t, lambda v: mapping.get(v, v)))
 
 
-@dataclass(frozen=True)
+@node
 class SchemaSlot:
     """A schema's formula placeholder, its parameters and what instances may not use."""
 
@@ -68,7 +69,7 @@ class SchemaSlot:
     quantifier_free: bool = False
 
 
-@dataclass(frozen=True)
+@node
 class AxiomSchema:
     """A formula-with-holes plus per-slot side conditions."""
 
@@ -225,7 +226,7 @@ def schema_recognizes(schema: AxiomSchema, candidate: Formula) -> bool:
 # Theories
 
 
-@dataclass(frozen=True)
+@node
 class LogEntry:
     """One extension of a theory, recorded in its definition log."""
 

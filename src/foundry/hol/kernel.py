@@ -45,7 +45,7 @@ from types import MappingProxyType
 from typing import Iterable, Mapping, Union
 
 from ..errors import KernelError
-from ..span import hint_field, span_field
+from ..span import hint_field, node, span_field
 
 
 # ---------------------------------------------------------------------------
@@ -53,12 +53,8 @@ from ..span import hint_field, span_field
 # the first hash; equality still compares the fields, ignoring spans and hints.
 
 
-def _hash_slot():
-    return field(init=False, compare=False, repr=False)
-
-
 def _hashed_once(cls):
-    """Make a frozen dataclass with an `_h` slot compute its hash once."""
+    """Make a frozen node with an `_h` slot compute its hash once."""
     structural = cls.__hash__
 
     def __hash__(self):
@@ -77,24 +73,22 @@ def _hashed_once(cls):
 
 
 @_hashed_once
-@dataclass(frozen=True, slots=True)
+@node(slots=("_h",))
 class TyVar:
     """A HOL type variable."""
 
     name: str
     span: object = span_field()
-    _h: int = _hash_slot()
 
 
 @_hashed_once
-@dataclass(frozen=True, slots=True)
+@node(slots=("_h",))
 class TyApp:
     """A HOL type operator applied to argument types."""
 
     op: str
     args: tuple["HolType", ...] = ()
     span: object = span_field()
-    _h: int = _hash_slot()
 
 
 HolType = Union[TyVar, TyApp]
@@ -177,50 +171,46 @@ def pretty_type(ty: HolType) -> str:
 
 
 @_hashed_once
-@dataclass(frozen=True, slots=True)
+@node(slots=("_h",))
 class BVar:
     """A HOL bound variable, as a de Bruijn index."""
 
     index: int
     span: object = span_field()
-    _h: int = _hash_slot()
 
 
 @_hashed_once
-@dataclass(frozen=True, slots=True)
+@node(slots=("_h",))
 class FVar:
     """A HOL free variable of a type."""
 
     name: str
     type: HolType
     span: object = span_field()
-    _h: int = _hash_slot()
 
 
 @_hashed_once
-@dataclass(frozen=True, slots=True)
+@node(slots=("_h",))
 class Const:
     """A HOL constant at a type instance."""
 
     name: str
     type: HolType  # the fully instantiated type of this occurrence
     span: object = span_field()
-    _h: int = _hash_slot()
 
 
 @_hashed_once
-@dataclass(frozen=True, slots=True)
+@node(slots=("_h",))
 class App:
     """HOL function application."""
 
     fn: "HolTerm"
     arg: "HolTerm"
     span: object = span_field()
-    _h: int = _hash_slot()
 
 
 @_hashed_once
-@dataclass(frozen=True, slots=True)
+@node(slots=("_h",))
 class Abs:
     """A HOL lambda abstraction with its domain type."""
 
@@ -228,7 +218,6 @@ class Abs:
     body: "HolTerm"
     hint: str | None = hint_field()
     span: object = span_field()
-    _h: int = _hash_slot()
 
 
 HolTerm = Union[BVar, FVar, Const, App, Abs]
@@ -451,7 +440,7 @@ def _thm(hyps, concl) -> HolTheorem:
 # Kernel state
 
 
-@dataclass(frozen=True)
+@node
 class ConstDecl:
     """A HOL constant's generic type and, for a defined one, its definiens."""
 

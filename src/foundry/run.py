@@ -10,7 +10,6 @@ runs, so checking a script loads no other calculus.
 from __future__ import annotations
 
 import importlib
-import json
 import time
 from contextlib import contextmanager
 from dataclasses import dataclass, field
@@ -85,6 +84,8 @@ class RunReport:
         return None
 
     def to_json(self) -> str:
+        import json  # only a JSON report loads it
+
         doc = {
             "calculus": self.calculus,
             "commands": [r.as_dict() for r in self.results],

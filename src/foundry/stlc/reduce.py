@@ -7,9 +7,8 @@ never the expected exit for well-typed terms at desk scale.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
-
 from ..errors import FuelError, TypeCheckError
+from ..span import node
 from .syntax import (
     App, Cases, Cond, FF, Inj0, Inj1, Lam, Pair, Proj0, Proj1, RecNat, Succ,
     Term, TT, Var, Zero, _SHAPE, _rebuild, beta_reduce, shift, var_free_in,
@@ -17,7 +16,7 @@ from .syntax import (
 from .typing import infer_type
 
 
-@dataclass(frozen=True)
+@node
 class ReductionFlags:
     """Which STLC reductions are enabled."""
 

@@ -13,17 +13,16 @@ subterms are listed once.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
 from typing import Union
 
-from ..span import hint_field, span_field
+from ..span import hint_field, node, span_field
 
 
 # ---------------------------------------------------------------------------
 # Types
 
 
-@dataclass(frozen=True)
+@node
 class Base:
     """An STLC base type named by the user."""
 
@@ -31,7 +30,7 @@ class Base:
     span: object = span_field()
 
 
-@dataclass(frozen=True)
+@node
 class Arrow:
     """An STLC function type."""
 
@@ -40,7 +39,7 @@ class Arrow:
     span: object = span_field()
 
 
-@dataclass(frozen=True)
+@node
 class Prod:
     """An STLC product type."""
 
@@ -49,7 +48,7 @@ class Prod:
     span: object = span_field()
 
 
-@dataclass(frozen=True)
+@node
 class SumT:
     """An STLC sum type."""
 
@@ -58,14 +57,14 @@ class SumT:
     span: object = span_field()
 
 
-@dataclass(frozen=True)
+@node
 class NatT:
     """The STLC type of natural numbers."""
 
     span: object = span_field()
 
 
-@dataclass(frozen=True)
+@node
 class BoolT:
     """The STLC type of booleans."""
 
@@ -81,7 +80,7 @@ VOID = Base("Void")  # the empty-analog base type used by the deduction bridge
 # Terms
 
 
-@dataclass(frozen=True)
+@node
 class Var:
     """An STLC bound variable, as a de Bruijn index."""
 
@@ -89,7 +88,7 @@ class Var:
     span: object = span_field()
 
 
-@dataclass(frozen=True)
+@node
 class Free:
     """An STLC free variable, by name."""
 
@@ -97,7 +96,7 @@ class Free:
     span: object = span_field()
 
 
-@dataclass(frozen=True)
+@node
 class Const:
     """An STLC constant of a declared type."""
 
@@ -106,7 +105,7 @@ class Const:
     span: object = span_field()
 
 
-@dataclass(frozen=True)
+@node
 class Lam:
     """An STLC lambda abstraction with its domain annotated."""
 
@@ -116,7 +115,7 @@ class Lam:
     span: object = span_field()
 
 
-@dataclass(frozen=True)
+@node
 class App:
     """STLC function application."""
 
@@ -125,7 +124,7 @@ class App:
     span: object = span_field()
 
 
-@dataclass(frozen=True)
+@node
 class Pair:
     """An STLC pair."""
 
@@ -134,7 +133,7 @@ class Pair:
     span: object = span_field()
 
 
-@dataclass(frozen=True)
+@node
 class Proj0:
     """The first projection of an STLC pair."""
 
@@ -142,7 +141,7 @@ class Proj0:
     span: object = span_field()
 
 
-@dataclass(frozen=True)
+@node
 class Proj1:
     """The second projection of an STLC pair."""
 
@@ -150,7 +149,7 @@ class Proj1:
     span: object = span_field()
 
 
-@dataclass(frozen=True)
+@node
 class Inj0:
     """The left injection, annotated with the sum's right type."""
 
@@ -159,7 +158,7 @@ class Inj0:
     span: object = span_field()
 
 
-@dataclass(frozen=True)
+@node
 class Inj1:
     """The right injection, annotated with the sum's left type."""
 
@@ -168,7 +167,7 @@ class Inj1:
     span: object = span_field()
 
 
-@dataclass(frozen=True)
+@node
 class Cases:
     """STLC case analysis on a sum: one function per injection."""
 
@@ -178,14 +177,14 @@ class Cases:
     span: object = span_field()
 
 
-@dataclass(frozen=True)
+@node
 class Zero:
     """The STLC natural number zero."""
 
     span: object = span_field()
 
 
-@dataclass(frozen=True)
+@node
 class Succ:
     """The STLC successor."""
 
@@ -193,7 +192,7 @@ class Succ:
     span: object = span_field()
 
 
-@dataclass(frozen=True)
+@node
 class RecNat:
     """STLC primitive recursion on a natural number."""
 
@@ -203,21 +202,21 @@ class RecNat:
     span: object = span_field()
 
 
-@dataclass(frozen=True)
+@node
 class TT:
     """The STLC boolean true."""
 
     span: object = span_field()
 
 
-@dataclass(frozen=True)
+@node
 class FF:
     """The STLC boolean false."""
 
     span: object = span_field()
 
 
-@dataclass(frozen=True)
+@node
 class Cond:
     """STLC conditional on a boolean."""
 

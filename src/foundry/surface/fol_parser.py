@@ -9,8 +9,10 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 
-from .. import fol
-from ..fol.syntax import SURFACE, _close as close_impl
+from ..fol.syntax import (
+    SURFACE, And, App, Bot, Eq, Formula, FVar, Implies, Rel, Signature, Sort, Term,
+    _close as close_impl,
+)
 from .lexer import Cursor
 
 
@@ -18,16 +20,16 @@ from .lexer import Cursor
 class FolEnv:
     """What the FOL parser knows: the signature and the sorts of named variables."""
 
-    signature: fol.Signature | None = None
+    signature: Signature | None = None
     var_sorts: dict | None = None  # name -> Sort
 
-    def sort_named(self, name: str, cur: Cursor) -> fol.Sort:
-        s = fol.Sort(name)
+    def sort_named(self, name: str, cur: Cursor) -> Sort:
+        s = Sort(name)
         if self.signature is not None and s not in self.signature.sorts:
             cur.fail(f"unknown sort {name}")
         return s
 
-    def default_sort(self, cur: Cursor, name: str) -> fol.Sort:
+    def default_sort(self, cur: Cursor, name: str) -> Sort:
         if self.var_sorts and name in self.var_sorts:
             return self.var_sorts[name]
         if self.signature is not None and self.signature.only_sort is not None:
@@ -42,7 +44,7 @@ class FolEnv:
         )
 
 
-def parse_fol_formula(cur: Cursor, env: FolEnv, binders=()) -> fol.Formula:
+def parse_fol_formula(cur: Cursor, env: FolEnv, binders=()) -> Formula:
     return _fol_iff(cur, env, binders)
 
 
@@ -52,7 +54,7 @@ def _fol_iff(cur, env, binders):
     if cur.at("<->"):
         cur.next()
         b = _fol_binary(cur, env, binders, 0)
-        return fol.And(fol.Implies(a, b), fol.Implies(b, a), span=start)
+        return And(Implies(a, b), Implies(b, a), span=start)
     return a
 
 
@@ -76,12 +78,12 @@ def _fol_unary(cur, env, binders):
     t = cur.peek()
     if cur.at("~"):
         cur.next()
-        return fol.Implies(_fol_unary(cur, env, binders), fol.Bot(), span=t.span)
+        return Implies(_fol_unary(cur, env, binders), Bot(), span=t.span)
     if t.kind == "ident" and t.value in SURFACE:
         cls = SURFACE[t.value][0]
         cur.next()
-        if cls is fol.Bot:
-            return fol.Bot(span=t.span)
+        if cls is Bot:
+            return Bot(span=t.span)
         names = [cur.expect_kind("ident").value]
         while cur.at_kind("ident") and not cur.at(":") and cur.peek().value not in (",",):
             if cur.peek().value in SURFACE:
@@ -107,7 +109,7 @@ def _fol_unary(cur, env, binders):
 
 
 def _close(a, name, sort):
-    return close_impl(a, 0, fol.FVar(name, sort))
+    return close_impl(a, 0, FVar(name, sort))
 
 
 def _fol_atom(cur, env, binders):
@@ -121,17 +123,17 @@ def _fol_atom(cur, env, binders):
     if cur.at("="):
         cur.next()
         rhs = parse_fol_term(cur, env, binders)
-        return fol.Eq(term, rhs, span=t.span)
+        return Eq(term, rhs, span=t.span)
     # reinterpret the term as a relational atom
     match term:
-        case fol.App(fn=f, args=args):
-            return fol.Rel(f, args, span=t.span)
-        case fol.FVar(name=n):
-            return fol.Rel(n, (), span=t.span)
+        case App(fn=f, args=args):
+            return Rel(f, args, span=t.span)
+        case FVar(name=n):
+            return Rel(n, (), span=t.span)
     cur.fail("expected an atomic formula")
 
 
-def parse_fol_term(cur: Cursor, env: FolEnv, binders=()) -> fol.Term:
+def parse_fol_term(cur: Cursor, env: FolEnv, binders=()) -> Term:
     t = cur.expect_kind("ident")
     name = t.value
     if cur.at("("):
@@ -143,12 +145,12 @@ def parse_fol_term(cur: Cursor, env: FolEnv, binders=()) -> fol.Term:
                 cur.next()
                 args.append(parse_fol_term(cur, env, binders))
         cur.expect(")")
-        return fol.App(name, tuple(args), span=t.span)
+        return App(name, tuple(args), span=t.span)
     for name2, sort in binders:
         if name2 == name:
             # parsed against the binder stack: keep as a tagged free variable,
             # closed by the quantifier constructor above
-            return fol.FVar(name, sort, span=t.span)
+            return FVar(name, sort, span=t.span)
     if env.is_constant(name):
-        return fol.App(name, (), span=t.span)
-    return fol.FVar(name, env.default_sort(cur, name), span=t.span)
+        return App(name, (), span=t.span)
+    return FVar(name, env.default_sort(cur, name), span=t.span)

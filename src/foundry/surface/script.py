@@ -8,15 +8,14 @@ executors, which also enforce definition-before-use.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
 from typing import Union
 
 from ..errors import ParseError
-from ..span import Span
+from ..span import Span, node
 from .lexer import Cursor, Token, tokenize
 
 
-@dataclass(frozen=True)
+@node
 class DeclareSort:
     """Script command `sort S`."""
 
@@ -24,7 +23,7 @@ class DeclareSort:
     span: Span
 
 
-@dataclass(frozen=True)
+@node
 class DeclareFn:
     """Script command `fn f : (S1, S2) -> S3` or `const c : S`."""
 
@@ -34,7 +33,7 @@ class DeclareFn:
     span: Span
 
 
-@dataclass(frozen=True)
+@node
 class DeclareRel:
     """Script command `rel R : (S1, S2)`."""
 
@@ -43,7 +42,7 @@ class DeclareRel:
     span: Span
 
 
-@dataclass(frozen=True)
+@node
 class DeclareTyped:
     """`fn name : {type}` — an STLC constant declaration."""
 
@@ -52,7 +51,7 @@ class DeclareTyped:
     span: Span
 
 
-@dataclass(frozen=True)
+@node
 class Define:
     """Script command `define name [: {T}] := {e}`."""
 
@@ -62,7 +61,7 @@ class Define:
     span: Span
 
 
-@dataclass(frozen=True)
+@node
 class DefineRel:
     """Script command `define rel R (x : S) := {A}`."""
 
@@ -72,7 +71,7 @@ class DefineRel:
     span: Span
 
 
-@dataclass(frozen=True)
+@node
 class AxiomEnable:
     """Script command `axiom-enable name`."""
 
@@ -80,7 +79,7 @@ class AxiomEnable:
     span: Span
 
 
-@dataclass(frozen=True)
+@node
 class AxiomDecl:
     """Script command `axiom Name : {A}`."""
 
@@ -89,7 +88,7 @@ class AxiomDecl:
     span: Span
 
 
-@dataclass(frozen=True)
+@node
 class Theorem:
     """Script command `theorem name : {stmt} := PROOF`."""
 
@@ -100,7 +99,7 @@ class Theorem:
     span: Span
 
 
-@dataclass(frozen=True)
+@node
 class Thm:
     """A named intermediate HOL theorem (not counted as certified)."""
 
@@ -109,7 +108,7 @@ class Thm:
     span: Span
 
 
-@dataclass(frozen=True)
+@node
 class TermMacro:
     """Script command `term name := {e}`."""
 
@@ -118,7 +117,7 @@ class TermMacro:
     span: Span
 
 
-@dataclass(frozen=True)
+@node
 class Check:
     """Script command `check {e} [: {T}]`."""
 
@@ -127,7 +126,7 @@ class Check:
     span: Span
 
 
-@dataclass(frozen=True)
+@node
 class Eval:
     """Script command `eval {e}`."""
 
@@ -135,7 +134,7 @@ class Eval:
     span: Span
 
 
-@dataclass(frozen=True)
+@node
 class ModelDef:
     """Script command `model M { ... }`: universes, function tables and relations."""
 
@@ -146,7 +145,7 @@ class ModelDef:
     span: Span
 
 
-@dataclass(frozen=True)
+@node
 class Assume:
     """Script command `assume {A}`."""
 
@@ -154,7 +153,7 @@ class Assume:
     span: Span
 
 
-@dataclass(frozen=True)
+@node
 class Prove:
     """Script command `prove {A}`."""
 
@@ -162,7 +161,7 @@ class Prove:
     span: Span
 
 
-@dataclass(frozen=True)
+@node
 class ExpectError:
     """Script command `expect-error TAG <command>`."""
 

@@ -8,18 +8,19 @@ constructor's `stlc.syntax._SHAPE` fields, in order.
 
 from __future__ import annotations
 
-from .. import stlc
 from ..stlc.printer import ANNOTATED, BINDERS, KEYWORDS
-from ..stlc.syntax import _SHAPE
+from ..stlc.syntax import (
+    _SHAPE, App, Arrow, Base, Free, Pair, Prod, SimpleType, SumT, Term, abstract_free, numeral,
+)
 from ..stlc.typing import TYPE_KEYWORDS
 from .lexer import Cursor
 
 
-def parse_stlc_type(cur: Cursor) -> stlc.SimpleType:
+def parse_stlc_type(cur: Cursor) -> SimpleType:
     a = _stlc_sum_type(cur)
     if cur.at("->"):
         cur.next()
-        return stlc.Arrow(a, parse_stlc_type(cur), span=a.span)
+        return Arrow(a, parse_stlc_type(cur), span=a.span)
     return a
 
 
@@ -27,7 +28,7 @@ def _stlc_sum_type(cur):
     a = _stlc_prod_type(cur)
     while cur.at("+"):
         cur.next()
-        a = stlc.SumT(a, _stlc_prod_type(cur), span=a.span)
+        a = SumT(a, _stlc_prod_type(cur), span=a.span)
     return a
 
 
@@ -35,7 +36,7 @@ def _stlc_prod_type(cur):
     a = _stlc_atom_type(cur)
     while cur.at("*"):
         cur.next()
-        a = stlc.Prod(a, _stlc_atom_type(cur), span=a.span)
+        a = Prod(a, _stlc_atom_type(cur), span=a.span)
     return a
 
 
@@ -49,10 +50,10 @@ def _stlc_atom_type(cur):
     name = cur.expect_kind("ident").value
     if name in TYPE_KEYWORDS:
         return TYPE_KEYWORDS[name](span=t.span)
-    return stlc.Base(name, span=t.span)
+    return Base(name, span=t.span)
 
 
-def parse_stlc_term(cur: Cursor, consts: dict | None = None, binders=()) -> stlc.Term:
+def parse_stlc_term(cur: Cursor, consts: dict | None = None, binders=()) -> Term:
     consts = consts or {}
     t = cur.peek()
     if t.kind == "ident" and t.value in BINDERS:
@@ -75,7 +76,7 @@ def parse_stlc_term(cur: Cursor, consts: dict | None = None, binders=()) -> stlc
         body = parse_stlc_term(cur, consts, inner)
         # binder references were parsed as Free(name); abstract innermost-first
         for n, ty in reversed(groups):
-            body = binder(ty, stlc.abstract_free(body, n), hint=n, span=t.span)
+            body = binder(ty, abstract_free(body, n), hint=n, span=t.span)
         return body
     return _stlc_app(cur, consts, binders)
 
@@ -86,7 +87,7 @@ def _stlc_app(cur, consts, binders):
         factors.append(_stlc_factor(cur, consts, binders))
     term = factors[0]
     for f in factors[1:]:
-        term = stlc.App(term, f, span=term.span)
+        term = App(term, f, span=term.span)
     return term
 
 
@@ -98,7 +99,7 @@ def _stlc_factor(cur, consts, binders):
     t = cur.peek()
     if t.kind == "int":
         cur.next()
-        return stlc.numeral(int(t.value))
+        return numeral(int(t.value))
     if cur.at("("):
         cur.next()
         a = parse_stlc_term(cur, consts, binders)
@@ -106,7 +107,7 @@ def _stlc_factor(cur, consts, binders):
             cur.next()
             b = parse_stlc_term(cur, consts, binders)
             cur.expect(")")
-            return stlc.Pair(a, b, span=t.span)
+            return Pair(a, b, span=t.span)
         cur.expect(")")
         return a
     name = cur.expect_kind("ident").value
@@ -122,7 +123,7 @@ def _stlc_factor(cur, consts, binders):
         return cls(*args, span=t.span)
     for n, _ty in binders:
         if n == name:
-            return stlc.Free(name, span=t.span)  # parse_stlc_term abstracts it
+            return Free(name, span=t.span)  # parse_stlc_term abstracts it
     if name in consts:
         return consts[name]  # a constant or a macro expansion
-    return stlc.Free(name, span=t.span)
+    return Free(name, span=t.span)

@@ -20,6 +20,21 @@ from foundry.fol import (
 OBJ = Sort("obj")
 
 
+# ---------------------------------------------------------------------------
+# Nodes: telling a node from a field value, and copying one with some fields
+# changed
+
+
+def is_node(x) -> bool:
+    """Whether x is an instance of a class built by `foundry.span.node`."""
+    return hasattr(type(x), "_fields") and not isinstance(x, tuple)
+
+
+def replace(x, **changes):
+    """x with the named fields changed."""
+    return type(x)(**{name: getattr(x, name) for name in x._fields} | changes)
+
+
 def nd_signature() -> fol.Signature:
     sig = fol.single_sorted("obj")
     sig = sig.with_relation("A", ())

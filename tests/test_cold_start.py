@@ -1,9 +1,11 @@
-"""`foundry check` loads only the calculus it checks.
+"""`foundry check` loads only the calculus it checks, and only what it runs.
 
 Each golden script is checked in a fresh interpreter, which then lists the
-foundry modules it imported. The report must match the golden file byte for
-byte, and the module list must hold no other calculus. These are module
-names, not timings, so the test does not depend on the machine.
+foundry modules it imported, and `json` if it imported that. The report must
+match the golden file byte for byte, and the module list must hold no other
+calculus, no module of its own calculus that a check never runs, and no
+`json`. These are module names, not timings, so the test does not depend on
+the machine.
 """
 
 import os
@@ -20,19 +22,27 @@ CHILD = """
 import sys
 from foundry.cli import run
 code = run(sys.argv[1:])
-print(" ".join(sorted(m for m in sys.modules if m == "foundry" or m.startswith("foundry."))),
+print(" ".join(sorted(m for m in sys.modules if m in ("foundry", "json") or m.startswith("foundry."))),
       file=sys.stderr)
 raise SystemExit(code)
 """
 
 # The calculus packages a check of each calculus must not import. STLC's
-# proofs-as-terms bridge is built on FOL's natural deduction, so an STLC
-# check may load FOL.
+# proofs-as-terms bridge is built on FOL's natural deduction, but a check
+# never runs it.
 FORBIDDEN = {
     "fol": ("dtt", "stlc", "hol"),
     "dtt": ("fol", "stlc", "hol"),
     "hol": ("fol", "stlc", "dtt"),
-    "stlc": ("hol", "dtt"),
+    "stlc": ("hol", "dtt", "fol"),
+}
+# The modules of the checked calculus that a check never runs: FOL's semantic
+# oracles and primitive recursion, STLC's bridge and term generator.
+FORBIDDEN_OWN = {
+    "fol": ("fol.semantics", "fol.congruence", "fol.primrec", "fol.groundsearch"),
+    "dtt": (),
+    "hol": (),
+    "stlc": ("stlc.bridge", "stlc.generate"),
 }
 
 
@@ -69,3 +79,6 @@ def test_check_loads_only_its_calculus(name):
         if m == f"foundry.{other}" or m.startswith(f"foundry.{other}.")
     ]
     assert loaded == [], f"checking {name} imported {loaded}"
+    unused = [m for m in modules if m.removeprefix("foundry.") in FORBIDDEN_OWN[calculus]]
+    assert unused == [], f"checking {name} imported {unused}"
+    assert "json" not in modules  # only a JSON report needs it

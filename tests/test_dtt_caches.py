@@ -9,7 +9,6 @@ never in a way that makes a shared subterm behave differently from an
 unshared copy.
 """
 
-import dataclasses
 import random
 
 import pytest
@@ -21,6 +20,7 @@ from foundry.dtt import (
 )
 from foundry.errors import FoundryError, TypeCheckError
 
+from helpers import is_node, replace
 from helpers_dtt import gen_dtt_nat
 
 CTX = DttContext()
@@ -30,10 +30,10 @@ SIG_NN = Sigma(NAT, NAT)
 
 def unshare(e):
     """A copy of e in which no two positions hold the same node object."""
-    return dataclasses.replace(e, **{
-        f.name: unshare(v)
-        for f in dataclasses.fields(e)
-        if dataclasses.is_dataclass(v := getattr(e, f.name))
+    return replace(e, **{
+        name: unshare(v)
+        for name in e._fields
+        if is_node(v := getattr(e, name))
     })
 
 
@@ -88,8 +88,8 @@ def test_caches_stay_out_of_equality_hash_repr_and_matching():
     infer(KernelConfig(), CTX, e)
     assert set(vars(e)) - set(vars(twin)) == {"_typed", "_loose"}
     assert e == twin and hash(e) == hash(twin) and repr(e) == repr(twin)
-    assert [f.name for f in dataclasses.fields(e)] == ["motive", "base", "step", "target", "span"]
-    assert dataclasses.replace(e) == twin
+    assert e._fields == ("motive", "base", "step", "target", "span")
+    assert replace(e) == twin
     match e:
         case NatRec(m, b, s, target=Succ(arg=t)):
             assert (m, b, s, t) == (twin.motive, twin.base, twin.step, twin.target.arg)

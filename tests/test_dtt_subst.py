@@ -4,8 +4,6 @@ The reference rebuilds every node and shifts the substituted value at every
 binder: slow, but with no fast path to get wrong.
 """
 
-import dataclasses
-
 import pytest
 from hypothesis import given, settings, strategies as st
 
@@ -17,21 +15,23 @@ from foundry.dtt import (
     TypeSort, Var, W, Zero, instantiate, shift, subst,
 )
 
+from helpers import is_node, replace
+
 # the fields that sit under one binder
 _BINDS = {(Pi, "cod"), (Lam, "body"), (Sigma, "cod"), (W, "cod")}
 
 
 def _children(e):
-    for f in dataclasses.fields(e):
-        v = getattr(e, f.name)
-        if f.name != "span" and dataclasses.is_dataclass(v):
-            yield f.name, v, int((type(e), f.name) in _BINDS)
+    for name in e._fields:
+        v = getattr(e, name)
+        if name != "span" and is_node(v):
+            yield name, v, int((type(e), name) in _BINDS)
 
 
 def ref_shift(e, d, cutoff=0):
     if isinstance(e, Var):
         return Var(e.index + d) if e.index >= cutoff else e
-    return dataclasses.replace(
+    return replace(
         e, **{n: ref_shift(v, d, cutoff + b) for n, v, b in _children(e)}
     )
 
@@ -41,7 +41,7 @@ def ref_subst(e, j, value):
         if e.index == j:
             return value
         return Var(e.index - 1) if e.index > j else e
-    return dataclasses.replace(
+    return replace(
         e, **{n: ref_subst(v, j + b, ref_shift(value, b)) for n, v, b in _children(e)}
     )
 

@@ -10,7 +10,6 @@ every node carries its own span, on `==`, on the printed form (which shows
 the binder hints) and on which nodes carry a span.
 """
 
-import dataclasses
 import itertools
 import random
 
@@ -24,7 +23,7 @@ from foundry.fol import (
 )
 from foundry.span import Span
 
-from helpers import OBJ, VARS, gen_formula, gen_term
+from helpers import OBJ, VARS, gen_formula, gen_term, is_node, replace
 
 
 def ref_open_term(t, k, u):
@@ -145,13 +144,13 @@ def spanned(x):
     """A copy of x in which every node has its own span."""
     if isinstance(x, tuple):
         return tuple(spanned(y) for y in x)
-    if not dataclasses.is_dataclass(x) or not hasattr(x, "span"):
+    if not is_node(x) or not hasattr(x, "span"):
         return x
     fields = {
-        f.name: spanned(getattr(x, f.name))
-        for f in dataclasses.fields(x) if f.name not in ("span", "hint")
+        name: spanned(getattr(x, name))
+        for name in x._fields if name not in ("span", "hint")
     }
-    return dataclasses.replace(x, **fields, span=Span("t", next(_spans), 0, 0, 0))
+    return replace(x, **fields, span=Span("t", next(_spans), 0, 0, 0))
 
 
 def wrapped(x, rng):
@@ -161,10 +160,10 @@ def wrapped(x, rng):
         return rng.choice([x, App("f", (x,)), App("g", (App("c", ()), x))])
     if isinstance(x, tuple):
         return tuple(wrapped(y, rng) for y in x)
-    if not dataclasses.is_dataclass(x) or isinstance(x, fol.Sort):
+    if not is_node(x) or isinstance(x, fol.Sort):
         return x
-    return dataclasses.replace(
-        x, **{f.name: wrapped(getattr(x, f.name), rng) for f in dataclasses.fields(x) if f.name != "span"}
+    return replace(
+        x, **{name: wrapped(getattr(x, name), rng) for name in x._fields if name != "span"}
     )
 
 
@@ -172,12 +171,12 @@ def anatomy(x):
     """Constructors, fields, hints and the span (or its absence) of every node."""
     if isinstance(x, tuple):
         return tuple(anatomy(y) for y in x)
-    if not dataclasses.is_dataclass(x) or not hasattr(x, "span"):
+    if not is_node(x) or not hasattr(x, "span"):
         return x
     return (
         type(x).__name__, x.span, getattr(x, "hint", None),
-        tuple(anatomy(getattr(x, f.name)) for f in dataclasses.fields(x)
-              if f.name not in ("span", "hint")),
+        tuple(anatomy(getattr(x, name)) for name in x._fields
+              if name not in ("span", "hint")),
     )
 
 
@@ -215,9 +214,9 @@ def test_corpus_exercises_every_node():
         if isinstance(x, tuple):
             for y in x:
                 collect(y)
-        elif dataclasses.is_dataclass(x):
-            for f in dataclasses.fields(x):
-                collect(getattr(x, f.name))
+        elif is_node(x):
+            for name in x._fields:
+                collect(getattr(x, name))
 
     for a in FORMULAS:
         collect(a)

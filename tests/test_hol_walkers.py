@@ -10,7 +10,6 @@ ignores spans and hints, so each comparison also looks at the hint on every
 binder and at which nodes kept their span (a rebuilt node has none).
 """
 
-import dataclasses
 import itertools
 import random
 
@@ -21,6 +20,8 @@ from foundry.hol.kernel import (
     Abs, App, BVar, Const, FVar, PROP, TyApp, TyVar, fn, ty_vars, type_subst,
 )
 from foundry.span import Span
+
+from helpers import is_node
 
 
 def ref_term_ty_subst(t, mapping):
@@ -167,11 +168,11 @@ def with_spans(x):
     every binder its own hint."""
     if isinstance(x, tuple):
         return tuple(with_spans(y) for y in x)
-    if not dataclasses.is_dataclass(x):
+    if not is_node(x):
         return x
     fields = {
-        f.name: with_spans(getattr(x, f.name))
-        for f in dataclasses.fields(x) if f.init and f.name not in ("span", "hint")
+        name: with_spans(getattr(x, name))
+        for name in x._fields if name not in ("span", "hint")
     }
     n = next(_spans)
     if isinstance(x, Abs):
@@ -184,12 +185,12 @@ def anatomy(x):
     the span (or its absence) on every node, types included."""
     if isinstance(x, tuple):
         return tuple(anatomy(y) for y in x)
-    if not dataclasses.is_dataclass(x):
+    if not is_node(x):
         return x
     return (
         type(x).__name__, x.span, getattr(x, "hint", None),
-        tuple(anatomy(getattr(x, f.name)) for f in dataclasses.fields(x)
-              if f.init and f.name not in ("span", "hint")),
+        tuple(anatomy(getattr(x, name)) for name in x._fields
+              if name not in ("span", "hint")),
     )
 
 

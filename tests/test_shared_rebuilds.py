@@ -10,7 +10,6 @@ replaced, kept here verbatim apart from its name and its dead `Axiom` branch
 (`Axiom` has no `_SHAPE` entry).
 """
 
-import dataclasses
 import random
 
 from foundry.dtt import syntax as ds
@@ -118,7 +117,7 @@ def dtt_node(cls):
     """A cls node with a span, a hint where it has one, in_prop set on a
     Sigma, and children Var(0), Var(1), ..."""
     extra = {"span": SPAN}
-    names = {f.name for f in dataclasses.fields(cls)}
+    names = set(cls._fields)
     if "hint" in names:
         extra["hint"] = "h"
     if cls is ds.Sigma:

@@ -8,7 +8,6 @@ own hint, so a comparison sees which nodes each side rebuilt (a rebuilt node
 has no span) as well as `==` and the binder hints.
 """
 
-import dataclasses
 import itertools
 import random
 
@@ -22,6 +21,8 @@ from foundry.stlc import (
     TT, Var, Zero, gen_term, gen_type,
 )
 from foundry.stlc.syntax import _SHAPE
+
+from helpers import is_node, replace
 
 _LEAVES = (Var, Free, stlc.Const, Zero, TT, FF)
 
@@ -230,27 +231,27 @@ _spans = itertools.count()
 def with_spans(x):
     """A copy of x in which every node, types included, has its own span and
     every binder its own hint."""
-    if not dataclasses.is_dataclass(x):
+    if not is_node(x):
         return x
     fields = {
-        f.name: with_spans(getattr(x, f.name))
-        for f in dataclasses.fields(x) if f.name not in ("span", "hint")
+        name: with_spans(getattr(x, name))
+        for name in x._fields if name not in ("span", "hint")
     }
     n = next(_spans)
     if isinstance(x, Lam):
         fields["hint"] = f"x{n}"
-    return dataclasses.replace(x, **fields, span=Span("t", n, 0, 0, 0))
+    return replace(x, **fields, span=Span("t", n, 0, 0, 0))
 
 
 def anatomy(x):
     """Everything of x that a reader can see: constructors, fields, hints and
     the span (or its absence) on every node."""
-    if not dataclasses.is_dataclass(x):
+    if not is_node(x):
         return x
     return (
         type(x).__name__, x.span, getattr(x, "hint", None),
-        tuple(anatomy(getattr(x, f.name)) for f in dataclasses.fields(x)
-              if f.name not in ("span", "hint")),
+        tuple(anatomy(getattr(x, name)) for name in x._fields
+              if name not in ("span", "hint")),
     )
 
 

@@ -12,7 +12,6 @@ printed text, on the parsed node with which of its nodes carry a span, and
 on the error's message and span.
 """
 
-import dataclasses
 import random
 
 import pytest
@@ -40,7 +39,7 @@ from foundry.surface import hol_parser as hp
 from foundry.surface import stlc_parser as sp
 from foundry.surface import parse_expr, tokenize
 
-from helpers import gen_formula, nd_signature
+from helpers import gen_formula, is_node, nd_signature
 
 
 # ---------------------------------------------------------------------------
@@ -659,12 +658,12 @@ def anatomy(x):
     """Constructors, fields, hints and the span (or its absence) of every node."""
     if isinstance(x, tuple):
         return tuple(anatomy(y) for y in x)
-    if not dataclasses.is_dataclass(x) or not hasattr(x, "span"):
+    if not is_node(x) or not hasattr(x, "span"):
         return x
     return (
         type(x).__name__, x.span, getattr(x, "hint", None),
-        tuple(anatomy(getattr(x, f.name)) for f in dataclasses.fields(x)
-              if f.name not in ("span", "hint") and not f.name.startswith("_")),
+        tuple(anatomy(getattr(x, name)) for name in x._fields
+              if name not in ("span", "hint")),
     )
 
 
