@@ -24,16 +24,8 @@ if TYPE_CHECKING:
 
 
 def _options(args) -> Options:
-    return Options(
-        classical=args.classical,
-        eta=args.eta,
-        cumulative=args.cumulative,
-        impredicative_prop=args.impredicative_prop,
-        proof_irrelevance=args.proof_irrelevance,
-        axioms=tuple(args.axiom or ()),
-        fuel=args.fuel,
-        trace=args.trace,
-    )
+    flags = {name: getattr(args, name) for name in Options._fields if name != "axioms"}
+    return Options(**flags, axioms=tuple(args.axiom or ()))
 
 
 def _add_flags(p: argparse.ArgumentParser) -> None:

@@ -25,8 +25,6 @@ those step, and `_conv` accepts two sides that are one object.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
-
 from ..errors import FuelError, TypeCheckError, UniverseError
 from ..span import node
 from .syntax import (
@@ -40,7 +38,7 @@ from .syntax import (
 DTT_AXIOMS = ("funext", "propext", "choice", "K")
 
 
-@dataclass(frozen=True)
+@node
 class KernelConfig:
     """What a DTT check runs under: eta, cumulativity, Prop's rules and enabled axioms."""
 

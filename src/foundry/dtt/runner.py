@@ -3,10 +3,9 @@ configuration."""
 
 from __future__ import annotations
 
-from dataclasses import replace
-
 from .. import dtt
 from ..run import Options, _Runner
+from ..span import replace
 from ..surface import script as sc
 from ..surface.dtt_parser import parse_dtt_expr
 from .printer import pretty as pretty_dtt
@@ -17,13 +16,12 @@ class DttRunner(_Runner):
 
     def __init__(self, options: Options, filename: str = "<script>"):
         super().__init__(options, filename)
-        axioms = frozenset(a for a in options.axioms)
         self.cfg = dtt.KernelConfig(
             eta_for_pi=options.eta,
             cumulativity=options.cumulative,
             impredicative_prop=options.impredicative_prop,
             proof_irrelevance=options.proof_irrelevance,
-            axioms=axioms,
+            axioms=frozenset(options.axioms),
         )
         self.ctx = dtt.DttContext()
         self.defs: dict[str, dtt.Expr] = {}

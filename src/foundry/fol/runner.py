@@ -3,11 +3,11 @@ by the natural-deduction and Hilbert kernels."""
 
 from __future__ import annotations
 
-from dataclasses import replace
 from typing import TYPE_CHECKING
 
 from ..errors import ScriptError
 from ..run import Options, _Runner
+from ..span import replace
 from ..surface import script as sc
 from ..surface.fol_parser import FolEnv, parse_fol_formula
 from ..surface.proofparse import parse_hilbert, parse_nd
@@ -44,14 +44,10 @@ class FolRunner(_Runner):
                 sig = self.theory.signature.with_sort(Sort(name))
                 self.theory = replace(self.theory, signature=sig)
             case sc.DeclareFn(name=name, args=args, result=result):
-                sig = self.theory.signature.with_function(
-                    name, tuple(Sort(a) for a in args), Sort(result)
-                )
+                sig = self.theory.signature.with_function(name, tuple(map(Sort, args)), Sort(result))
                 self.theory = replace(self.theory, signature=sig)
             case sc.DeclareRel(name=name, args=args):
-                sig = self.theory.signature.with_relation(
-                    name, tuple(Sort(a) for a in args)
-                )
+                sig = self.theory.signature.with_relation(name, tuple(map(Sort, args)))
                 self.theory = replace(self.theory, signature=sig)
             case sc.DefineRel(name=name, params=params, body_tokens=body):
                 pvars = tuple(FVar(p, Sort(s)) for p, s in params)

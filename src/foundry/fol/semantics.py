@@ -8,10 +8,10 @@ scale, so simplicity beats speed.
 from __future__ import annotations
 
 import itertools
-from dataclasses import dataclass, field
 from typing import Iterable, Iterator, Mapping
 
 from ..errors import SemanticsError
+from ..span import EMPTY, node
 from .syntax import (
     And,
     App,
@@ -36,13 +36,13 @@ Elem = object
 Assignment = dict  # FVar -> Elem
 
 
-@dataclass(frozen=True)
+@node
 class FiniteModel:
     """Finite Tarski structure: one finite universe per sort, total tables."""
 
     universes: Mapping[Sort, tuple[Elem, ...]]
-    functions: Mapping[str, Mapping[tuple, Elem]] = field(default_factory=dict)
-    relations: Mapping[str, frozenset] = field(default_factory=dict)
+    functions: Mapping[str, Mapping[tuple, Elem]] = EMPTY
+    relations: Mapping[str, frozenset] = EMPTY
 
     def __post_init__(self):
         for sort, elems in self.universes.items():
@@ -58,7 +58,8 @@ class FiniteModel:
             raise SemanticsError(f"model has no universe for sort {sort}") from None
 
     def validate(self, sig: Signature) -> None:
-        """Check totality of every declared table over the universes."""
+        """Check that every declared function table is total over the universes
+        and every relation table holds only tuples of its sorts' universes."""
         for name, (arg_sorts, res) in sig.functions.items():
             table = self.functions.get(name)
             if table is None:
@@ -72,6 +73,14 @@ class FiniteModel:
         for name, arg_sorts in sig.relations.items():
             if name not in self.relations:
                 raise SemanticsError(f"missing relation table for {name}")
+            universes = [set(self.universe(s)) for s in arg_sorts]
+            for args in sorted(self.relations[name], key=repr):  # errors independent of hashing
+                if len(args) != len(universes):
+                    raise SemanticsError(
+                        f"relation table {name} holds {args} of arity {len(args)}, not {len(universes)}"
+                    )
+                if not all(a in u for a, u in zip(args, universes)):
+                    raise SemanticsError(f"relation table {name} leaves the universe at {args}")
 
 
 def eval_term(model: FiniteModel, assignment: Assignment, t: Term) -> Elem:
@@ -138,7 +147,7 @@ def valid_in(model: FiniteModel, a: Formula) -> bool:
 # Kripke models
 
 
-@dataclass(frozen=True)
+@node
 class KripkeModel:
     """Finitely many worlds ordered by information growth.
 
@@ -162,16 +171,10 @@ class KripkeModel:
             if lo not in up or hi not in up:
                 raise SemanticsError(f"order mentions unknown world in ({lo}, {hi})")
             up[lo].add(hi)
-        changed = True
-        while changed:
-            changed = False
+        for k in self.worlds:  # Warshall: after k, paths through k are closed
             for w in self.worlds:
-                new = set(up[w])
-                for v in up[w]:
-                    new |= up[v]
-                if new != up[w]:
-                    up[w] = new
-                    changed = True
+                if k in up[w]:
+                    up[w] |= up[k]
         return {w: frozenset(v) for w, v in up.items()}
 
     def _check_monotone(self) -> None:

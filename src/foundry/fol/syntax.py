@@ -16,11 +16,10 @@ binder hints and dropping spans.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field, replace
 from typing import Iterable, Mapping, Union
 
 from ..errors import SortError
-from ..span import hint_field, node, span_field
+from ..span import EMPTY, hint_field, node, replace, span_field
 
 
 @node
@@ -300,7 +299,7 @@ def fresh_name(base: str, taken: Iterable[str]) -> str:
 # Signatures and well-formedness
 
 
-@dataclass(frozen=True)
+@node
 class Signature:
     """Sorts plus sorted function and relation profiles.
 
@@ -308,8 +307,8 @@ class Signature:
     """
 
     sorts: frozenset[Sort]
-    functions: Mapping[str, tuple[tuple[Sort, ...], Sort]] = field(default_factory=dict)
-    relations: Mapping[str, tuple[Sort, ...]] = field(default_factory=dict)
+    functions: Mapping[str, tuple[tuple[Sort, ...], Sort]] = EMPTY
+    relations: Mapping[str, tuple[Sort, ...]] = EMPTY
 
     def __post_init__(self):
         for name, (args, res) in self.functions.items():
@@ -333,16 +332,12 @@ class Signature:
     def with_function(self, name: str, args: tuple[Sort, ...], res: Sort) -> "Signature":
         if name in self.functions or name in self.relations:
             raise SortError(f"symbol {name} already declared")
-        fns = dict(self.functions)
-        fns[name] = (args, res)
-        return replace(self, functions=fns)
+        return replace(self, functions={**self.functions, name: (args, res)})
 
     def with_relation(self, name: str, args: tuple[Sort, ...]) -> "Signature":
         if name in self.functions or name in self.relations:
             raise SortError(f"symbol {name} already declared")
-        rels = dict(self.relations)
-        rels[name] = args
-        return replace(self, relations=rels)
+        return replace(self, relations={**self.relations, name: args})
 
     def with_sort(self, sort: Sort) -> "Signature":
         return replace(self, sorts=self.sorts | {sort})

@@ -9,11 +9,10 @@ universally closes any leftover parameters.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field, replace
 from typing import Mapping
 
 from ..errors import TheoryError
-from ..span import node
+from ..span import EMPTY, node, replace
 from .proof import CertifiedSequent
 from .syntax import (
     And,
@@ -235,14 +234,14 @@ class LogEntry:
     detail: str = ""
 
 
-@dataclass(frozen=True)
+@node
 class Theory:
     """A signature, axioms and schemas, in a logic mode, with its extension log."""
 
     name: str
     signature: Signature
-    axioms: Mapping[str, Formula] = field(default_factory=dict)
-    schemas: Mapping[str, AxiomSchema] = field(default_factory=dict)
+    axioms: Mapping[str, Formula] = EMPTY
+    schemas: Mapping[str, AxiomSchema] = EMPTY
     mode: str = "classical"
     definition_log: tuple = ()
 
@@ -257,9 +256,7 @@ class Theory:
     def with_axiom(self, name: str, a: Formula) -> "Theory":
         if name in self.axioms:
             raise TheoryError(f"axiom name {name} already used")
-        axs = dict(self.axioms)
-        axs[name] = a
-        return replace(self, axioms=axs)
+        return replace(self, axioms={**self.axioms, name: a})
 
     def log(self, entry: LogEntry) -> "Theory":
         return replace(self, definition_log=self.definition_log + (entry,))
@@ -312,8 +309,7 @@ def extend_by_relation(theory: Theory, name: str, definition: Formula, params: t
     check_well_formed(theory.signature, forall_many(params, definition))
     sig = theory.signature.with_relation(name, tuple(p.sort for p in params))
     axiom = forall_many(params, iff(Rel(name, tuple(params)), definition))
-    out = replace(theory, signature=sig)
-    out = out.with_axiom(f"def_{name}", axiom)
+    out = replace(theory, signature=sig).with_axiom(f"def_{name}", axiom)
     return out.log(LogEntry("relation-definition", name, pretty_formula(definition)))
 
 
@@ -336,8 +332,7 @@ def extend_by_function(
     sig = theory.signature.with_function(name, tuple(p.sort for p in params), result.sort)
     witness = App(name, tuple(params))
     axiom = forall_many(params, substitute(definition, result, witness))
-    out = replace(theory, signature=sig)
-    out = out.with_axiom(f"def_{name}", axiom)
+    out = replace(theory, signature=sig).with_axiom(f"def_{name}", axiom)
     return out.log(LogEntry("function-definition", name, pretty_formula(definition)))
 
 
@@ -371,8 +366,7 @@ def add_skolem_function(
     sig = theory.signature.with_function(name, tuple(p.sort for p in params), result.sort)
     witness = App(name, tuple(params))
     axiom = forall_many(params, substitute(definition, result, witness))
-    out = replace(theory, signature=sig)
-    out = out.with_axiom(f"def_{name}", axiom)
+    out = replace(theory, signature=sig).with_axiom(f"def_{name}", axiom)
     return out.log(LogEntry("skolem-function", name, "indefinite-description"))
 
 

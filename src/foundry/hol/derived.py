@@ -14,8 +14,8 @@ EQ_MP (DEDUCT_ANTISYM th lemma) th. The lemmas are each standard
 connective's unfolding and folding at each type instance and argument count,
 TRUTH, and the generic theorems of CONJ, CONJUNCT1/2, MP, SPEC, DISJ1/2, CONTR
 and EXISTS. They live in `state.lemmas`, which belongs to one state object,
-as `state.checked` does: replace(), new_definition and enable_axiom each
-start an empty one.
+as `state.checked` does: `span.replace`, new_definition and enable_axiom
+each start an empty one.
 
 The cache cannot forge a theorem. It stores only HolTheorems that kernel
 rules minted under that very state, and every use goes through inst_term,

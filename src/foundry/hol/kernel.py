@@ -27,7 +27,7 @@ Closed terms are checked at most once per state. Each KernelState carries a
 memo from term to type; REFL, ASSUME, BETA, ETA, inst_term, the definitions
 and the axioms look a term up there by value and run check_term only on a
 miss. This is sound because a state's constant and type-operator tables are
-read-only copies, a memo belongs to exactly one state object (replace()
+read-only copies, a memo belongs to exactly one state object (`span.replace`
 starts an empty one), terms are immutable, and check_term ignores spans and
 hints, which term equality ignores as well. Failed checks are not stored.
 Inside check_term the leaves go through the same memo: a constant instance
@@ -39,13 +39,12 @@ variables are still checked at every node of every term that misses.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field, replace
 from functools import cache
 from types import MappingProxyType
 from typing import Iterable, Mapping, Union
 
 from ..errors import KernelError
-from ..span import hint_field, node, span_field
+from ..span import hint_field, node, replace, span_field
 
 
 # ---------------------------------------------------------------------------
@@ -449,28 +448,29 @@ class ConstDecl:
     definiens: HolTerm | None = None
 
 
-@dataclass(frozen=True)
+@node
 class KernelState:
     """Constant and type-operator tables; append-only, no redefinition.
 
     The tables are stored as read-only copies, so a state's tables never
     change after construction. `checked` memoizes check_term on closed terms,
     leaf constants and free variables included, for this state object only;
-    every new state, replace() included, starts with an empty memo. `lemmas`
-    is the derived layer's cache of theorems that kernel rules minted under
-    this state object; it starts empty in the same way.
+    every new state, `span.replace` included, starts with an empty memo.
+    `lemmas` is the derived layer's cache of theorems that kernel rules
+    minted under this state object; it starts empty in the same way. Neither
+    is a field, so neither is compared, hashed or shown.
     """
 
     constants: Mapping[str, ConstDecl]
     type_ops: Mapping[str, int]
     enabled_axioms: frozenset[str] = frozenset()
     definition_log: tuple = ()
-    checked: dict = field(init=False, compare=False, repr=False, default_factory=dict)
-    lemmas: dict = field(init=False, compare=False, repr=False, default_factory=dict)
 
     def __post_init__(self):
         object.__setattr__(self, "constants", MappingProxyType(dict(self.constants)))
         object.__setattr__(self, "type_ops", MappingProxyType(dict(self.type_ops)))
+        object.__setattr__(self, "checked", {})
+        object.__setattr__(self, "lemmas", {})
 
     def enable_axiom(self, name: str) -> "KernelState":
         return replace(self, enabled_axioms=self.enabled_axioms | {axiom_name(name)})

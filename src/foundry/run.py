@@ -12,15 +12,14 @@ from __future__ import annotations
 import importlib
 import time
 from contextlib import contextmanager
-from dataclasses import dataclass, field
 
 from .errors import FoundryError, ScriptError
-from .span import Span
+from .span import Span, node
 from .surface import script as sc
 from .surface.lexer import Cursor
 
 
-@dataclass
+@node
 class Options:
     """What a script runs under: logic mode, kernel switches, axioms, fuel, tracing."""
 
@@ -34,7 +33,7 @@ class Options:
     trace: bool = False
 
 
-@dataclass
+@node
 class CommandResult:
     """One command's status in a run report, with its output or its tagged error."""
 
@@ -49,29 +48,18 @@ class CommandResult:
     output: str = ""
 
     def as_dict(self) -> dict:
-        return {
-            "col": self.col,
-            "command": self.command,
-            "index": self.index,
-            "line": self.line,
-            "message": self.message,
-            "name": self.name,
-            "output": self.output,
-            "status": self.status,
-            "tag": self.tag,
-        }
+        return {name: getattr(self, name) for name in self._fields}
 
 
-@dataclass
 class RunReport:
     """The report of one script run: one result per command, in order."""
 
-    file: str
-    calculus: str
-    results: list = field(default_factory=list)
-    theorems_certified: int = 0
-    elapsed_s: float = 0.0
-    trace: list = field(default_factory=list)
+    def __init__(self, file: str, calculus: str):
+        self.file, self.calculus = file, calculus
+        self.results: list[CommandResult] = []
+        self.theorems_certified = 0
+        self.elapsed_s = 0.0
+        self.trace: list[str] = []
 
     @property
     def ok(self) -> bool:

@@ -1,26 +1,25 @@
-"""Source spans and the frozen node classes shared by all four ASTs.
+"""Source spans, and `node`, which builds every record in foundry.
 
 Spans and binder-name hints ride along on AST nodes but are excluded from
 equality and hashing, so structural ``==`` on the nameless representations is
 exactly alpha-equivalence.
 
-The node classes, and the other frozen records with neither a default factory
-nor a `__post_init__`, are built by `node`, not by `dataclasses.dataclass`.
-`dataclass` generates six methods per class with `exec`. On a 2-core x86 host
-with CPython 3.11 and compiled bytecode that took about 1 ms a class, and the
-72 classes that a `foundry check` of a FOL script built took 60-65% of its
-time after interpreter start. `node` compiles one source per class holding
-`__init__`, `__eq__` and `__hash__`, the code `dataclass` generates for them,
-and shares the `__repr__`, `__setattr__` and `__delattr__` below: about
-0.2 ms a class in the same launch, and less generated code kept in memory.
-Methods written once over a tuple of field names would be cheaper still to
-build, but constructing and comparing nodes through them made a corpus pass
-about 20% slower, so each class keeps its own compiled methods.
+Every immutable record, from the AST nodes to the signatures, models, kernel
+states and run options, is a class of annotated fields built by `node`, and
+`replace` copies one with some fields changed. A mapping field defaults to
+the shared read-only `EMPTY`; a record's private cache is set up by its
+`__post_init__`. `dataclasses.dataclass` generates six methods per class with
+`exec` and loads `inspect`: on a 2-core x86 host with CPython 3.11 that took
+about 1 ms a class, most of a FOL `foundry check` after interpreter start.
+`node` compiles one source per class holding `__init__`, `__eq__` and
+`__hash__`, and shares the `__repr__`, `__setattr__` and `__delattr__` below,
+for about 0.2 ms a class. Methods written once over a tuple of field names
+would build faster still, but made a corpus pass about 20% slower.
 """
 
 from __future__ import annotations
 
-from dataclasses import FrozenInstanceError
+from types import MappingProxyType
 from typing import NamedTuple
 
 
@@ -36,6 +35,13 @@ class Span(NamedTuple):
     def __str__(self) -> str:
         return f"{self.file}:{self.line}:{self.col}"
 
+
+class FrozenInstanceError(AttributeError):
+    """An assignment to, or deletion of, an attribute of a record."""
+
+
+# The default of a mapping field: one empty mapping that no record can change.
+EMPTY = MappingProxyType({})
 
 # The default that marks a keyword-only field: None unless given, and left
 # out of `==`, `hash` and `repr`.
@@ -71,7 +77,8 @@ def node(cls=None, /, *, slots: tuple[str, ...] | None = None):
     (with its default, if it has one), compared, hashed, shown by `repr` and
     listed in `__match_args__`. `_fields` names every field in order. With
     `slots`, the class gets a slot per field plus the names given, and no
-    instance dict.
+    instance dict. A `__post_init__` that the class defines runs last in
+    `__init__`.
     """
     if cls is None:
         return lambda c: _build(c, slots)
@@ -88,11 +95,14 @@ def _build(cls, slots):
     params = [n if i < first_default else f"{n}=_d[{i - first_default}]" for i, n in enumerate(compared)]
     if aux:
         params += ["*", *(f"{n}=None" for n in aux)]
+    lines = [f"    _set(self, {n!r}, {n})\n" for n in names]
+    if "__post_init__" in body:
+        lines.append("    self.__post_init__()\n")
     own = "(" + "".join(f"self.{n}," for n in compared) + ")"
     other = "(" + "".join(f"other.{n}," for n in compared) + ")"
     source = (
         f"def __init__(self, {', '.join(params)}):\n"
-        + ("".join(f"    _set(self, {n!r}, {n})\n" for n in names) or "    pass\n")
+        + ("".join(lines) or "    pass\n")
         + "def __eq__(self, other):\n"
         "    if other.__class__ is self.__class__:\n"
         f"        return {own} == {other}\n"
@@ -120,3 +130,15 @@ def _build(cls, slots):
     cls.__match_args__ = compared
     cls._fields = names
     return cls
+
+
+def replace(record, /, **changes):
+    """A new record of record's class, with the given fields changed.
+
+    The record is built through its constructor, so its checks run again and
+    whatever its `__post_init__` sets up starts afresh.
+    """
+    fields = getattr(type(record), "_fields", None)
+    if fields is None:
+        raise TypeError("replace() should be called on a record built by node")
+    return type(record)(**{name: getattr(record, name) for name in fields} | changes)

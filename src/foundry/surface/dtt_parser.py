@@ -87,8 +87,7 @@ def _dtt_starts_factor(cur):
 def _dtt_factor(cur, defs, binders):
     t = cur.peek()
     if t.kind == "int":
-        cur.next()
-        return dtt.numeral(int(t.value))
+        return dtt.numeral(cur.numeral())
     if cur.at("("):
         cur.next()
         e = _dtt_expr(cur, defs, binders)

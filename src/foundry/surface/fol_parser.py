@@ -7,16 +7,15 @@ connectives are read by one right-associative loop over its precedences.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
-
 from ..fol.syntax import (
     SURFACE, And, App, Bot, Eq, Formula, FVar, Implies, Rel, Signature, Sort, Term,
     _close as close_impl,
 )
+from ..span import node
 from .lexer import Cursor
 
 
-@dataclass
+@node
 class FolEnv:
     """What the FOL parser knows: the signature and the sorts of named variables."""
 

@@ -48,6 +48,10 @@ _LEXEME = re.compile(
 _NEWLINE, _COMMENT, _IDENT, _TYVAR = 1, 2, 3, 4
 _KINDS = (None, None, None, "ident", "tyvar", "int", "symbol")
 
+# The largest numeral that STLC and DTT read. A numeral n is n nested `succ`
+# nodes, built before any check, and none that deep passes one.
+MAX_NUMERAL = 50_000
+
 
 class Token(NamedTuple):
     """One lexeme: its kind, its text and its span."""
@@ -132,6 +136,18 @@ class Cursor:
         if kind != "eof":
             self.pos += 1
         return t
+
+    def numeral(self) -> int:
+        """The value of the numeral token next, at most `MAX_NUMERAL`."""
+        t = self.expect_kind("int")
+        try:
+            n = int(t.value)
+        except ValueError:  # more digits than `int` converts from a string
+            n = MAX_NUMERAL + 1
+        if n > MAX_NUMERAL:
+            message = f"numeral too large: at most {MAX_NUMERAL} is accepted"
+            raise ParseError(message, tag="depth-exceeded", span=t.span)
+        return n
 
     def fail(self, message: str, expected=None):
         t = self.peek()

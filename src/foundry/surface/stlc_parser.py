@@ -98,8 +98,7 @@ def _stlc_starts_factor(cur):
 def _stlc_factor(cur, consts, binders):
     t = cur.peek()
     if t.kind == "int":
-        cur.next()
-        return numeral(int(t.value))
+        return numeral(cur.numeral())
     if cur.at("("):
         cur.next()
         a = parse_stlc_term(cur, consts, binders)

@@ -4,11 +4,16 @@ import pathlib
 import re
 import subprocess
 import sys
+import time
 
 import pytest
 
 import foundry
 from foundry.cli import run as cli
+from foundry.dtt.syntax import numeral_value as dtt_numeral_value
+from foundry.errors import FoundryError
+from foundry.stlc.syntax import numeral_value as stlc_numeral_value
+from foundry.surface.lexer import MAX_NUMERAL
 
 CORPUS = pathlib.Path(__file__).resolve().parent.parent / "corpus"
 
@@ -109,6 +114,30 @@ def test_model_check_json_report(capsys):
     ])
     out = capsys.readouterr().out
     assert code == 0 and json.loads(out)["holds"] is True
+
+
+@pytest.mark.parametrize("calculus", ["stlc", "dtt"])
+def test_huge_numeral_is_refused_before_it_is_built(calculus, tmp_path, capsys):
+    path = tmp_path / f"big.{calculus}"
+    path.write_text("eval {99999999999999999999}\n")
+    start = time.perf_counter()
+    code = cli(["check", str(path), "--calculus", calculus])
+    assert time.perf_counter() - start < 1.0
+    assert code == 1
+    out = capsys.readouterr().out
+    assert f"error[depth-exceeded] at 1:7: numeral too large: at most {MAX_NUMERAL} is accepted" in out
+
+
+@pytest.mark.parametrize("calculus", ["stlc", "dtt"])
+def test_numerals_up_to_the_limit_are_built(calculus):
+    from foundry.surface.parsers import parse_expr
+
+    value = {"stlc": stlc_numeral_value, "dtt": dtt_numeral_value}[calculus]
+    assert value(parse_expr(calculus, f"{MAX_NUMERAL}")) == MAX_NUMERAL
+    for text in (str(MAX_NUMERAL + 1), "7" * 5000):  # the second has more digits than `int` reads
+        with pytest.raises(FoundryError) as err:
+            parse_expr(calculus, f"succ {text}", "n")
+        assert (err.value.tag, err.value.span[:3]) == ("depth-exceeded", ("n", 1, 6))
 
 
 def test_deep_input_is_a_tagged_error_not_a_traceback(tmp_path, capsys):

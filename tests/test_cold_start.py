@@ -1,10 +1,10 @@
 """`foundry check` loads only the calculus it checks, and only what it runs.
 
 Each golden script is checked in a fresh interpreter, which then lists the
-foundry modules it imported, and `json` if it imported that. The report must
-match the golden file byte for byte, and the module list must hold no other
-calculus, no module of its own calculus that a check never runs, and no
-`json`. These are module names, not timings, so the test does not depend on
+foundry modules it imported, and whichever of `json`, `dataclasses` and
+`inspect` it imported. The report must match the golden file byte for byte,
+and the module list must hold no other calculus, no module of its own
+calculus that a check never runs, and none of those three. These are module names, not timings, so the test does not depend on
 the machine.
 """
 
@@ -18,11 +18,17 @@ import pytest
 import foundry
 from test_golden import CORPUS, MANIFEST
 
-CHILD = """
+# Standard modules that a check does not need: only a JSON report needs
+# `json`, and every record is built without `dataclasses` and the `inspect`
+# it imports.
+STDLIB = ("json", "dataclasses", "inspect")
+
+CHILD = f"""
 import sys
+STDLIB = {STDLIB!r}
 from foundry.cli import run
 code = run(sys.argv[1:])
-print(" ".join(sorted(m for m in sys.modules if m in ("foundry", "json") or m.startswith("foundry."))),
+print(" ".join(sorted(m for m in sys.modules if m in ("foundry", *STDLIB) or m.startswith("foundry."))),
       file=sys.stderr)
 raise SystemExit(code)
 """
@@ -81,4 +87,4 @@ def test_check_loads_only_its_calculus(name):
     assert loaded == [], f"checking {name} imported {loaded}"
     unused = [m for m in modules if m.removeprefix("foundry.") in FORBIDDEN_OWN[calculus]]
     assert unused == [], f"checking {name} imported {unused}"
-    assert "json" not in modules  # only a JSON report needs it
+    assert [m for m in STDLIB if m in modules] == []

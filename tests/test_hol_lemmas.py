@@ -7,7 +7,6 @@ the same hypotheses, conclusion and printed form (so binder hints too), or
 the same error, as the reference.
 """
 
-import dataclasses
 import re
 
 import pytest
@@ -25,6 +24,7 @@ from foundry.hol.derived import (
     AP_THM, SYM, apply_def_conv, beta_conv, fold_rule, mk_conj, mk_disj,
     mk_forall, mk_imp, mk_neg, rhs_of, spine_beta, unfold_rule,
 )
+from foundry.span import replace
 
 
 # ---------------------------------------------------------------------------
@@ -295,7 +295,7 @@ def outcome(rule, state, *args):
 def warm(base):
     """A state shared by every example, so that later examples use the
     lemmas earlier ones proved."""
-    return dataclasses.replace(base)
+    return replace(base)
 
 
 def agree(base, state, rule, ref, *args):
@@ -310,7 +310,7 @@ EXAMPLES = settings(max_examples=40, deadline=None)
 @EXAMPLES
 @given(props, props, hyp_lists, hyp_lists, st.booleans())
 def test_conj(base, warm, a, b, h1, h2, fresh):
-    state = dataclasses.replace(base) if fresh else warm
+    state = replace(base) if fresh else warm
     th1, th2 = premise(base, a, h1 + [b]), premise(base, b, h2)
     agree(base, state, hd.CONJ, ref_CONJ, th1, th2)
     agree(base, state, hd.CONJ, ref_CONJ, th2, th1)
@@ -319,7 +319,7 @@ def test_conj(base, warm, a, b, h1, h2, fresh):
 @EXAMPLES
 @given(props, props, hyp_lists, st.booleans())
 def test_conjuncts(base, warm, a, b, h, fresh):
-    state = dataclasses.replace(base) if fresh else warm
+    state = replace(base) if fresh else warm
     th = premise(base, mk_conj(a, b), h)
     agree(base, state, hd.CONJUNCT1, ref_CONJUNCT1, th)
     agree(base, state, hd.CONJUNCT2, ref_CONJUNCT2, th)
@@ -329,7 +329,7 @@ def test_conjuncts(base, warm, a, b, h, fresh):
 @EXAMPLES
 @given(props, props, hyp_lists, hyp_lists, st.booleans())
 def test_mp_and_undisch(base, warm, a, b, h1, h2, fresh):
-    state = dataclasses.replace(base) if fresh else warm
+    state = replace(base) if fresh else warm
     th_imp = premise(base, mk_imp(a, b), h1 + [a])  # a is also a hypothesis
     agree(base, state, hd.MP, ref_MP, th_imp, premise(base, a, h2))
     agree(base, state, hd.MP, ref_MP, premise(base, mk_imp(a, b), h1), premise(base, a, h2 + [b]))
@@ -340,7 +340,7 @@ def test_mp_and_undisch(base, warm, a, b, h1, h2, fresh):
 @EXAMPLES
 @given(props, props, hyp_lists, st.booleans())
 def test_disch(base, warm, a, b, h, fresh):
-    state = dataclasses.replace(base) if fresh else warm
+    state = replace(base) if fresh else warm
     agree(base, state, hd.DISCH, ref_DISCH, a, premise(base, b, h))
     agree(base, state, hd.DISCH, ref_DISCH, a, premise(base, b, h + [a]))
     agree(base, state, hd.DISCH, ref_DISCH, x, premise(base, b, h))
@@ -349,7 +349,7 @@ def test_disch(base, warm, a, b, h, fresh):
 @EXAMPLES
 @given(st.sampled_from(BINDERS), props, hyp_lists, st.data(), st.booleans())
 def test_spec_and_gen(base, warm, var, body, h, data, fresh):
-    state = dataclasses.replace(base) if fresh else warm
+    state = replace(base) if fresh else warm
     th = premise(base, quant("forall", var, body), h)
     agree(base, state, hd.SPEC, ref_SPEC, data.draw(terms_of(var.type)), th)
     agree(base, state, hd.GEN, ref_GEN, var, premise(base, body, h))
@@ -359,7 +359,7 @@ def test_spec_and_gen(base, warm, var, body, h, data, fresh):
 @EXAMPLES
 @given(props, props, hyp_lists, st.booleans())
 def test_disjunctions(base, warm, a, b, h, fresh):
-    state = dataclasses.replace(base) if fresh else warm
+    state = replace(base) if fresh else warm
     agree(base, state, hd.DISJ1, ref_DISJ1, premise(base, a, h), b)
     agree(base, state, hd.DISJ2, ref_DISJ2, a, premise(base, b, h))
     agree(base, state, hd.DISJ1, ref_DISJ1, premise(base, a, h), y)
@@ -368,7 +368,7 @@ def test_disjunctions(base, warm, a, b, h, fresh):
 @EXAMPLES
 @given(props, props, props, hyp_lists, hyp_lists, st.booleans())
 def test_disj_cases(base, warm, a, b, c, h1, h2, fresh):
-    state = dataclasses.replace(base) if fresh else warm
+    state = replace(base) if fresh else warm
     th_or = premise(base, mk_disj(a, b), h1)
     agree(base, state, hd.DISJ_CASES, ref_DISJ_CASES, th_or, premise(base, c, h1 + [a]), premise(base, c, h2 + [b]))
     agree(base, state, hd.DISJ_CASES, ref_DISJ_CASES, th_or, premise(base, c, h2), premise(base, a, h2))
@@ -377,7 +377,7 @@ def test_disj_cases(base, warm, a, b, c, h1, h2, fresh):
 @EXAMPLES
 @given(props, props, hyp_lists, st.booleans())
 def test_negation_and_contr(base, warm, a, b, h, fresh):
-    state = dataclasses.replace(base) if fresh else warm
+    state = replace(base) if fresh else warm
     agree(base, state, hd.NOT_INTRO, ref_NOT_INTRO, premise(base, mk_imp(a, FALSE), h))
     agree(base, state, hd.NOT_INTRO, ref_NOT_INTRO, premise(base, mk_imp(a, b), h))
     agree(base, state, hd.NOT_ELIM, ref_NOT_ELIM, premise(base, mk_neg(a), h))
@@ -387,7 +387,7 @@ def test_negation_and_contr(base, warm, a, b, h, fresh):
 @EXAMPLES
 @given(st.sampled_from(BINDERS), props, hyp_lists, st.data(), st.booleans(), st.booleans())
 def test_exists(base, warm, var, body, h, data, reduce, fresh):
-    state = dataclasses.replace(base) if fresh else warm
+    state = replace(base) if fresh else warm
     ex = quant("exists", var, body)
     witness = data.draw(terms_of(var.type))
     inst = App(ex.arg, witness)
@@ -446,7 +446,7 @@ def test_alpha_equal_hypotheses_print_as_the_reference_does(base, warm):
 
 
 def test_truth_is_proved_once_per_state(base):
-    state = dataclasses.replace(base)
+    state = replace(base)
     assert hd.TRUTH(state) is hd.TRUTH(state)
     assert hd.TRUTH(state) == ref_TRUTH(base)
 
@@ -472,7 +472,7 @@ def test_contr_names_its_own_type_error(base):
 
 
 def test_errors_never_name_a_lemma_variable(base):
-    state = dataclasses.replace(base)
+    state = replace(base)
     cases = [
         (hd.DISJ1, ASSUME(state, p), y),
         (hd.DISJ2, y, ASSUME(state, p)),

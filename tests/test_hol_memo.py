@@ -2,8 +2,6 @@
 lemma cache, the cached node hash, and the read-only state tables both rely
 on."""
 
-import dataclasses
-
 import pytest
 from hypothesis import given, settings, strategies as st
 
@@ -19,7 +17,7 @@ from foundry.hol.derived import EQT_INTRO, EXISTS, TRUTH, mk_exists_pred
 from foundry.hol.runner import HolRunner
 from foundry.run import Options
 from foundry.surface.script import parse_script
-from foundry.span import Span
+from foundry.span import Span, replace
 
 
 @pytest.fixture(scope="module")
@@ -68,7 +66,7 @@ def test_memo_is_per_state():
 
 
 def test_failed_checks_are_not_stored(base):
-    state = dataclasses.replace(base)
+    state = replace(base)
     bad = App(Const("not", fn(PROP, PROP)), FVar("x", IND))
     for _ in range(2):
         with pytest.raises(KernelError, match="ill-typed application"):
@@ -77,11 +75,11 @@ def test_failed_checks_are_not_stored(base):
 
 
 def test_replace_starts_an_empty_memo(base):
-    state = dataclasses.replace(base)
+    state = replace(base)
     p = FVar("p", PROP)
     REFL(state, p)
     assert state.checked == {p: PROP}
-    for other in (dataclasses.replace(state), state.enable_axiom("choice"), state.log("note", "x")):
+    for other in (replace(state), state.enable_axiom("choice"), state.log("note", "x")):
         assert other.checked == {} and other.checked is not state.checked
 
 
@@ -99,13 +97,13 @@ def test_each_closed_term_is_checked_once_per_state(monkeypatch, base):
             depth[0] -= 1
 
     monkeypatch.setattr(hk, "check_term", counted)
-    state = dataclasses.replace(base)
+    state = replace(base)
     t = App(Const("not", fn(PROP, PROP)), FVar("p", PROP))
     REFL(state, t)
     REFL(state, respan(t, 7))
     ASSUME(state, t)
     assert calls == [t]
-    REFL(dataclasses.replace(state), t)
+    REFL(replace(state), t)
     assert calls == [t, t]
 
 
@@ -180,9 +178,9 @@ def _outcome(rule, state, t):
 @settings(max_examples=300, deadline=None)
 @given(_terms, st.sampled_from([REFL, ASSUME]))
 def test_memoized_checks_agree_with_a_fresh_state(base, t, rule):
-    warm = dataclasses.replace(base)
+    warm = replace(base)
     _outcome(rule, warm, respan(t, 1))
-    assert _outcome(rule, warm, t) == _outcome(rule, dataclasses.replace(base), t)
+    assert _outcome(rule, warm, t) == _outcome(rule, replace(base), t)
 
 
 # ---------------------------------------------------------------------------
@@ -227,7 +225,7 @@ def test_a_leaf_accepted_under_a_definition_stays_unknown_before_it():
     (FVar("x", TyApp("Foo")), "unknown type operator Foo"),
 ])
 def test_a_rejected_leaf_is_not_stored(base, leaf, message):
-    state = dataclasses.replace(base)
+    state = replace(base)
     t = Abs(PROP, App(leaf, BVar(0)), hint="p")
     for term in (leaf, t):
         for _ in range(2):
@@ -237,7 +235,7 @@ def test_a_rejected_leaf_is_not_stored(base, leaf, message):
 
 
 def test_a_respanned_leaf_hits_the_memo(monkeypatch, base):
-    state = dataclasses.replace(base)
+    state = replace(base)
     eq = Const("=", fn(IND, fn(IND, PROP)))
     t = App(App(eq, FVar("x", IND)), App(Const("eps", fn(fn(IND, PROP), IND)), FVar("P", fn(IND, PROP))))
     assert hk.check_term(state, t) == PROP
@@ -340,7 +338,7 @@ _mixed_terms = st.recursive(
 @settings(max_examples=300, deadline=None)
 @given(st.lists(st.tuples(st.booleans(), _mixed_terms, st.integers(0, 2)), min_size=1, max_size=8))
 def test_memoized_check_term_agrees_with_an_unmemoized_reference(base, extended, steps):
-    states = (dataclasses.replace(base), dataclasses.replace(extended))
+    states = (replace(base), replace(extended))
     for later, t, i in steps:
         state = states[later]
         for term in (t, respan(t, i)):
@@ -384,12 +382,12 @@ def test_lemma_caches_start_empty():
     assert state.lemmas
     idp = Abs(PROP, BVar(0))
     s1, _ = new_definition(state, "c", mk_eq(idp, idp))
-    for other in (dataclasses.replace(state), state.enable_axiom("choice"), state.log("note", "x"), s1):
+    for other in (replace(state), state.enable_axiom("choice"), state.log("note", "x"), s1):
         assert other.lemmas == {} and other.lemmas is not state.lemmas
 
 
 def test_states_never_share_lemmas(base):
-    s1, s2 = dataclasses.replace(base), dataclasses.replace(base)
+    s1, s2 = replace(base), replace(base)
     _exercise(s1)
     assert s2.lemmas == {}
     _exercise(s2)
@@ -398,7 +396,7 @@ def test_states_never_share_lemmas(base):
 
 
 def test_the_cache_holds_only_theorems(base):
-    state = dataclasses.replace(base)
+    state = replace(base)
     _exercise(state)
     assert {"TRUTH", "CONJ", ("CONJUNCT", True), ("CONJUNCT", False), "MP", "DISJ1", "DISJ2", "CONTR"} <= state.lemmas.keys()
     assert all(type(th) is HolTheorem for th in state.lemmas.values())

@@ -10,6 +10,7 @@ from foundry.hol import (
     Const, FVar, HolTheorem, PROP, define_connectives, initial_state, mk_eq,
 )
 from foundry.run import Options, run_script_text
+from foundry.span import replace
 
 CORPUS = pathlib.Path(__file__).resolve().parent.parent / "corpus"
 
@@ -139,6 +140,12 @@ def test_forge_5_dataclass_replace_and_copy(a_theorem):
     # even plain copying is sealed off (it would go through __setattr__)
     with pytest.raises(AttributeError):
         copy.copy(a_theorem)
+
+
+def test_forge_6_record_replace(a_theorem):
+    # a theorem is not a record, so the records' replace cannot rebuild one
+    with pytest.raises(TypeError):
+        replace(a_theorem, conclusion=FVar("p", PROP))
 
 
 def test_diaconescu_without_axioms_fails_at_its_line():

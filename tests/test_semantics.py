@@ -5,6 +5,7 @@ import pytest
 
 from foundry import fol
 from foundry.errors import SemanticsError
+from foundry.run import run_script_text
 from foundry.fol import (
     App, Eq, FiniteModel, FVar, KripkeModel, Rel, Sort, eval_term, exists,
     forall, forces, holds, neg, open_binder, search_countermodel, substitute,
@@ -43,6 +44,32 @@ def test_two_point_geometry():
     p, q, L = FVar("p", point), FVar("q", point), FVar("L", line)
     stmt = forall(p, forall(q, exists(L, fol.And(Rel("on", (p, L)), Rel("on", (q, L))))))
     assert holds(m, {}, stmt)
+
+
+REL_SIG = fol.Signature(frozenset({OBJ}), relations={"R": (OBJ,), "E": (OBJ, OBJ)})
+REL_UNIVERSES = {OBJ: ("a", "b")}
+
+
+def test_validate_rejects_a_relation_tuple_of_the_wrong_arity():
+    tables = {"R": frozenset({("a",), ("b", "a", "a")}), "E": frozenset()}
+    m = FiniteModel(universes=REL_UNIVERSES, relations=tables)
+    with pytest.raises(SemanticsError, match=r"relation table R holds \('b', 'a', 'a'\) of arity 3, not 1"):
+        m.validate(REL_SIG)
+
+
+def test_validate_rejects_a_relation_element_outside_its_universe():
+    tables = {"R": frozenset({("a",)}), "E": frozenset({("a", "b"), ("a", "z"), ("y", "a")})}
+    m = FiniteModel(universes=REL_UNIVERSES, relations=tables)
+    with pytest.raises(SemanticsError, match=r"relation table E leaves the universe at \('a', 'z'\)"):
+        m.validate(REL_SIG)
+    FiniteModel(universes=REL_UNIVERSES, relations={"R": tables["R"], "E": frozenset({("a", "b")})}).validate(REL_SIG)
+
+
+def test_check_rejects_a_script_model_with_a_bad_relation_table():
+    text = "sort S\nrel R : (S)\nmodel m {\n  sort S = { a }\n  rel R = { (b, a, a) }\n}\n"
+    err = run_script_text("fol", text, filename="bad.fol").first_error()
+    assert (err.command, err.tag, err.line, err.col) == ("ModelDef", "semantics-error", 3, 1)
+    assert err.message == "relation table R holds ('b', 'a', 'a') of arity 3, not 1"
 
 
 def test_holds_respects_substitution():
