@@ -4,6 +4,13 @@ deduction-theorem transformation.
 A proof is an ordered list of lines; references point backward only. Axiom
 lines carry the schema index plus the fillers needed to rebuild the instance,
 so the checker constructs each line's formula rather than trusting a claim.
+
+`FILLERS` lists the kinds of each schema's fillers; `hilbert_axiom` and the
+proof-line parser in `surface/proofparse.py` both read a schema's arity from
+it. `_conclude` computes the formula of one line from the formulas of the
+lines before it, and is the only code that does: `_evaluate` runs it over a
+proof for `check_hilbert`, `hilbert_to_nd` and `deduction_transform`, and the
+`_Builder` that emits derived lines runs it on each line it emits.
 """
 
 from __future__ import annotations
@@ -87,135 +94,161 @@ class HilbertProof:
     lines: tuple
 
 
+# The kinds of each schema's fillers, in order: a formula `{A}`, a term
+# `{t}`, a variable `(x : s)` or a sort `(s)`.
+FILLERS = {
+    1: ("formula", "formula"),
+    2: ("formula", "formula", "formula"),
+    3: ("formula", "formula"),
+    4: ("formula", "formula"),
+    5: ("formula", "formula"),
+    6: ("formula", "formula"),
+    7: ("formula", "formula"),
+    8: ("formula", "formula", "formula"),
+    9: ("formula",),
+    10: ("formula", "term"),
+    11: ("formula", "term"),
+    12: ("sort",),
+    13: ("term", "var"),
+    14: ("formula", "var"),
+}
+
+
+def _eq_vars(taken: set, z: FVar) -> tuple[FVar, FVar]:
+    """The x and y of schemas 13 and 14: fresh for the names taken and z's,
+    of z's sort."""
+    taken = taken | {z.name}
+    xn = fresh_name("x", taken)
+    yn = fresh_name("y", taken | {xn})
+    return FVar(xn, z.sort), FVar(yn, z.sort)
+
+
 def hilbert_axiom(mode: str, schema: int, payload: tuple) -> Formula:
     """Construct the instance of schema 1..14; in classical mode schema 9 is
     double-negation elimination instead of ex falso."""
-
-    def formulas(n):
-        if len(payload) != n:
-            raise ProofError(f"schema {schema} takes {n} filler(s), got {len(payload)}")
-        return payload
-
+    kinds = FILLERS.get(schema)
+    if kinds is None:
+        raise ProofError(f"unknown axiom schema {schema}")
+    if len(payload) != len(kinds):
+        raise ProofError(f"schema {schema} takes {len(kinds)} filler(s), got {len(payload)}")
     match schema:
         case 1:
-            a, b = formulas(2)
+            a, b = payload
             return Implies(a, Implies(b, a))
         case 2:
-            a, b, c = formulas(3)
+            a, b, c = payload
             return Implies(Implies(a, Implies(b, c)), Implies(Implies(a, b), Implies(a, c)))
         case 3:
-            a, b = formulas(2)
+            a, b = payload
             return Implies(a, Implies(b, And(a, b)))
         case 4:
-            a, b = formulas(2)
+            a, b = payload
             return Implies(And(a, b), a)
         case 5:
-            a, b = formulas(2)
+            a, b = payload
             return Implies(And(a, b), b)
         case 6:
-            a, b = formulas(2)
+            a, b = payload
             return Implies(a, Or(a, b))
         case 7:
-            a, b = formulas(2)
+            a, b = payload
             return Implies(b, Or(a, b))
         case 8:
-            a, b, c = formulas(3)
+            a, b, c = payload
             return Implies(Implies(a, c), Implies(Implies(b, c), Implies(Or(a, b), c)))
         case 9:
-            (a,) = formulas(1)
+            (a,) = payload
             if mode == "classical":
                 return Implies(neg(neg(a)), a)
             return Implies(Bot(), a)
         case 10:
-            quantified, t = formulas(2)
+            quantified, t = payload
             if not isinstance(quantified, Forall):
                 raise ProofError("schema 10 needs a universally quantified formula")
             return Implies(quantified, open_binder(quantified, t))
         case 11:
-            quantified, t = formulas(2)
+            quantified, t = payload
             if not isinstance(quantified, Exists):
                 raise ProofError("schema 11 needs an existentially quantified formula")
             return Implies(open_binder(quantified, t), quantified)
         case 12:
-            (sort,) = formulas(1)
+            (sort,) = payload
             x = FVar("x", sort)
             return forall(x, Eq(x, x))
         case 13:
-            t, z = formulas(2)
-            taken = {v.name for v in term_free_vars(t)} | {z.name}
-            xn = fresh_name("x", taken)
-            yn = fresh_name("y", taken | {xn})
-            x, y = FVar(xn, z.sort), FVar(yn, z.sort)
+            t, z = payload
+            x, y = _eq_vars({v.name for v in term_free_vars(t)}, z)
             body = Implies(Eq(x, y), Eq(subst_in_term(t, z, x), subst_in_term(t, z, y)))
             return forall(x, forall(y, body))
         case 14:
-            a, z = formulas(2)
-            taken = {v.name for v in free_vars(a)} | {z.name}
-            xn = fresh_name("x", taken)
-            yn = fresh_name("y", taken | {xn})
-            x, y = FVar(xn, z.sort), FVar(yn, z.sort)
+            a, z = payload
+            x, y = _eq_vars({v.name for v in free_vars(a)}, z)
             body = Implies(Eq(x, y), Implies(substitute(a, z, x), substitute(a, z, y)))
             return forall(x, forall(y, body))
-    raise ProofError(f"unknown axiom schema {schema}")
 
 
-def check_hilbert(theory, proof: HilbertProof) -> CertifiedSequent:
-    """Check all lines; returns {cited hypotheses} |- last-line formula."""
+def _cited(formulas: list, i: int, n: int) -> Formula:
+    if not (0 <= i < n):
+        raise ProofError(f"line {n + 1}: reference {i + 1} does not point backward")
+    return formulas[i]
+
+
+def _conclude(mode: str, line: Line, n: int, formulas: list) -> Formula:
+    """The formula that line n concludes, given the formulas of lines 0..n-1."""
+    match line:
+        case AxLine(schema=s, payload=payload):
+            return hilbert_axiom(mode, s, payload)
+        case HypLine(formula=g):
+            if free_vars(g):
+                raise ProofError(
+                    f"line {n + 1}: hypotheses must be sentences "
+                    f"(the quantifier rules generalize free variables)"
+                )
+            return g
+        case MpLine(implication=i, antecedent=j):
+            fi, fj = _cited(formulas, i, n), _cited(formulas, j, n)
+            if not isinstance(fi, Implies):
+                raise ProofError(f"line {n + 1}: modus ponens on non-implication")
+            if not alpha_equal(fi.left, fj):
+                raise ProofError(
+                    f"line {n + 1}: modus ponens shape mismatch: "
+                    f"{pretty_formula(fj)} vs antecedent {pretty_formula(fi.left)}"
+                )
+            return fi.right
+        case AllLine(ref=i, var=x) | ExLine(ref=i, var=x):
+            fi = _cited(formulas, i, n)
+            if not isinstance(fi, Implies):
+                raise ProofError(f"line {n + 1}: quantifier rule needs an implication")
+            if isinstance(line, AllLine):
+                if x in free_vars(fi.left):
+                    raise ProofError(f"line {n + 1}: {x.name} is free in the antecedent")
+                return Implies(fi.left, forall(x, fi.right))
+            if x in free_vars(fi.right):
+                raise ProofError(f"line {n + 1}: {x.name} is free in the consequent")
+            return Implies(exists(x, fi.left), fi.right)
+    raise ProofError(f"line {n + 1}: unknown line kind {type(line).__name__}")
+
+
+def _evaluate(theory, proof: HilbertProof) -> tuple[list, frozenset]:
+    """Each line's formula, well formed over the theory's signature, and the
+    hypotheses the proof cites; a ProofError names the first line that fails."""
     if not proof.lines:
         raise ProofError("empty proof")
     formulas: list[Formula] = []
-    hypotheses: set[Formula] = set()
-
-    def ref(i: int, here: int) -> Formula:
-        if not (0 <= i < here):
-            raise ProofError(f"line {here + 1}: reference {i + 1} does not point backward")
-        return formulas[i]
-
     for n, line in enumerate(proof.lines):
-        match line:
-            case AxLine(schema=s, payload=payload):
-                f = hilbert_axiom(theory.mode, s, payload)
-            case HypLine(formula=g):
-                if free_vars(g):
-                    raise ProofError(
-                        f"line {n + 1}: hypotheses must be sentences "
-                        f"(the quantifier rules generalize free variables)"
-                    )
-                hypotheses.add(g)
-                f = g
-            case MpLine(implication=i, antecedent=j):
-                fi, fj = ref(i, n), ref(j, n)
-                if not isinstance(fi, Implies):
-                    raise ProofError(f"line {n + 1}: modus ponens on non-implication")
-                if not alpha_equal(fi.left, fj):
-                    raise ProofError(
-                        f"line {n + 1}: modus ponens shape mismatch: "
-                        f"{pretty_formula(fj)} vs antecedent {pretty_formula(fi.left)}"
-                    )
-                f = fi.right
-            case AllLine(ref=i, var=x):
-                fi = ref(i, n)
-                if not isinstance(fi, Implies):
-                    raise ProofError(f"line {n + 1}: quantifier rule needs an implication")
-                if x in free_vars(fi.left):
-                    raise ProofError(f"line {n + 1}: {x.name} is free in the antecedent")
-                f = Implies(fi.left, forall(x, fi.right))
-            case ExLine(ref=i, var=x):
-                fi = ref(i, n)
-                if not isinstance(fi, Implies):
-                    raise ProofError(f"line {n + 1}: quantifier rule needs an implication")
-                if x in free_vars(fi.right):
-                    raise ProofError(f"line {n + 1}: {x.name} is free in the consequent")
-                f = Implies(exists(x, fi.left), fi.right)
-            case _:
-                raise ProofError(f"line {n + 1}: unknown line kind {type(line).__name__}")
+        f = _conclude(theory.mode, line, n, formulas)
         try:
             check_well_formed(theory.signature, f)
         except Exception as e:
             raise ProofError(f"line {n + 1}: ill-formed formula: {e}") from e
         formulas.append(f)
+    return formulas, frozenset(line.formula for line in proof.lines if isinstance(line, HypLine))
 
-    return _certify(Sequent(frozenset(hypotheses), formulas[-1]), theory)
+
+def check_hilbert(theory, proof: HilbertProof) -> CertifiedSequent:
+    """Check all lines; returns {cited hypotheses} |- last-line formula."""
+    formulas, hypotheses = _evaluate(theory, proof)
+    return _certify(Sequent(hypotheses, formulas[-1]), theory)
 
 
 # ---------------------------------------------------------------------------
@@ -288,18 +321,12 @@ def hilbert_to_nd(theory, proof: HilbertProof):
                 return nd.AllI(x, nd.EqRefl(x))
             case 13:
                 t, z = payload
-                taken = {v.name for v in term_free_vars(t)} | {z.name}
-                xn = fresh_name("x", taken)
-                yn = fresh_name("y", taken | {xn})
-                x, y = FVar(xn, z.sort), FVar(yn, z.sort)
+                x, y = _eq_vars({v.name for v in term_free_vars(t)}, z)
                 body = nd.ImpI(Eq(x, y), nd.EqSubstTerm(nd.Hyp(Eq(x, y)), t, z))
                 return nd.AllI(x, nd.AllI(y, body))
             case 14:
                 a, z = payload
-                taken = {v.name for v in free_vars(a)} | {z.name}
-                xn = fresh_name("x", taken)
-                yn = fresh_name("y", taken | {xn})
-                x, y = FVar(xn, z.sort), FVar(yn, z.sort)
+                x, y = _eq_vars({v.name for v in free_vars(a)}, z)
                 ax = substitute(a, z, x)
                 body = nd.ImpI(
                     Eq(x, y),
@@ -309,32 +336,24 @@ def hilbert_to_nd(theory, proof: HilbertProof):
                     ),
                 )
                 return nd.AllI(x, nd.AllI(y, body))
-        raise ProofError(f"unknown axiom schema {schema}")
 
-    check_hilbert(theory, proof)
-    forms: list[Formula] = []
+    forms, _ = _evaluate(theory, proof)
     trees = []
-    for line in proof.lines:
+    for n, line in enumerate(proof.lines):
         match line:
             case AxLine(schema=s, payload=payload):
                 trees.append(axiom_nd(s, payload))
-                forms.append(hilbert_axiom(theory.mode, s, payload))
             case HypLine(formula=g):
                 trees.append(nd.Hyp(g))
-                forms.append(g)
             case MpLine(implication=i, antecedent=j):
                 trees.append(nd.ImpE(trees[i], trees[j]))
-                forms.append(forms[i].right)
             case AllLine(ref=i, var=x):
                 a = forms[i].left
                 trees.append(nd.ImpI(a, nd.AllI(x, nd.ImpE(trees[i], nd.Hyp(a)))))
-                forms.append(Implies(a, forall(x, forms[i].right)))
             case ExLine(ref=i, var=x):
-                a, b = forms[i].left, forms[i].right
-                ex = exists(x, a)
-                case_tree = nd.ImpE(trees[i], nd.Hyp(a))
+                ex = forms[n].left
+                case_tree = nd.ImpE(trees[i], nd.Hyp(forms[i].left))
                 trees.append(nd.ImpI(ex, nd.ExE(nd.Hyp(ex), x, case_tree)))
-                forms.append(Implies(ex, b))
     return trees[-1]
 
 
@@ -351,29 +370,16 @@ class _Builder:
         self.lines: list[Line] = []
         self.forms: list[Formula] = []
 
-    def emit(self, line: Line, formula: Formula) -> int:
+    def emit(self, line: Line) -> int:
+        self.forms.append(_conclude(self.mode, line, len(self.lines), self.forms))
         self.lines.append(line)
-        self.forms.append(formula)
-        return len(self.forms) - 1
+        return len(self.lines) - 1
 
     def ax(self, schema: int, payload: tuple) -> int:
-        return self.emit(AxLine(schema, payload), hilbert_axiom(self.mode, schema, payload))
-
-    def hyp(self, f: Formula) -> int:
-        return self.emit(HypLine(f), f)
+        return self.emit(AxLine(schema, payload))
 
     def mp(self, i: int, j: int) -> int:
-        fi = self.forms[i]
-        assert isinstance(fi, Implies) and alpha_equal(fi.left, self.forms[j])
-        return self.emit(MpLine(i, j), fi.right)
-
-    def all_rule(self, i: int, x: FVar) -> int:
-        fi = self.forms[i]
-        return self.emit(AllLine(i, x), Implies(fi.left, forall(x, fi.right)))
-
-    def ex_rule(self, i: int, x: FVar) -> int:
-        fi = self.forms[i]
-        return self.emit(ExLine(i, x), Implies(exists(x, fi.left), fi.right))
+        return self.emit(MpLine(i, j))
 
     # standard derived combinators -----------------------------------------
 
@@ -437,56 +443,33 @@ def deduction_transform(theory, proof: HilbertProof, hypothesis: Formula) -> Hil
     """Discharge a hypothesis: from a proof of B using hypothesis A, build a
     proof of A -> B without it. Quantifier rules in the input must not
     generalize a variable free in A."""
-    check_hilbert(theory, proof)  # errors propagate
+    forms, _ = _evaluate(theory, proof)  # errors propagate
 
     b = _Builder(theory.mode)
-    old = _Builder(theory.mode)  # recompute the original line formulas
     mapping: list[int] = []
     a = hypothesis
     a_frees = free_vars(a)
 
-    for line in proof.lines:
+    for line, f in zip(proof.lines, forms):
         match line:
-            case HypLine(formula=f):
-                old.emit(line, f)
-                if alpha_equal(f, a):
-                    mapping.append(b.imp_refl(a))
-                else:
-                    h = b.hyp(f)
-                    mapping.append(b.add_assum(a, h))
-            case AxLine(schema=s, payload=payload):
-                f = hilbert_axiom(theory.mode, s, payload)
-                old.emit(line, f)
-                i = b.ax(s, payload)
-                mapping.append(b.add_assum(a, i))
+            case HypLine() if alpha_equal(f, a):
+                mapping.append(b.imp_refl(a))
+            case HypLine() | AxLine():
+                mapping.append(b.add_assum(a, b.emit(line)))
             case MpLine(implication=i, antecedent=j):
-                fi = old.forms[i]
-                old.emit(line, fi.right)
-                x, f = fi.left, fi.right
-                l2 = b.ax(2, (a, x, f))
+                l2 = b.ax(2, (a, forms[i].left, f))
                 l3 = b.mp(l2, mapping[i])
                 mapping.append(b.mp(l3, mapping[j]))
+            case AllLine(var=x) | ExLine(var=x) if x in a_frees:
+                raise ProofError(
+                    f"quantifier rule generalizes {x.name}, which is free in the "
+                    f"discharged hypothesis"
+                )
             case AllLine(ref=i, var=x):
-                if x in a_frees:
-                    raise ProofError(
-                        f"quantifier rule generalizes {x.name}, which is free in the "
-                        f"discharged hypothesis"
-                    )
-                fi = old.forms[i]
-                old.emit(line, Implies(fi.left, forall(x, fi.right)))
                 u = b.imp_uncurry(mapping[i])
-                w = b.all_rule(u, x)
-                mapping.append(b.imp_curry(w))
+                mapping.append(b.imp_curry(b.emit(AllLine(u, x))))
             case ExLine(ref=i, var=x):
-                if x in a_frees:
-                    raise ProofError(
-                        f"quantifier rule generalizes {x.name}, which is free in the "
-                        f"discharged hypothesis"
-                    )
-                fi = old.forms[i]
-                old.emit(line, Implies(exists(x, fi.left), fi.right))
                 s = b.imp_swap(mapping[i])
-                e = b.ex_rule(s, x)
-                mapping.append(b.imp_swap(e))
+                mapping.append(b.imp_swap(b.emit(ExLine(s, x))))
 
     return HilbertProof(tuple(b.lines))

@@ -7,7 +7,6 @@ from typing import TYPE_CHECKING
 
 from ..errors import ScriptError
 from ..run import Options, _Runner
-from ..span import replace
 from ..surface import script as sc
 from ..surface.fol_parser import FolEnv, parse_fol_formula
 from ..surface.proofparse import parse_hilbert, parse_nd
@@ -42,13 +41,13 @@ class FolRunner(_Runner):
         match cmd:
             case sc.DeclareSort(name=name):
                 sig = self.theory.signature.with_sort(Sort(name))
-                self.theory = replace(self.theory, signature=sig)
+                self.theory = self.theory._grown(signature=sig)
             case sc.DeclareFn(name=name, args=args, result=result):
                 sig = self.theory.signature.with_function(name, tuple(map(Sort, args)), Sort(result))
-                self.theory = replace(self.theory, signature=sig)
+                self.theory = self.theory._grown(signature=sig)
             case sc.DeclareRel(name=name, args=args):
                 sig = self.theory.signature.with_relation(name, tuple(map(Sort, args)))
-                self.theory = replace(self.theory, signature=sig)
+                self.theory = self.theory._grown(signature=sig)
             case sc.DefineRel(name=name, params=params, body_tokens=body):
                 pvars = tuple(FVar(p, Sort(s)) for p, s in params)
                 env = FolEnv(self.theory.signature, {p: Sort(s) for p, s in params})

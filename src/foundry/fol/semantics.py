@@ -29,6 +29,7 @@ from .syntax import (
     Sort,
     Term,
     free_vars,
+    open_binder,
     pretty_term,
 )
 
@@ -123,8 +124,6 @@ def holds(model: FiniteModel, assignment: Assignment, a: Formula) -> bool:
         case Implies(left=l, right=r):
             return (not holds(model, assignment, l)) or holds(model, assignment, r)
         case Forall(sort=s) | Exists(sort=s):
-            from .syntax import open_binder
-
             x = FVar(f"!q{len(assignment)}", s)
             body = lambda d: holds(model, {**assignment, x: d}, open_binder(a, x))
             elems = model.universe(s)
@@ -228,8 +227,6 @@ def forces(kripke: KripkeModel, world: str, assignment: Assignment, a: Formula) 
                 for w in kripke.above(world)
             )
         case Forall(sort=s):
-            from .syntax import open_binder
-
             x = FVar(f"!q{len(assignment)}", s)
             return all(
                 forces(kripke, w, {**assignment, x: d}, open_binder(a, x))
@@ -237,8 +234,6 @@ def forces(kripke: KripkeModel, world: str, assignment: Assignment, a: Formula) 
                 for d in kripke.models[w].universe(s)
             )
         case Exists(sort=s):
-            from .syntax import open_binder
-
             x = FVar(f"!q{len(assignment)}", s)
             return any(
                 forces(kripke, world, {**assignment, x: d}, open_binder(a, x))

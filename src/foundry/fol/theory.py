@@ -12,7 +12,7 @@ from __future__ import annotations
 from typing import Mapping
 
 from ..errors import TheoryError
-from ..span import EMPTY, node, replace
+from ..span import EMPTY, node
 from .proof import CertifiedSequent
 from .syntax import (
     And,
@@ -249,17 +249,33 @@ class Theory:
         if self.mode not in ("classical", "intuitionistic"):
             raise TheoryError(f"unknown logic mode {self.mode}")
         for name, a in self.axioms.items():
-            check_well_formed(self.signature, a)
-            if not is_sentence(a):
-                raise TheoryError(f"axiom {name} is not a sentence")
+            self._check_axiom(name, a)
+
+    def _check_axiom(self, name: str, a: Formula) -> None:
+        check_well_formed(self.signature, a)
+        if not is_sentence(a):
+            raise TheoryError(f"axiom {name} is not a sentence")
+
+    def _grown(self, **changes) -> "Theory":
+        """This theory with fields changed, its axioms not checked again.
+
+        Each axiom is checked once, as it enters: by the constructor or by
+        `with_axiom`. Callers change only the log, the axioms by `with_axiom`
+        and the signature by its `with_*` methods, and an axiom well formed
+        over a signature stays so when sorts and symbols are added.
+        """
+        new = object.__new__(Theory)
+        new.__dict__.update(vars(self), **changes)
+        return new
 
     def with_axiom(self, name: str, a: Formula) -> "Theory":
         if name in self.axioms:
             raise TheoryError(f"axiom name {name} already used")
-        return replace(self, axioms={**self.axioms, name: a})
+        self._check_axiom(name, a)
+        return self._grown(axioms={**self.axioms, name: a})
 
     def log(self, entry: LogEntry) -> "Theory":
-        return replace(self, definition_log=self.definition_log + (entry,))
+        return self._grown(definition_log=self.definition_log + (entry,))
 
     def proves_outright(self, a: Formula) -> bool:
         """Is the formula available without proof: an axiom or an instance of
@@ -309,7 +325,7 @@ def extend_by_relation(theory: Theory, name: str, definition: Formula, params: t
     check_well_formed(theory.signature, forall_many(params, definition))
     sig = theory.signature.with_relation(name, tuple(p.sort for p in params))
     axiom = forall_many(params, iff(Rel(name, tuple(params)), definition))
-    out = replace(theory, signature=sig).with_axiom(f"def_{name}", axiom)
+    out = theory._grown(signature=sig).with_axiom(f"def_{name}", axiom)
     return out.log(LogEntry("relation-definition", name, pretty_formula(definition)))
 
 
@@ -332,7 +348,7 @@ def extend_by_function(
     sig = theory.signature.with_function(name, tuple(p.sort for p in params), result.sort)
     witness = App(name, tuple(params))
     axiom = forall_many(params, substitute(definition, result, witness))
-    out = replace(theory, signature=sig).with_axiom(f"def_{name}", axiom)
+    out = theory._grown(signature=sig).with_axiom(f"def_{name}", axiom)
     return out.log(LogEntry("function-definition", name, pretty_formula(definition)))
 
 
@@ -366,7 +382,7 @@ def add_skolem_function(
     sig = theory.signature.with_function(name, tuple(p.sort for p in params), result.sort)
     witness = App(name, tuple(params))
     axiom = forall_many(params, substitute(definition, result, witness))
-    out = replace(theory, signature=sig).with_axiom(f"def_{name}", axiom)
+    out = theory._grown(signature=sig).with_axiom(f"def_{name}", axiom)
     return out.log(LogEntry("skolem-function", name, "indefinite-description"))
 
 

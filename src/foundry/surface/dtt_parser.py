@@ -11,7 +11,7 @@ from __future__ import annotations
 from .. import dtt
 from ..dtt.printer import BINDERS, KEYWORDS, UNBRACKETED
 from ..dtt.syntax import _SHAPE
-from .lexer import Cursor
+from .lexer import MAX_NUMERAL, Cursor
 
 
 def parse_dtt_expr(cur: Cursor, defs: dict | None = None, binders=()) -> dtt.Expr:
@@ -87,7 +87,7 @@ def _dtt_starts_factor(cur):
 def _dtt_factor(cur, defs, binders):
     t = cur.peek()
     if t.kind == "int":
-        return dtt.numeral(cur.numeral())
+        return dtt.numeral(cur.integer(MAX_NUMERAL))
     if cur.at("("):
         cur.next()
         e = _dtt_expr(cur, defs, binders)
@@ -97,7 +97,7 @@ def _dtt_factor(cur, defs, binders):
     if name in KEYWORDS:
         cls = KEYWORDS[name]
         if cls is dtt.TypeSort:
-            return dtt.TypeSort(int(cur.expect_kind("int").value), span=t.span)
+            return dtt.TypeSort(cur.integer(), span=t.span)
         if cls is dtt.Axiom:
             return dtt.Axiom(cur.expect_kind("ident").value, span=t.span)
         shape = _SHAPE.get(cls, ())

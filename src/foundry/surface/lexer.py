@@ -137,15 +137,22 @@ class Cursor:
             self.pos += 1
         return t
 
-    def numeral(self) -> int:
-        """The value of the numeral token next, at most `MAX_NUMERAL`."""
+    def integer(self, most: int | None = None) -> int:
+        """The value of the integer token next.
+
+        With `most`, the token is a numeral, which STLC and DTT build as that
+        many nested nodes, and a value above `most` is `depth-exceeded`.
+        Without, digits that `int` cannot convert are a parse error.
+        """
         t = self.expect_kind("int")
         try:
             n = int(t.value)
         except ValueError:  # more digits than `int` converts from a string
-            n = MAX_NUMERAL + 1
-        if n > MAX_NUMERAL:
-            message = f"numeral too large: at most {MAX_NUMERAL} is accepted"
+            if most is None:
+                raise ParseError(f"integer too long: {len(t.value)} digits", span=t.span) from None
+            n = most + 1
+        if most is not None and n > most:
+            message = f"numeral too large: at most {most} is accepted"
             raise ParseError(message, tag="depth-exceeded", span=t.span)
         return n
 

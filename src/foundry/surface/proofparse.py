@@ -1,4 +1,13 @@
-"""Parsers for natural-deduction trees and Hilbert proof lines."""
+"""Parsers for natural-deduction trees and Hilbert proof lines.
+
+Both proof languages are read from tables. `_ND` maps each deduction rule's
+name to its node class and to the kinds of its arguments, which are the
+class's fields in order; `_LINES` does the same for the Hilbert lines `hyp`,
+`mp`, `all` and `ex`. An `ax` line's fillers are read by the kinds that
+`hilbert.FILLERS` lists for its schema. `_READERS` reads each kind. The
+formula each Hilbert line concludes is computed by the checker, in
+`fol/hilbert.py`, not here.
+"""
 
 from __future__ import annotations
 
@@ -14,6 +23,16 @@ def _formula(cur: Cursor, env: FolEnv):
     a = parse_fol_formula(cur, env)
     cur.expect("}")
     return a
+
+
+def _formulas(cur: Cursor, env: FolEnv) -> frozenset:
+    cur.expect("{")
+    extra = [parse_fol_formula(cur, env)]
+    while cur.at(";"):
+        cur.next()
+        extra.append(parse_fol_formula(cur, env))
+    cur.expect("}")
+    return frozenset(extra)
 
 
 def _term(cur: Cursor, env: FolEnv):
@@ -35,115 +54,83 @@ def _var(cur: Cursor, env: FolEnv) -> FVar:
     return FVar(name, sort)
 
 
+def _sort(cur: Cursor, env: FolEnv):
+    cur.expect("(")
+    sort = env.sort_named(cur.expect_kind("ident").value, cur)
+    cur.expect(")")
+    return sort
+
+
+def _line(cur: Cursor, env: FolEnv) -> int:
+    return cur.integer() - 1
+
+
+def _node(cur: Cursor, env: FolEnv, table: dict, what: str):
+    """The node whose name comes next, built from its arguments read in order."""
+    t = cur.expect_kind("ident")
+    entry = table.get(t.value)
+    if entry is None:
+        raise ParseError(f"unknown {what} {t.value}", span=t.span)
+    cls, kinds = entry
+    return cls(*[_READERS[kind](cur, env) for kind in kinds])
+
+
 def parse_nd(cur: Cursor, env: FolEnv) -> proof.NdDerivation:
     if cur.at("("):
         cur.next()
         d = parse_nd(cur, env)
         cur.expect(")")
         return d
-    t = cur.expect_kind("ident")
-    rule = t.value
-    match rule:
-        case "hyp":
-            return proof.Hyp(_formula(cur, env))
-        case "andI":
-            return proof.AndI(parse_nd(cur, env), parse_nd(cur, env))
-        case "andE1":
-            return proof.AndE1(parse_nd(cur, env))
-        case "andE2":
-            return proof.AndE2(parse_nd(cur, env))
-        case "orI1":
-            return proof.OrI1(parse_nd(cur, env), _formula(cur, env))
-        case "orI2":
-            return proof.OrI2(_formula(cur, env), parse_nd(cur, env))
-        case "orE":
-            return proof.OrE(parse_nd(cur, env), parse_nd(cur, env), parse_nd(cur, env))
-        case "impI":
-            return proof.ImpI(_formula(cur, env), parse_nd(cur, env))
-        case "impE":
-            return proof.ImpE(parse_nd(cur, env), parse_nd(cur, env))
-        case "botE":
-            return proof.BotE(_formula(cur, env), parse_nd(cur, env))
-        case "raa":
-            return proof.Raa(_formula(cur, env), parse_nd(cur, env))
-        case "allI":
-            return proof.AllI(_var(cur, env), parse_nd(cur, env))
-        case "allE":
-            return proof.AllE(parse_nd(cur, env), _term(cur, env))
-        case "exI":
-            target = _formula(cur, env)
-            witness = _term(cur, env)
-            return proof.ExI(target, witness, parse_nd(cur, env))
-        case "exE":
-            major = parse_nd(cur, env)
-            var = _var(cur, env)
-            return proof.ExE(major, var, parse_nd(cur, env))
-        case "eqRefl":
-            return proof.EqRefl(_term(cur, env))
-        case "eqTerm":
-            p = parse_nd(cur, env)
-            tmpl = _term(cur, env)
-            return proof.EqSubstTerm(p, tmpl, _var(cur, env))
-        case "eqForm":
-            p = parse_nd(cur, env)
-            q = parse_nd(cur, env)
-            tmpl = _formula(cur, env)
-            return proof.EqSubstForm(p, q, tmpl, _var(cur, env))
-        case "weaken":
-            cur.expect("{")
-            extra = [parse_fol_formula(cur, env)]
-            while cur.at(";"):
-                cur.next()
-                extra.append(parse_fol_formula(cur, env))
-            cur.expect("}")
-            return proof.Weaken(frozenset(extra), parse_nd(cur, env))
-    raise ParseError(f"unknown deduction rule {rule}", span=t.span)
+    return _node(cur, env, _ND, "deduction rule")
 
 
 def parse_hilbert(cur: Cursor, env: FolEnv) -> hilbert.HilbertProof:
     lines = []
     while not cur.done():
-        t = cur.expect_kind("ident")
-        match t.value:
-            case "ax":
-                schema = int(cur.expect_kind("int").value)
-                payload = _ax_payload(cur, env, schema, t)
-                lines.append(hilbert.AxLine(schema, payload))
-            case "hyp":
-                lines.append(hilbert.HypLine(_formula(cur, env)))
-            case "mp":
-                i = int(cur.expect_kind("int").value) - 1
-                j = int(cur.expect_kind("int").value) - 1
-                lines.append(hilbert.MpLine(i, j))
-            case "all":
-                i = int(cur.expect_kind("int").value) - 1
-                lines.append(hilbert.AllLine(i, _var(cur, env)))
-            case "ex":
-                i = int(cur.expect_kind("int").value) - 1
-                lines.append(hilbert.ExLine(i, _var(cur, env)))
-            case _:
-                raise ParseError(f"unknown proof line {t.value}", span=t.span)
+        if cur.at("ax"):
+            t = cur.next()
+            schema = cur.integer()
+            kinds = hilbert.FILLERS.get(schema)
+            if kinds is None:
+                raise ParseError(f"unknown axiom schema {schema}", span=t.span)
+            lines.append(hilbert.AxLine(schema, tuple(_READERS[k](cur, env) for k in kinds)))
+        else:
+            lines.append(_node(cur, env, _LINES, "proof line"))
         if cur.at(";"):
             cur.next()
     return hilbert.HilbertProof(tuple(lines))
 
 
-def _ax_payload(cur: Cursor, env: FolEnv, schema: int, t) -> tuple:
-    if schema in (1, 3, 4, 5, 6, 7):
-        return (_formula(cur, env), _formula(cur, env))
-    if schema in (2, 8):
-        return (_formula(cur, env), _formula(cur, env), _formula(cur, env))
-    if schema == 9:
-        return (_formula(cur, env),)
-    if schema in (10, 11):
-        return (_formula(cur, env), _term(cur, env))
-    if schema == 12:
-        cur.expect("(")
-        sort = env.sort_named(cur.expect_kind("ident").value, cur)
-        cur.expect(")")
-        return (sort,)
-    if schema == 13:
-        return (_term(cur, env), _var(cur, env))
-    if schema == 14:
-        return (_formula(cur, env), _var(cur, env))
-    raise ParseError(f"unknown axiom schema {schema}", span=t.span)
+_READERS = {
+    "formula": _formula, "formulas": _formulas, "term": _term, "var": _var,
+    "sort": _sort, "nd": parse_nd, "line": _line,
+}
+
+_ND = {
+    "hyp": (proof.Hyp, ("formula",)),
+    "andI": (proof.AndI, ("nd", "nd")),
+    "andE1": (proof.AndE1, ("nd",)),
+    "andE2": (proof.AndE2, ("nd",)),
+    "orI1": (proof.OrI1, ("nd", "formula")),
+    "orI2": (proof.OrI2, ("formula", "nd")),
+    "orE": (proof.OrE, ("nd", "nd", "nd")),
+    "impI": (proof.ImpI, ("formula", "nd")),
+    "impE": (proof.ImpE, ("nd", "nd")),
+    "botE": (proof.BotE, ("formula", "nd")),
+    "raa": (proof.Raa, ("formula", "nd")),
+    "allI": (proof.AllI, ("var", "nd")),
+    "allE": (proof.AllE, ("nd", "term")),
+    "exI": (proof.ExI, ("formula", "term", "nd")),
+    "exE": (proof.ExE, ("nd", "var", "nd")),
+    "eqRefl": (proof.EqRefl, ("term",)),
+    "eqTerm": (proof.EqSubstTerm, ("nd", "term", "var")),
+    "eqForm": (proof.EqSubstForm, ("nd", "nd", "formula", "var")),
+    "weaken": (proof.Weaken, ("formulas", "nd")),
+}
+
+_LINES = {
+    "hyp": (hilbert.HypLine, ("formula",)),
+    "mp": (hilbert.MpLine, ("line", "line")),
+    "all": (hilbert.AllLine, ("line", "var")),
+    "ex": (hilbert.ExLine, ("line", "var")),
+}

@@ -13,7 +13,7 @@ from ..stlc.syntax import (
     _SHAPE, App, Arrow, Base, Free, Pair, Prod, SimpleType, SumT, Term, abstract_free, numeral,
 )
 from ..stlc.typing import TYPE_KEYWORDS
-from .lexer import Cursor
+from .lexer import MAX_NUMERAL, Cursor
 
 
 def parse_stlc_type(cur: Cursor) -> SimpleType:
@@ -98,7 +98,7 @@ def _stlc_starts_factor(cur):
 def _stlc_factor(cur, consts, binders):
     t = cur.peek()
     if t.kind == "int":
-        return numeral(cur.numeral())
+        return numeral(cur.integer(MAX_NUMERAL))
     if cur.at("("):
         cur.next()
         a = parse_stlc_term(cur, consts, binders)

@@ -140,6 +140,32 @@ def test_numerals_up_to_the_limit_are_built(calculus):
         assert (err.value.tag, err.value.span[:3]) == ("depth-exceeded", ("n", 1, 6))
 
 
+FOL_PRELUDE = "sort obj\nrel P : ()\n"
+DIGITS = "9" * 5000  # more digits than `int` converts from a string
+
+
+@pytest.mark.parametrize("calculus, text, col", [
+    ("dtt", f"check {{Type {DIGITS}}}\n", 13),
+    ("fol", f"{FOL_PRELUDE}theorem t : {{P}} := hilbert {{ ax {DIGITS} {{P}} }}\n", 33),
+    ("fol", f"{FOL_PRELUDE}theorem t : {{P}} := hilbert {{ mp 1 {DIGITS} }}\n", 35),
+    ("fol", f"{FOL_PRELUDE}theorem t : {{P}} := hilbert {{ all {DIGITS} (x : obj) }}\n", 34),
+    ("fol", f"{FOL_PRELUDE}theorem t : {{P}} := hilbert {{ ex {DIGITS} (x) }}\n", 33),
+])
+def test_an_integer_too_long_to_convert_is_a_parse_error(calculus, text, col, tmp_path, capsys):
+    path = tmp_path / f"long.{calculus}"
+    path.write_text(text)
+    assert cli(["check", str(path), "--calculus", calculus]) == 1
+    line = text.count("\n")
+    assert f"error[parse-error] at {line}:{col}: integer too long: 5000 digits" in capsys.readouterr().out
+
+
+def test_integers_that_convert_keep_their_meaning():
+    from foundry.dtt import TypeSort
+    from foundry.surface.parsers import parse_expr
+
+    assert parse_expr("dtt", "Type 60000") == TypeSort(60000)
+
+
 def test_deep_input_is_a_tagged_error_not_a_traceback(tmp_path, capsys):
     from foundry.run import run_script_text
 

@@ -227,3 +227,25 @@ def test_hilbert_to_nd_on_random_proofs():
             cert_nd = fol.check_nd(th, hilbert_to_nd(th, proof))
             assert fol.alpha_equal(cert_nd.conclusion, cert.conclusion)
             assert cert_nd.hypotheses <= cert.hypotheses
+
+
+@pytest.mark.parametrize("mode", ["intuitionistic", "classical"])
+def test_every_schema_instance_translates_to_a_derivation_of_it(mode):
+    from foundry.fol.hilbert import FILLERS, hilbert_to_nd
+
+    th = theory(mode)
+    x, y, z = (FVar(n, OBJ) for n in "xyz")
+    px, qz = Rel("P", (x,)), Rel("Q", (z,))
+    C = Rel("C", ())
+    payloads = {
+        1: (A, B), 2: (A, B, C), 3: (A, B), 4: (A, B), 5: (A, B), 6: (A, B),
+        7: (A, B), 8: (A, B, C), 9: (A,), 10: (forall(x, px), y),
+        11: (exists(x, px), y), 12: (OBJ,), 13: (z, z), 14: (fol.And(qz, Rel("P", (y,))), z),
+    }
+    assert set(payloads) == set(FILLERS)
+    for schema, payload in payloads.items():
+        proof = HilbertProof((AxLine(schema, payload),))
+        cert = check_hilbert(th, proof)
+        cert_nd = check_nd(th, hilbert_to_nd(th, proof))
+        assert alpha_equal(cert_nd.conclusion, cert.conclusion), schema
+        assert not cert_nd.hypotheses and not cert.hypotheses

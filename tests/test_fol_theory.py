@@ -1,7 +1,7 @@
 import pytest
 
 from foundry import fol
-from foundry.errors import TheoryError
+from foundry.errors import SortError, TheoryError
 from foundry.fol import (
     ADD, MUL, AllE, AllI, AndE1, AndE2, AndI, App, Eq, ExE, ExI, FVar, Hyp,
     ImpE, ImpI, Implies, Rel, Sort, add_skolem_function, alpha_equal,
@@ -176,6 +176,21 @@ def test_pra_induction_quantifier_free_only():
     with pytest.raises(TheoryError) as e:
         instantiate_schema(ind, [exists(y, Eq(x, y))])
     assert "quantifier-free" in str(e.value)
+
+
+def test_an_open_or_ill_formed_axiom_is_rejected_as_it_enters():
+    obj = Sort("obj")
+    x = FVar("x", obj)
+    sig = fol.single_sorted("obj").with_relation("P", (obj,))
+    th = pure_theory(sig)
+    for bad, error in ((Rel("P", (x,)), TheoryError), (Rel("Q", ()), SortError)):
+        with pytest.raises(error):
+            th.with_axiom("a", bad)
+        with pytest.raises(error):
+            fol.Theory(name="t", signature=sig, axioms={"a": bad})
+    with pytest.raises(SortError):
+        extend_by_relation(th, "D", Rel("Q", (x,)), (x,))
+    assert "a" in th.with_axiom("a", forall(x, Rel("P", (x,)))).axioms
 
 
 def test_builtin_theories():

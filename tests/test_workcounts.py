@@ -25,7 +25,10 @@ of a kernel that repeats work it has already done:
   `shift` 460, against 948 without the type cache, 2,244 without the
   loose-bvar range as well, 16,000 when `subst` also shifts its value at
   every binder it crosses and 67,000 when it also rebuilds unchanged
-  subterms.
+  subterms;
+- 400 FOL axioms, each `forall x : obj, P(x)`: `check_well_formed` 800
+  entries (the quantifier and its body, once per axiom), against 160,400
+  when every new theory checks all of its axioms again.
 """
 
 import pathlib
@@ -35,6 +38,8 @@ import pytest
 
 import foundry.dtt.kernel as dtt_kernel
 import foundry.dtt.syntax as dtt_syntax
+import foundry.fol.runner  # noqa: F401  (loaded first, so its name is counted and restored)
+import foundry.fol.syntax as fol_syntax
 import foundry.hol.kernel as hol_kernel
 from foundry.run import Options, run_script_text
 
@@ -137,3 +142,14 @@ def test_each_theorem_is_formatted_once(monkeypatch, trace):
     assert calls[0] == len(printed) == 42
     thms = [f"{r.name}: {r.output}" for r in report.results if r.command == "Thm"]
     assert report.trace == (thms if trace else [])
+
+
+def test_each_fol_axiom_is_checked_once(monkeypatch):
+    n = 400
+    text = "sort obj\nrel P : (obj)\n" + "".join(
+        f"axiom a_{i} : {{forall x : obj, P(x)}}\n" for i in range(n)
+    )
+    calls = count_entries(monkeypatch, fol_syntax, "check_well_formed")
+    report = run_script_text("fol", text, Options(), "axioms.fol")
+    assert report.ok, report.first_error()
+    assert 0 < calls[0] <= 2 * n + 20
