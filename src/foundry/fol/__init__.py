@@ -15,18 +15,18 @@ from .proof import (  # noqa: F401
 )
 from .hilbert import (  # noqa: F401
     AllLine, AxLine, ExLine, HilbertProof, HypLine, MpLine, check_hilbert,
-    deduction_transform, hilbert_axiom, hilbert_to_nd,
+    hilbert_axiom,
 )
 from .theory import (  # noqa: F401
     AxiomSchema, LogEntry, SchemaSlot, Theory, add_skolem_function,
-    builtin_theory, decidable_equality, exists_unique, extend_by_function,
+    decidable_equality, exists_unique, extend_by_function,
     extend_by_relation, instantiate_schema, pure_theory,
-    schema_recognizes, separation_schema, pra_induction_schema,
-    replacement_schema, substitute_parallel,
+    schema_recognizes, substitute_parallel,
 )
 
-# A check never evaluates a model, closes congruences or runs primitive
-# recursion, so these three modules load on first use of one of their names.
+# A check never evaluates a model, closes congruences, runs primitive
+# recursion, transforms a Hilbert proof or builds a builtin theory, so these
+# five modules load on first use of one of their names.
 lazy_names(__name__, {
     "ADD": "primrec", "FACT": "primrec", "MUL": "primrec", "Comp": "primrec",
     "PrimRec": "primrec", "PrimRecDef": "primrec", "Proj": "primrec",
@@ -38,4 +38,9 @@ lazy_names(__name__, {
     "search_countermodel": "semantics", "valid_in": "semantics",
     "CCResult": "congruence", "congruence_closure": "congruence",
     "model_from_partition": "congruence",
+    "deduction_transform": "transforms", "hilbert_to_nd": "transforms",
+    "builtin_theory": "builtin_theories",
+    "pra_induction_schema": "builtin_theories",
+    "replacement_schema": "builtin_theories",
+    "separation_schema": "builtin_theories",
 })

@@ -19,7 +19,7 @@ from __future__ import annotations
 from typing import Iterable, Mapping, Union
 
 from ..errors import SortError
-from ..span import EMPTY, hint_field, node, replace, span_field
+from ..span import EMPTY, grown, hint_field, node, span_field
 
 
 @node
@@ -312,13 +312,9 @@ class Signature:
 
     def __post_init__(self):
         for name, (args, res) in self.functions.items():
-            for s in (*args, res):
-                if s not in self.sorts:
-                    raise SortError(f"function {name}: unknown sort {s}")
+            _check_symbol(self.sorts, "function", name, (*args, res))
         for name, args in self.relations.items():
-            for s in args:
-                if s not in self.sorts:
-                    raise SortError(f"relation {name}: unknown sort {s}")
+            _check_symbol(self.sorts, "relation", name, args)
         if set(self.functions) & set(self.relations):
             clash = sorted(set(self.functions) & set(self.relations))
             raise SortError(f"symbols declared as both function and relation: {clash}")
@@ -329,18 +325,31 @@ class Signature:
             return next(iter(self.sorts))
         return None
 
+    # The `with_*` methods check only what they add: the symbols already
+    # declared were checked as they entered, and a new sort or symbol cannot
+    # make one of them ill-formed.
+
     def with_function(self, name: str, args: tuple[Sort, ...], res: Sort) -> "Signature":
         if name in self.functions or name in self.relations:
             raise SortError(f"symbol {name} already declared")
-        return replace(self, functions={**self.functions, name: (args, res)})
+        _check_symbol(self.sorts, "function", name, (*args, res))
+        return grown(self, functions={**self.functions, name: (args, res)})
 
     def with_relation(self, name: str, args: tuple[Sort, ...]) -> "Signature":
         if name in self.functions or name in self.relations:
             raise SortError(f"symbol {name} already declared")
-        return replace(self, relations={**self.relations, name: args})
+        _check_symbol(self.sorts, "relation", name, args)
+        return grown(self, relations={**self.relations, name: args})
 
     def with_sort(self, sort: Sort) -> "Signature":
-        return replace(self, sorts=self.sorts | {sort})
+        return grown(self, sorts=self.sorts | {sort})
+
+
+def _check_symbol(sorts: frozenset, kind: str, name: str, profile: tuple[Sort, ...]) -> None:
+    """Every sort in a function's or relation's profile is declared."""
+    for s in profile:
+        if s not in sorts:
+            raise SortError(f"{kind} {name}: unknown sort {s}")
 
 
 def single_sorted(sort_name: str = "obj") -> Signature:

@@ -46,7 +46,7 @@ from .kernel import (
     Abs, App, BVar, Const, FVar, HolTerm, HolTheorem, HolType, KernelState,
     PROP, TyApp, _closed_type, _is_standard, abs_over, check_term,
     defining_theorem, dest_eq, fn, free_vars, inst_term, inst_type,
-    pretty_type, type_match, type_of,
+    new_definition, pretty_type, standard_definitions, type_match, type_of,
 )
 
 
@@ -650,3 +650,12 @@ def EXT(state: KernelState, x: FVar, th: HolTheorem) -> HolTheorem:
     es = ETA(state, abs_over(x, App(s, x)))
     et = ETA(state, abs_over(x, App(t, x)))
     return TRANS(state, TRANS(state, SYM(state, es), a), et)
+
+
+def define_connectives(state: KernelState):
+    """Run the standard definitions; returns (state', {name: defining thm})."""
+    thms = {}
+    for name, body in standard_definitions():
+        state, thm = new_definition(state, name, body)
+        thms[name] = thm
+    return state, thms

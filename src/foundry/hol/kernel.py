@@ -39,7 +39,6 @@ variables are still checked at every node of every term that misses.
 
 from __future__ import annotations
 
-from functools import cache
 from types import MappingProxyType
 from typing import Iterable, Mapping, Union
 
@@ -874,24 +873,15 @@ def standard_definitions() -> tuple[tuple[str, HolTerm], ...]:
     )
 
 
-def define_connectives(state: KernelState):
-    """Run the standard definitions; returns (state', {name: defining thm})."""
-    thms = {}
-    for name, body in standard_definitions():
-        state, thm = new_definition(state, name, body)
-        thms[name] = thm
-    return state, thms
-
-
-@cache
-def _standard_bodies() -> dict[str, HolTerm]:
-    return dict(standard_definitions())
+# Built once at import, so the first run in a process does no more work
+# than any later one.
+_STANDARD_BODIES = MappingProxyType(dict(standard_definitions()))
 
 
 def _is_standard(state: KernelState, name: str) -> bool:
     """Whether the connective name has its standard definition in state."""
     decl = state.constants.get(name)
-    return decl is not None and decl.definiens == _standard_bodies()[name]
+    return decl is not None and decl.definiens == _STANDARD_BODIES[name]
 
 
 def _require_standard(state: KernelState, names: Iterable[str]) -> None:

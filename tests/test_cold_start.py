@@ -43,9 +43,13 @@ FORBIDDEN = {
     "stlc": ("hol", "dtt", "fol"),
 }
 # The modules of the checked calculus that a check never runs: FOL's semantic
-# oracles and primitive recursion, STLC's bridge and term generator.
+# oracles, primitive recursion, Hilbert proof transforms and builtin theories,
+# STLC's bridge and term generator.
 FORBIDDEN_OWN = {
-    "fol": ("fol.semantics", "fol.congruence", "fol.primrec", "fol.groundsearch"),
+    "fol": (
+        "fol.semantics", "fol.congruence", "fol.primrec", "fol.groundsearch",
+        "fol.transforms", "fol.builtin_theories",
+    ),
     "dtt": (),
     "hol": (),
     "stlc": ("stlc.bridge", "stlc.generate"),

@@ -192,7 +192,7 @@ def test_certified_sequent_cannot_be_forged():
 
 
 def test_hilbert_to_nd_translation_oracle():
-    from foundry.fol.hilbert import hilbert_to_nd
+    from foundry.fol.transforms import hilbert_to_nd
 
     th = theory()
     # the five-line I-combinator proof re-checks as a derivation
@@ -215,7 +215,7 @@ def test_hilbert_to_nd_translation_oracle():
 def test_hilbert_to_nd_on_random_proofs():
     import random
 
-    from foundry.fol.hilbert import hilbert_to_nd
+    from foundry.fol.transforms import hilbert_to_nd
     from helpers import gen_hilbert
 
     for mode in ("intuitionistic", "classical"):
@@ -231,7 +231,8 @@ def test_hilbert_to_nd_on_random_proofs():
 
 @pytest.mark.parametrize("mode", ["intuitionistic", "classical"])
 def test_every_schema_instance_translates_to_a_derivation_of_it(mode):
-    from foundry.fol.hilbert import FILLERS, hilbert_to_nd
+    from foundry.fol.hilbert import FILLERS
+    from foundry.fol.transforms import hilbert_to_nd
 
     th = theory(mode)
     x, y, z = (FVar(n, OBJ) for n in "xyz")

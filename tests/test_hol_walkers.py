@@ -16,6 +16,7 @@ import random
 import pytest
 
 from foundry.hol import kernel as hk
+from foundry.hol.derived import define_connectives
 from foundry.hol.kernel import (
     Abs, App, BVar, Const, FVar, PROP, TyApp, TyVar, fn, ty_vars, type_subst,
 )
@@ -279,7 +280,7 @@ def test_opening_a_body_without_index_0_is_the_old_unshift():
 
 
 def test_eta_returns_what_the_old_unshift_returned():
-    state = hk.define_connectives(hk.initial_state())[0]
+    state = define_connectives(hk.initial_state())[0]
     p = FVar("p", PROP)
     imp = Const("imp", fn(PROP, fn(PROP, PROP)))
     for f in [imp, App(imp, p), Abs(PROP, App(App(imp, BVar(0)), p), hint="q")]:

@@ -29,6 +29,14 @@ of a kernel that repeats work it has already done:
 - 400 FOL axioms, each `forall x : obj, P(x)`: `check_well_formed` 800
   entries (the quantifier and its body, once per axiom), against 160,400
   when every new theory checks all of its axioms again.
+
+The size sweeps run one script at n and at 2n declarations and count the
+work that would grow faster than the script: a linear count doubles, a
+quadratic one quadruples, so each count may grow at most 2.3 times. At
+n = 100, 200: FOL declarations make 200 and 400 symbol checks, against
+20,100 and 80,200 when each new signature checks every symbol again; FOL
+axioms with theorems citing them make 100 and 200 `alpha_equal` calls,
+against 5,150 and 20,300 when each citation scans the axioms.
 """
 
 import pathlib
@@ -41,6 +49,8 @@ import foundry.dtt.syntax as dtt_syntax
 import foundry.fol.runner  # noqa: F401  (loaded first, so its name is counted and restored)
 import foundry.fol.syntax as fol_syntax
 import foundry.hol.kernel as hol_kernel
+import foundry.stlc.runner  # noqa: F401  (as foundry.fol.runner)
+import foundry.stlc.typing as stlc_typing
 from foundry.run import Options, run_script_text
 
 CORPUS = pathlib.Path(__file__).resolve().parent.parent / "corpus"
@@ -107,10 +117,9 @@ def test_no_inference_work_carries_over_between_runs(monkeypatch):
 def test_no_hol_work_carries_over_between_runs(monkeypatch):
     """Theorems minted, terms checked and nodes built are the same in a
     second run in the same process, so no memo outlives its kernel state.
-    The connectives' bodies are built once per process, as constants."""
+    The connectives' bodies are built once, when the kernel is imported."""
     text = (CORPUS / "diaconescu.hol").read_text()
     options = Options(axioms=("choice", "propext"))
-    hol_kernel._standard_bodies()
     names = ("_thm", "check_term", "TyApp", "Const", "Abs", "App")
     counters = {name: count_entries(monkeypatch, hol_kernel, name) for name in names}
     counts = []
@@ -153,3 +162,60 @@ def test_each_fol_axiom_is_checked_once(monkeypatch):
     report = run_script_text("fol", text, Options(), "axioms.fol")
     assert report.ok, report.first_error()
     assert 0 < calls[0] <= 2 * n + 20
+
+
+FOL_WORK = (fol_syntax, ("check_well_formed", "alpha_equal", "_check_symbol"))
+
+
+def fol_declarations(n):
+    return "sort obj\n" + "".join(f"rel P_{i} : (obj)\nfn f_{i} : (obj) -> obj\n" for i in range(n))
+
+
+def fol_axioms_cited(n):
+    return "sort obj\n" + "".join(
+        f"rel P_{i} : ()\naxiom a_{i} : {{P_{i}}}\n" for i in range(n)
+    ) + "".join(f"theorem t_{i} : {{P_{i}}} := hilbert {{ hyp {{P_{i}}} }}\n" for i in range(n))
+
+
+def stlc_definitions(n):
+    # Each body stands alone: STLC definitions expand as macros, so a body
+    # naming the previous definition is typed at its full expanded size.
+    return "".join(f"define d_{i} := {{fun (x : Nat) => succ x}}\n" for i in range(n))
+
+
+def hol_chain(n):
+    return "define c_0 := {(fun (p : Prop) => p) = (fun (p : Prop) => p)}\n" + "".join(
+        f"define c_{i} := {{c_{i - 1} = c_{i - 1}}}\n" for i in range(1, n)
+    )
+
+
+def dtt_chain(n):
+    return "define d_0 : {Nat} := {0}\n" + "".join(
+        f"define d_{i} : {{Nat}} := {{succ d_{i - 1}}}\n" for i in range(1, n)
+    )
+
+
+@pytest.mark.parametrize(
+    "calculus, script, work",
+    [
+        ("fol", fol_declarations, FOL_WORK),
+        ("fol", fol_axioms_cited, FOL_WORK),
+        ("stlc", stlc_definitions, (stlc_typing, ("infer_type",))),
+        ("hol", hol_chain, (hol_kernel, ("check_term",))),
+        ("dtt", dtt_chain, (dtt_kernel, ("_infer",))),
+    ],
+    ids=lambda v: getattr(v, "__name__", None),
+)
+def test_work_grows_linearly_with_the_script(monkeypatch, calculus, script, work):
+    module, names = work
+    counters = {name: count_entries(monkeypatch, module, name) for name in names}
+    counts = []
+    for n in (100, 200):
+        for calls in counters.values():
+            calls[0] = 0
+        report = run_script_text(calculus, script(n), Options(), script.__name__)
+        assert report.ok, report.first_error()
+        counts.append({name: calls[0] for name, calls in counters.items()})
+    small, large = counts
+    assert any(small.values())
+    assert all(large[name] <= 2.3 * small[name] for name in names), counts
