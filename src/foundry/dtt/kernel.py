@@ -5,6 +5,12 @@ recurses; eta for Pi is comparison-time expansion behind a flag. Universe
 levels are concrete naturals; Prop sits at the bottom (Prop : Type 0) and is
 impredicative when enabled. Axioms never reduce.
 
+Inference looks each node's rule up in `_INFER`, one handler per node class,
+and `_infer` calls it directly, so a nesting level costs the same two frames
+the `match` it replaced did. The rules recurse only through the module names
+`_infer`, `_check`, `whnf` and `_conv`, so anything that rebinds those names
+(the work counts, the layer trace) sees every entry.
+
 Closed terms are checked once per config. The runner inlines each `define`
 as one closed node object at every use, so `_infer` stores a closed compound
 node's type on the node, paired with the `KernelConfig` object that asked,
@@ -20,7 +26,18 @@ verdict:
 
 Two cheaper shortcuts need no argument beyond their own code: `whnf` returns
 at once on a head that is not an application or an eliminator, since only
-those step, and `_conv` accepts two sides that are one object.
+those step, and `_conv` accepts two sides that are one object. The kernel
+returns and expects one shared object for each of `Nat`, `Bool`, `Unit`,
+`Empty`, `Type 0` and `Prop`, so most conversions the rules ask for end at
+that identity test. Sharing cannot change a verdict either: these nodes have
+no subterms, are immutable and carry no cache, so the shared object is equal
+to, and behaves as, the fresh one each rule built before; where the two
+sides are distinct objects, `_conv` compares them as it always did.
+
+Fuel counts contractions: `whnf` burns one unit per beta or iota step and
+nothing else, so `normalize` with fuel n succeeds on a term that normalizes
+in n contractions. A `whnf` called without a tank makes one of
+`DEFAULT_FUEL` only when the head can step.
 """
 
 from __future__ import annotations
@@ -80,6 +97,19 @@ def lookup(ctx: Ctx, k: int) -> Expr:
     return shift(ctx[k], k + 1)
 
 
+# The kernel's one object for each base type and each bottom sort. Every rule
+# that returns or expects one of these types uses this object, so a check
+# whose inferred and wanted types both come from the kernel is settled by
+# `_conv`'s identity test. Leaf nodes hold no cache, so nothing is ever
+# stored on them.
+NAT, BOOL, UNIT, EMPTY_TYPE = Nat(), Bool(), Unit(), Empty()
+TYPE_0, PROP = TypeSort(0), PropSort()
+
+
+def _type_sort(level: int) -> TypeSort:
+    return TYPE_0 if level == 0 else TypeSort(level)
+
+
 DEFAULT_FUEL = 10**5
 
 
@@ -117,7 +147,7 @@ def _step(cfg: KernelConfig, e: Expr) -> Expr | None:
         case SumCases(on_right=g, scrutinee=Inr(value=b)):
             return App(g, b)
         case WRec(motive=m, step=s, target=Sup(wtype=wty, label=a, children=f)):
-            braw = _whnf_type(cfg, wty)
+            braw = whnf(cfg, wty)
             if not isinstance(braw, W):
                 return None
             child_ty = instantiate(braw.cod, a)
@@ -128,10 +158,6 @@ def _step(cfg: KernelConfig, e: Expr) -> Expr | None:
             )
             return App(App(App(s, a), f), rec_children)
     return None
-
-
-def _whnf_type(cfg: KernelConfig, e: Expr) -> Expr:
-    return whnf(cfg, e, _Fuel(DEFAULT_FUEL))
 
 
 _HEAD_FIELD = {
@@ -147,14 +173,15 @@ _HEAD_FIELD = {
 
 
 def whnf(cfg: KernelConfig, e: Expr, fuel: _Fuel | None = None) -> Expr:
-    """Weak head normal form under beta and iota."""
-    if fuel is None:
-        fuel = _Fuel(DEFAULT_FUEL)
+    """Weak head normal form under beta and iota. Each contraction burns one
+    unit of fuel; without a tank, one of `DEFAULT_FUEL` is made when the head
+    is an application or an eliminator, the only heads that can step."""
     while True:
-        fuel.burn()
         head_field = _HEAD_FIELD.get(type(e))
         if head_field is None:
             return e  # only applications and eliminators step
+        if fuel is None:
+            fuel = _Fuel(DEFAULT_FUEL)
         sub = getattr(e, head_field)
         sub_w = whnf(cfg, sub, fuel)
         if sub_w is not sub:
@@ -162,17 +189,18 @@ def whnf(cfg: KernelConfig, e: Expr, fuel: _Fuel | None = None) -> Expr:
         stepped = _step(cfg, e)
         if stepped is None:
             return e
+        fuel.burn()
         e = stepped
 
 
 def normalize(cfg: KernelConfig, ctx: DttContext, e: Expr, fuel: int = DEFAULT_FUEL) -> Expr:
-    """Full normal form: no remaining beta/iota redex; axioms stay inert."""
+    """Full normal form: no remaining beta/iota redex; axioms stay inert.
+    `fuel` bounds the contractions, so a term that normalizes in exactly
+    `fuel` of them succeeds."""
     tank = _Fuel(fuel)
 
     def go(e: Expr) -> Expr:
-        e = whnf(cfg, e, tank)
-        tank.burn()
-        return map_subexprs(e, lambda sub, _d: go(sub))
+        return map_subexprs(whnf(cfg, e, tank), lambda sub, _d: go(sub))
 
     return go(e)
 
@@ -189,12 +217,14 @@ def defeq(cfg: KernelConfig, ctx: DttContext, s: Expr, t: Expr, ty: Expr | None 
                 return True
         except TypeCheckError:
             pass
-    return _conv(cfg, s, t, _Fuel(DEFAULT_FUEL))
+    return _conv(cfg, s, t)
 
 
-def _conv(cfg: KernelConfig, s: Expr, t: Expr, fuel: _Fuel) -> bool:
+def _conv(cfg: KernelConfig, s: Expr, t: Expr, fuel: _Fuel | None = None) -> bool:
     if s is t:
         return True
+    if fuel is None:
+        fuel = _Fuel(DEFAULT_FUEL)
     s = whnf(cfg, s, fuel)
     t = whnf(cfg, t, fuel)
     if s == t:
@@ -229,7 +259,7 @@ def _level(sort: Expr) -> int:
 
 def sort_of(cfg: KernelConfig, ctx: DttContext, ty: Expr) -> Expr:
     """The sort classifying a type expression."""
-    s = whnf(cfg, infer(cfg, ctx, ty), _Fuel(DEFAULT_FUEL))
+    s = whnf(cfg, infer(cfg, ctx, ty))
     if not isinstance(s, (TypeSort, PropSort)):
         raise TypeCheckError("not a type: its classifier is not a sort")
     return s
@@ -272,7 +302,7 @@ def axiom_type(cfg: KernelConfig, name: str) -> Expr:
         raise TypeCheckError(f"unknown axiom {name}")
     if name not in cfg.axioms:
         raise TypeCheckError(f"axiom-disabled: {name}", tag="axiom-disabled")
-    t0 = TypeSort(0)
+    t0 = TYPE_0
     if name == "funext":
         # Pi a : Type0. Pi b : a -> Type0. Pi f g : (Pi x:a. b x).
         #   (Pi x:a. Id (b x) (f x) (g x)) -> Id (Pi x:a. b x) f g
@@ -304,12 +334,12 @@ def axiom_type(cfg: KernelConfig, name: str) -> Expr:
         if not cfg.impredicative_prop:
             raise TypeCheckError("propext needs impredicative Prop")
         return Pi(
-            PropSort(),
+            PROP,
             Pi(
-                PropSort(),
+                PROP,
                 arrow(
                     arrow(Var(1), Var(0)),
-                    arrow(arrow(Var(0), Var(1)), Id(PropSort(), Var(1), Var(0))),
+                    arrow(arrow(Var(0), Var(1)), Id(PROP, Var(1), Var(0))),
                 ),
             ),
         )
@@ -360,8 +390,8 @@ def _check(cfg: KernelConfig, ctx: Ctx, e: Expr, ty: Expr) -> None:
     got = _infer(cfg, ctx, e)
     if _subsumes(cfg, got, ty):
         return
-    got_n = whnf(cfg, got, _Fuel(DEFAULT_FUEL))
-    want_n = whnf(cfg, ty, _Fuel(DEFAULT_FUEL))
+    got_n = whnf(cfg, got)
+    want_n = whnf(cfg, ty)
     from .printer import pretty
 
     if isinstance(got_n, (TypeSort, PropSort)) and isinstance(want_n, (TypeSort, PropSort)):
@@ -374,18 +404,18 @@ def _check(cfg: KernelConfig, ctx: Ctx, e: Expr, ty: Expr) -> None:
 
 
 def _subsumes(cfg: KernelConfig, got: Expr, want: Expr) -> bool:
-    if _conv(cfg, got, want, _Fuel(DEFAULT_FUEL)):
+    if _conv(cfg, got, want):
         return True
     if cfg.cumulativity:
-        g = whnf(cfg, got, _Fuel(DEFAULT_FUEL))
-        w = whnf(cfg, want, _Fuel(DEFAULT_FUEL))
+        g = whnf(cfg, got)
+        w = whnf(cfg, want)
         if isinstance(g, TypeSort) and isinstance(w, TypeSort) and g.level <= w.level:
             return True
     return False
 
 
 def _sort(cfg: KernelConfig, ctx: Ctx, ty: Expr, what: str) -> Expr:
-    s = whnf(cfg, _infer(cfg, ctx, ty), _Fuel(DEFAULT_FUEL))
+    s = whnf(cfg, _infer(cfg, ctx, ty))
     if not isinstance(s, (TypeSort, PropSort)):
         from .printer import pretty
 
@@ -396,227 +426,327 @@ def _sort(cfg: KernelConfig, ctx: Ctx, ty: Expr, what: str) -> Expr:
 
 
 def _infer(cfg: KernelConfig, ctx: Ctx, e: Expr) -> Expr:
-    """The type of e; a closed compound node keeps it for the config object
-    that asked (see the module docstring for why that is sound)."""
-    if type(e) in _SHAPE and _loose_range(e) == 0:
+    """The type of e, from its class's rule in `_INFER`; a closed compound
+    node keeps it for the config object that asked (see the module docstring
+    for why that is sound)."""
+    rule = _INFER.get(type(e), _no_rule)
+    if type(e) in _SHAPE and (e._loose if e._loose is not None else _loose_range(e)) == 0:
         typed = e._typed
         if typed is not None and typed[0] is cfg:
             return typed[1]
-        ty = _infer_node(cfg, ctx, e)
+        ty = rule(cfg, ctx, e)
         object.__setattr__(e, "_typed", (cfg, ty))
         return ty
-    return _infer_node(cfg, ctx, e)
+    return rule(cfg, ctx, e)
 
 
-def _infer_node(cfg: KernelConfig, ctx: Ctx, e: Expr) -> Expr:
-    match e:
-        case Var(index=k):
-            return lookup(ctx, k)
-        case TypeSort(level=i):
-            return TypeSort(i + 1)
-        case PropSort():
-            if not cfg.impredicative_prop:
-                raise TypeCheckError(
-                    "Prop is disabled: enable impredicative_prop", tag="prop-disabled"
-                )
-            return TypeSort(0)
-        case Pi(dom=d, cod=c):
-            sd = _sort(cfg, ctx, d, "Pi domain")
-            sc = _sort(cfg, (d,) + ctx, c, "Pi codomain")
-            if isinstance(sc, PropSort):
-                return PropSort()
-            return TypeSort(max(_level(sd), _level(sc)))
-        case Lam(dom=d, body=b, hint=h):
-            _sort(cfg, ctx, d, "binder annotation")
-            tb = _infer(cfg, (d,) + ctx, b)
-            return Pi(d, tb, hint=h)
-        case App(fn=f, arg=a):
-            tf = whnf(cfg, _infer(cfg, ctx, f), _Fuel(DEFAULT_FUEL))
-            if not isinstance(tf, Pi):
-                from .printer import pretty
+# One rule per node class, each called with (cfg, ctx, e). A rule recurses
+# only through the module names `_infer`, `_check`, `_sort`, `_motive_sort`,
+# `whnf` and `_conv`, never through a reference it holds.
 
-                raise TypeCheckError(f"application of non-function: {pretty(f)}")
-            _check(cfg, ctx, a, tf.dom)
-            return instantiate(tf.cod, a)
-        case Sigma(dom=d, cod=c, in_prop=ip):
-            sd = _sort(cfg, ctx, d, "Sigma domain")
-            sc = _sort(cfg, (d,) + ctx, c, "Sigma codomain")
-            if ip:
-                if not cfg.impredicative_prop:
-                    raise TypeCheckError(
-                        "the existential needs impredicative Prop", tag="prop-disabled"
-                    )
-                if not isinstance(sc, PropSort):
-                    raise TypeCheckError("an existential's body must be a proposition")
-                return PropSort()
-            return TypeSort(max(_level(sd), _level(sc)))
-        case Pair(sigma=ann, fst=a, snd=b):
-            _sort(cfg, ctx, ann, "pair annotation")
-            w = whnf(cfg, ann, _Fuel(DEFAULT_FUEL))
-            if not isinstance(w, Sigma):
-                raise TypeCheckError("pair annotation must be a Sigma type")
-            _check(cfg, ctx, a, w.dom)
-            _check(cfg, ctx, b, instantiate(w.cod, a))
-            return ann
-        case SigmaCases(motive=m, branch=br, scrutinee=p):
-            tp = whnf(cfg, _infer(cfg, ctx, p), _Fuel(DEFAULT_FUEL))
-            if not isinstance(tp, Sigma):
-                raise TypeCheckError("sigma elimination of a non-Sigma scrutinee")
-            m_sort = _motive_sort(cfg, ctx, m, tp, "sigma eliminator")
-            if tp.in_prop:
-                _guard_prop_elim(cfg, PropSort(), m_sort, "sigma eliminator")
-            pair_of_vars = Pair(shift(tp, 2), Var(1), Var(0))
-            want_branch = Pi(
-                tp.dom, Pi(tp.cod, App(shift(m, 2), pair_of_vars))
+
+def _infer_var(cfg: KernelConfig, ctx: Ctx, e: Var) -> Expr:
+    return lookup(ctx, e.index)
+
+
+def _infer_type_sort(cfg: KernelConfig, ctx: Ctx, e: TypeSort) -> Expr:
+    return TypeSort(e.level + 1)
+
+
+def _infer_prop_sort(cfg: KernelConfig, ctx: Ctx, e: PropSort) -> Expr:
+    if not cfg.impredicative_prop:
+        raise TypeCheckError(
+            "Prop is disabled: enable impredicative_prop", tag="prop-disabled"
+        )
+    return TYPE_0
+
+
+def _infer_pi(cfg: KernelConfig, ctx: Ctx, e: Pi) -> Expr:
+    d, c = e.dom, e.cod
+    sd = _sort(cfg, ctx, d, "Pi domain")
+    sc = _sort(cfg, (d,) + ctx, c, "Pi codomain")
+    if isinstance(sc, PropSort):
+        return PROP
+    return _type_sort(max(_level(sd), _level(sc)))
+
+
+def _infer_lam(cfg: KernelConfig, ctx: Ctx, e: Lam) -> Expr:
+    d, b = e.dom, e.body
+    _sort(cfg, ctx, d, "binder annotation")
+    tb = _infer(cfg, (d,) + ctx, b)
+    return Pi(d, tb, hint=e.hint)
+
+
+def _infer_app(cfg: KernelConfig, ctx: Ctx, e: App) -> Expr:
+    f, a = e.fn, e.arg
+    tf = whnf(cfg, _infer(cfg, ctx, f))
+    if not isinstance(tf, Pi):
+        from .printer import pretty
+
+        raise TypeCheckError(f"application of non-function: {pretty(f)}")
+    _check(cfg, ctx, a, tf.dom)
+    return instantiate(tf.cod, a)
+
+
+def _infer_sigma(cfg: KernelConfig, ctx: Ctx, e: Sigma) -> Expr:
+    d, c = e.dom, e.cod
+    sd = _sort(cfg, ctx, d, "Sigma domain")
+    sc = _sort(cfg, (d,) + ctx, c, "Sigma codomain")
+    if e.in_prop:
+        if not cfg.impredicative_prop:
+            raise TypeCheckError(
+                "the existential needs impredicative Prop", tag="prop-disabled"
             )
-            _check(cfg, ctx, br, want_branch)
-            return App(m, p)
-        case Id(type=ty, lhs=a, rhs=b):
-            s = _sort(cfg, ctx, ty, "identity domain")
-            _check(cfg, ctx, a, ty)
-            _check(cfg, ctx, b, ty)
-            if cfg.impredicative_prop:
-                return PropSort()
-            return TypeSort(_level(s))
-        case Refl(type=ty, term=a):
-            _sort(cfg, ctx, ty, "identity domain")
-            _check(cfg, ctx, a, ty)
-            return Id(ty, a, a)
-        case IdCases(motive=m, refl_case=rc, lhs=a, rhs=b, proof=p):
-            tp = whnf(cfg, _infer(cfg, ctx, p), _Fuel(DEFAULT_FUEL))
-            if not isinstance(tp, Id):
-                raise TypeCheckError("identity elimination of a non-identity proof")
-            ty = tp.type
-            _check(cfg, ctx, a, ty)
-            _check(cfg, ctx, b, ty)
-            if not _conv(cfg, tp.lhs, a, _Fuel(DEFAULT_FUEL)) or not _conv(
-                cfg, tp.rhs, b, _Fuel(DEFAULT_FUEL)
-            ):
-                raise TypeCheckError("identity eliminator endpoints do not match the proof")
-            # motive : Pi x:ty. Pi y:ty. Pi q : Id ty x y. sort
-            tm = whnf(cfg, _infer(cfg, ctx, m), _Fuel(DEFAULT_FUEL))
-            ok = (
-                isinstance(tm, Pi)
-                and _conv(cfg, tm.dom, ty, _Fuel(DEFAULT_FUEL))
-            )
-            if ok:
-                inner1 = whnf(cfg, tm.cod, _Fuel(DEFAULT_FUEL))
-                ok = isinstance(inner1, Pi) and _conv(
-                    cfg, inner1.dom, shift(ty, 1), _Fuel(DEFAULT_FUEL)
-                )
-                if ok:
-                    inner2 = whnf(cfg, inner1.cod, _Fuel(DEFAULT_FUEL))
-                    ok = isinstance(inner2, Pi) and _conv(
-                        cfg,
-                        inner2.dom,
-                        Id(shift(ty, 2), Var(1), Var(0)),
-                        _Fuel(DEFAULT_FUEL),
-                    ) and isinstance(
-                        whnf(cfg, inner2.cod, _Fuel(DEFAULT_FUEL)),
-                        (TypeSort, PropSort),
-                    )
-            if not ok:
-                raise TypeCheckError(
-                    "identity eliminator motive must have shape "
-                    "Pi x y : t. Pi p : Id t x y. sort",
-                    tag="motive-error",
-                )
-            want_rc = Pi(
-                ty,
-                App(
-                    App(App(shift(m, 1), Var(0)), Var(0)),
-                    Refl(shift(ty, 1), Var(0)),
-                ),
-            )
-            _check(cfg, ctx, rc, want_rc)
-            return App(App(App(m, a), b), p)
-        case Nat() | Empty() | Unit() | Bool():
-            return TypeSort(0)
-        case Zero():
-            return Nat()
-        case Succ(arg=a):
-            _check(cfg, ctx, a, Nat())
-            return Nat()
-        case NatRec(motive=m, base=b, step=s, target=n):
-            _check(cfg, ctx, n, Nat())
-            _motive_sort(cfg, ctx, m, Nat(), "natural-number eliminator")
-            _check(cfg, ctx, b, App(m, Zero()))
-            want_step = Pi(
-                Nat(),
-                Pi(App(shift(m, 1), Var(0)), App(shift(m, 2), Succ(Var(1)))),
-            )
-            _check(cfg, ctx, s, want_step)
-            return App(m, n)
-        case Star():
-            return Unit()
-        case TrueE() | FalseE():
-            return Bool()
-        case BoolCases(motive=m, if_true=t, if_false=f, target=b):
-            _check(cfg, ctx, b, Bool())
-            _motive_sort(cfg, ctx, m, Bool(), "boolean eliminator")
-            _check(cfg, ctx, t, App(m, TrueE()))
-            _check(cfg, ctx, f, App(m, FalseE()))
-            return App(m, b)
-        case EmptyCases(motive=m, target=t):
-            _check(cfg, ctx, t, Empty())
-            _motive_sort(cfg, ctx, m, Empty(), "empty eliminator")
-            return App(m, t)
-        case Sum(left=l, right=r):
-            sl = _sort(cfg, ctx, l, "sum left")
-            sr = _sort(cfg, ctx, r, "sum right")
-            return TypeSort(max(_level(sl), _level(sr)))
-        case Inl(sum=ann, value=v) | Inr(sum=ann, value=v):
-            _sort(cfg, ctx, ann, "injection annotation")
-            w = whnf(cfg, ann, _Fuel(DEFAULT_FUEL))
-            if not isinstance(w, Sum):
-                raise TypeCheckError("injection annotation must be a sum type")
-            _check(cfg, ctx, v, w.left if isinstance(e, Inl) else w.right)
-            return ann
-        case SumCases(motive=m, on_left=f, on_right=g, scrutinee=s):
-            ts = whnf(cfg, _infer(cfg, ctx, s), _Fuel(DEFAULT_FUEL))
-            if not isinstance(ts, Sum):
-                raise TypeCheckError("sum elimination of a non-sum scrutinee")
-            _motive_sort(cfg, ctx, m, ts, "sum eliminator")
-            want_f = Pi(ts.left, App(shift(m, 1), Inl(shift(ts, 1), Var(0))))
-            want_g = Pi(ts.right, App(shift(m, 1), Inr(shift(ts, 1), Var(0))))
-            _check(cfg, ctx, f, want_f)
-            _check(cfg, ctx, g, want_g)
-            return App(m, s)
-        case W(dom=d, cod=c):
-            sd = _sort(cfg, ctx, d, "W domain")
-            sc = _sort(cfg, (d,) + ctx, c, "W branching family")
-            return TypeSort(max(_level(sd), _level(sc)))
-        case Sup(wtype=ann, label=a, children=f):
-            _sort(cfg, ctx, ann, "sup annotation")
-            w = whnf(cfg, ann, _Fuel(DEFAULT_FUEL))
-            if not isinstance(w, W):
-                raise TypeCheckError("sup annotation must be a W type")
-            _check(cfg, ctx, a, w.dom)
-            _check(cfg, ctx, f, arrow(instantiate(w.cod, a), ann))
-            return ann
-        case WRec(motive=m, step=s, target=t):
-            tw = whnf(cfg, _infer(cfg, ctx, t), _Fuel(DEFAULT_FUEL))
-            if not isinstance(tw, W):
-                raise TypeCheckError("W elimination of a non-W scrutinee")
-            _motive_sort(cfg, ctx, m, tw, "W eliminator")
-            # step : Pi a : dom. Pi f : cod[a] -> W. (Pi y : cod[a]. m (f y)) -> m (sup a f)
-            dom, cod = tw.dom, tw.cod
-            w2 = shift(tw, 2)
-            want_step = Pi(
-                dom,
-                Pi(
-                    arrow(cod, shift(tw, 1)),
-                    arrow(
-                        Pi(shift(cod, 1), App(shift(m, 3), App(Var(1), Var(0)))),
-                        App(shift(m, 2), Sup(w2, Var(1), Var(0))),
-                    ),
-                ),
-            )
-            _check(cfg, ctx, s, want_step)
-            return App(m, t)
-        case Axiom(name=n):
-            return axiom_type(cfg, n)
+        if not isinstance(sc, PropSort):
+            raise TypeCheckError("an existential's body must be a proposition")
+        return PROP
+    return _type_sort(max(_level(sd), _level(sc)))
+
+
+def _infer_pair(cfg: KernelConfig, ctx: Ctx, e: Pair) -> Expr:
+    ann, a, b = e.sigma, e.fst, e.snd
+    _sort(cfg, ctx, ann, "pair annotation")
+    w = whnf(cfg, ann)
+    if not isinstance(w, Sigma):
+        raise TypeCheckError("pair annotation must be a Sigma type")
+    _check(cfg, ctx, a, w.dom)
+    _check(cfg, ctx, b, instantiate(w.cod, a))
+    return ann
+
+
+def _infer_sigma_cases(cfg: KernelConfig, ctx: Ctx, e: SigmaCases) -> Expr:
+    m, br, p = e.motive, e.branch, e.scrutinee
+    tp = whnf(cfg, _infer(cfg, ctx, p))
+    if not isinstance(tp, Sigma):
+        raise TypeCheckError("sigma elimination of a non-Sigma scrutinee")
+    m_sort = _motive_sort(cfg, ctx, m, tp, "sigma eliminator")
+    if tp.in_prop:
+        _guard_prop_elim(cfg, PROP, m_sort, "sigma eliminator")
+    pair_of_vars = Pair(shift(tp, 2), Var(1), Var(0))
+    want_branch = Pi(
+        tp.dom, Pi(tp.cod, App(shift(m, 2), pair_of_vars))
+    )
+    _check(cfg, ctx, br, want_branch)
+    return App(m, p)
+
+
+def _infer_id(cfg: KernelConfig, ctx: Ctx, e: Id) -> Expr:
+    ty, a, b = e.type, e.lhs, e.rhs
+    s = _sort(cfg, ctx, ty, "identity domain")
+    _check(cfg, ctx, a, ty)
+    _check(cfg, ctx, b, ty)
+    if cfg.impredicative_prop:
+        return PROP
+    return _type_sort(_level(s))
+
+
+def _infer_refl(cfg: KernelConfig, ctx: Ctx, e: Refl) -> Expr:
+    ty, a = e.type, e.term
+    _sort(cfg, ctx, ty, "identity domain")
+    _check(cfg, ctx, a, ty)
+    return Id(ty, a, a)
+
+
+def _infer_id_cases(cfg: KernelConfig, ctx: Ctx, e: IdCases) -> Expr:
+    m, rc, a, b, p = e.motive, e.refl_case, e.lhs, e.rhs, e.proof
+    tp = whnf(cfg, _infer(cfg, ctx, p))
+    if not isinstance(tp, Id):
+        raise TypeCheckError("identity elimination of a non-identity proof")
+    ty = tp.type
+    _check(cfg, ctx, a, ty)
+    _check(cfg, ctx, b, ty)
+    if not _conv(cfg, tp.lhs, a) or not _conv(cfg, tp.rhs, b):
+        raise TypeCheckError("identity eliminator endpoints do not match the proof")
+    # motive : Pi x:ty. Pi y:ty. Pi q : Id ty x y. sort
+    tm = whnf(cfg, _infer(cfg, ctx, m))
+    ok = isinstance(tm, Pi) and _conv(cfg, tm.dom, ty)
+    if ok:
+        inner1 = whnf(cfg, tm.cod)
+        ok = isinstance(inner1, Pi) and _conv(cfg, inner1.dom, shift(ty, 1))
+        if ok:
+            inner2 = whnf(cfg, inner1.cod)
+            ok = isinstance(inner2, Pi) and _conv(
+                cfg, inner2.dom, Id(shift(ty, 2), Var(1), Var(0))
+            ) and isinstance(whnf(cfg, inner2.cod), (TypeSort, PropSort))
+    if not ok:
+        raise TypeCheckError(
+            "identity eliminator motive must have shape "
+            "Pi x y : t. Pi p : Id t x y. sort",
+            tag="motive-error",
+        )
+    want_rc = Pi(
+        ty,
+        App(
+            App(App(shift(m, 1), Var(0)), Var(0)),
+            Refl(shift(ty, 1), Var(0)),
+        ),
+    )
+    _check(cfg, ctx, rc, want_rc)
+    return App(App(App(m, a), b), p)
+
+
+def _infer_base_type(cfg: KernelConfig, ctx: Ctx, e: Expr) -> Expr:
+    return TYPE_0
+
+
+def _infer_zero(cfg: KernelConfig, ctx: Ctx, e: Zero) -> Expr:
+    return NAT
+
+
+def _infer_succ(cfg: KernelConfig, ctx: Ctx, e: Succ) -> Expr:
+    _check(cfg, ctx, e.arg, NAT)
+    return NAT
+
+
+def _infer_nat_rec(cfg: KernelConfig, ctx: Ctx, e: NatRec) -> Expr:
+    m, b, s, n = e.motive, e.base, e.step, e.target
+    _check(cfg, ctx, n, NAT)
+    _motive_sort(cfg, ctx, m, NAT, "natural-number eliminator")
+    _check(cfg, ctx, b, App(m, Zero()))
+    want_step = Pi(
+        NAT,
+        Pi(App(shift(m, 1), Var(0)), App(shift(m, 2), Succ(Var(1)))),
+    )
+    _check(cfg, ctx, s, want_step)
+    return App(m, n)
+
+
+def _infer_star(cfg: KernelConfig, ctx: Ctx, e: Star) -> Expr:
+    return UNIT
+
+
+def _infer_boolean(cfg: KernelConfig, ctx: Ctx, e: Expr) -> Expr:
+    return BOOL
+
+
+def _infer_bool_cases(cfg: KernelConfig, ctx: Ctx, e: BoolCases) -> Expr:
+    m, t, f, b = e.motive, e.if_true, e.if_false, e.target
+    _check(cfg, ctx, b, BOOL)
+    _motive_sort(cfg, ctx, m, BOOL, "boolean eliminator")
+    _check(cfg, ctx, t, App(m, TrueE()))
+    _check(cfg, ctx, f, App(m, FalseE()))
+    return App(m, b)
+
+
+def _infer_empty_cases(cfg: KernelConfig, ctx: Ctx, e: EmptyCases) -> Expr:
+    m, t = e.motive, e.target
+    _check(cfg, ctx, t, EMPTY_TYPE)
+    _motive_sort(cfg, ctx, m, EMPTY_TYPE, "empty eliminator")
+    return App(m, t)
+
+
+def _infer_sum(cfg: KernelConfig, ctx: Ctx, e: Sum) -> Expr:
+    sl = _sort(cfg, ctx, e.left, "sum left")
+    sr = _sort(cfg, ctx, e.right, "sum right")
+    return _type_sort(max(_level(sl), _level(sr)))
+
+
+def _infer_injection(cfg: KernelConfig, ctx: Ctx, e: Inl | Inr) -> Expr:
+    ann, v = e.sum, e.value
+    _sort(cfg, ctx, ann, "injection annotation")
+    w = whnf(cfg, ann)
+    if not isinstance(w, Sum):
+        raise TypeCheckError("injection annotation must be a sum type")
+    _check(cfg, ctx, v, w.left if isinstance(e, Inl) else w.right)
+    return ann
+
+
+def _infer_sum_cases(cfg: KernelConfig, ctx: Ctx, e: SumCases) -> Expr:
+    m, f, g, s = e.motive, e.on_left, e.on_right, e.scrutinee
+    ts = whnf(cfg, _infer(cfg, ctx, s))
+    if not isinstance(ts, Sum):
+        raise TypeCheckError("sum elimination of a non-sum scrutinee")
+    _motive_sort(cfg, ctx, m, ts, "sum eliminator")
+    want_f = Pi(ts.left, App(shift(m, 1), Inl(shift(ts, 1), Var(0))))
+    want_g = Pi(ts.right, App(shift(m, 1), Inr(shift(ts, 1), Var(0))))
+    _check(cfg, ctx, f, want_f)
+    _check(cfg, ctx, g, want_g)
+    return App(m, s)
+
+
+def _infer_w(cfg: KernelConfig, ctx: Ctx, e: W) -> Expr:
+    d, c = e.dom, e.cod
+    sd = _sort(cfg, ctx, d, "W domain")
+    sc = _sort(cfg, (d,) + ctx, c, "W branching family")
+    return _type_sort(max(_level(sd), _level(sc)))
+
+
+def _infer_sup(cfg: KernelConfig, ctx: Ctx, e: Sup) -> Expr:
+    ann, a, f = e.wtype, e.label, e.children
+    _sort(cfg, ctx, ann, "sup annotation")
+    w = whnf(cfg, ann)
+    if not isinstance(w, W):
+        raise TypeCheckError("sup annotation must be a W type")
+    _check(cfg, ctx, a, w.dom)
+    _check(cfg, ctx, f, arrow(instantiate(w.cod, a), ann))
+    return ann
+
+
+def _infer_w_rec(cfg: KernelConfig, ctx: Ctx, e: WRec) -> Expr:
+    m, s, t = e.motive, e.step, e.target
+    tw = whnf(cfg, _infer(cfg, ctx, t))
+    if not isinstance(tw, W):
+        raise TypeCheckError("W elimination of a non-W scrutinee")
+    _motive_sort(cfg, ctx, m, tw, "W eliminator")
+    # step : Pi a : dom. Pi f : cod[a] -> W. (Pi y : cod[a]. m (f y)) -> m (sup a f)
+    dom, cod = tw.dom, tw.cod
+    w2 = shift(tw, 2)
+    want_step = Pi(
+        dom,
+        Pi(
+            arrow(cod, shift(tw, 1)),
+            arrow(
+                Pi(shift(cod, 1), App(shift(m, 3), App(Var(1), Var(0)))),
+                App(shift(m, 2), Sup(w2, Var(1), Var(0))),
+            ),
+        ),
+    )
+    _check(cfg, ctx, s, want_step)
+    return App(m, t)
+
+
+def _infer_axiom(cfg: KernelConfig, ctx: Ctx, e: Axiom) -> Expr:
+    return axiom_type(cfg, e.name)
+
+
+def _no_rule(cfg: KernelConfig, ctx: Ctx, e) -> Expr:
     raise TypeCheckError(f"cannot infer a type for {type(e).__name__}")
+
+
+_INFER = {
+    Var: _infer_var,
+    TypeSort: _infer_type_sort,
+    PropSort: _infer_prop_sort,
+    Pi: _infer_pi,
+    Lam: _infer_lam,
+    App: _infer_app,
+    Sigma: _infer_sigma,
+    Pair: _infer_pair,
+    SigmaCases: _infer_sigma_cases,
+    Id: _infer_id,
+    Refl: _infer_refl,
+    IdCases: _infer_id_cases,
+    Nat: _infer_base_type,
+    Empty: _infer_base_type,
+    Unit: _infer_base_type,
+    Bool: _infer_base_type,
+    Zero: _infer_zero,
+    Succ: _infer_succ,
+    NatRec: _infer_nat_rec,
+    Star: _infer_star,
+    TrueE: _infer_boolean,
+    FalseE: _infer_boolean,
+    BoolCases: _infer_bool_cases,
+    EmptyCases: _infer_empty_cases,
+    Sum: _infer_sum,
+    Inl: _infer_injection,
+    Inr: _infer_injection,
+    SumCases: _infer_sum_cases,
+    W: _infer_w,
+    Sup: _infer_sup,
+    WRec: _infer_w_rec,
+    Axiom: _infer_axiom,
+}
 
 
 def _motive_sort(cfg: KernelConfig, ctx: Ctx, motive: Expr, scrutinee_ty: Expr, what: str) -> Expr:
@@ -625,17 +755,17 @@ def _motive_sort(cfg: KernelConfig, ctx: Ctx, motive: Expr, scrutinee_ty: Expr, 
     The motive's inferred type is Pi(dom, s) where s is already the sort its
     body lands in (the classifier of a type is a sort).
     """
-    tm = whnf(cfg, _infer(cfg, ctx, motive), _Fuel(DEFAULT_FUEL))
-    if not (isinstance(tm, Pi) and _conv(cfg, tm.dom, scrutinee_ty, _Fuel(DEFAULT_FUEL))):
+    tm = whnf(cfg, _infer(cfg, ctx, motive))
+    if not (isinstance(tm, Pi) and _conv(cfg, tm.dom, scrutinee_ty)):
         raise TypeCheckError(
             f"{what} motive must abstract over the scrutinee's type",
             tag="motive-error",
         )
-    s = whnf(cfg, tm.cod, _Fuel(DEFAULT_FUEL))
+    s = whnf(cfg, tm.cod)
     if not isinstance(s, (TypeSort, PropSort)):
         raise TypeCheckError(f"{what} motive must land in a sort", tag="motive-error")
     # guard: scrutinee type in Prop must not eliminate into data
-    scr_sort = whnf(cfg, _infer(cfg, ctx, scrutinee_ty), _Fuel(DEFAULT_FUEL))
+    scr_sort = whnf(cfg, _infer(cfg, ctx, scrutinee_ty))
     if isinstance(scr_sort, PropSort):
         _guard_prop_elim(cfg, scr_sort, s, what)
     return s

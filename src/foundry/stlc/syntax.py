@@ -6,9 +6,16 @@ syntax-directed.
 
 `_SHAPE` lists each compound constructor's subterm fields and their binder
 depths once; `var_free_in`, `free_names`, `reduce.reduce_step`,
-`generate.term_size` and `_map`, the one rebuilding walk under `shift`,
-`subst` and `abstract_free`, all read that one table, so each constructor's
-subterms are listed once.
+`generate.term_size`, `_loose_range` and `_map`, the one rebuilding walk
+under `shift`, `subst` and `abstract_free`, all read that one table, so each
+constructor's subterms are listed once.
+
+Each term node carries two caches outside its fields, so `==`, `hash`,
+`repr`, pattern matching and `_fields` never see them. Both are set with
+`object.__setattr__` on first use, and only on compound nodes:
+
+- `_loose`: what `_loose_range` gives, which tells a closed term;
+- `_typed`: the type `typing.infer_type` found for a closed term.
 """
 
 from __future__ import annotations
@@ -232,6 +239,11 @@ Term = Union[
 ]
 
 
+for _cls in Term.__args__:
+    _cls._loose = None
+    _cls._typed = None
+
+
 # Each compound constructor's subterm fields, left to right, with the number
 # of binders each sits under; a constructor absent from the table is a leaf.
 _SHAPE = {
@@ -247,6 +259,29 @@ _SHAPE = {
     RecNat: (("base", 0), ("step", 0), ("target", 0)),
     Cond: (("if_true", 0), ("if_false", 0), ("target", 0)),
 }
+
+
+# `_loose_range` of a term that names a free variable: it stays open under
+# any number of binders.
+_NAMES_FREE = 1 << 62
+
+
+def _loose_range(t: Term) -> int:
+    """One more than the largest loose de Bruijn index of t, or `_NAMES_FREE`
+    when a `Free` name occurs in it; 0 when t is closed."""
+    r = t._loose
+    if r is None:
+        shape = _SHAPE.get(type(t))
+        if shape is None:
+            cls = type(t)
+            return t.index + 1 if cls is Var else _NAMES_FREE if cls is Free else 0
+        r = 0
+        for name, depth in shape:
+            sub = _loose_range(getattr(t, name)) - depth
+            if sub > r:
+                r = sub
+        object.__setattr__(t, "_loose", r)
+    return r
 
 
 def _rebuild(t: Term, children: list) -> Term:

@@ -8,7 +8,7 @@ from ..errors import TypeCheckError
 from .syntax import (
     App, Arrow, Base, BoolT, Cases, Cond, Const, FF, Free, Inj0, Inj1, Lam,
     NatT, Pair, Prod, Proj0, Proj1, RecNat, SimpleType, Succ, SumT, TT, Term,
-    Var, Zero,
+    Var, Zero, _loose_range,
 )
 
 TypingContext = Mapping[str, SimpleType]
@@ -44,7 +44,22 @@ def _atom(ty: SimpleType) -> str:
 
 def infer_type(ctx: TypingContext, t: Term, stack: tuple[SimpleType, ...] = ()) -> SimpleType:
     """The unique type derivable for t; annotated binders keep this
-    syntax-directed."""
+    syntax-directed.
+
+    A closed compound node that names no free variable keeps its type, and
+    returns it when it is typed again. The runner inlines each `define` as
+    one node object at every use, so a definition naming the previous one is
+    typed once, not once per use. This cannot change a verdict:
+
+    - such a term's type is a function of the term alone: the rules read
+      `stack` only at a `Var` and `ctx` only at a `Free`, and every `Var` in
+      it is bound by one of its own annotated binders;
+    - nodes are immutable;
+    - a failed inference raises before anything is stored.
+    """
+    ty = t._typed
+    if ty is not None:
+        return ty
     match t:
         case Var(index=k):
             if k >= len(stack):
@@ -56,8 +71,12 @@ def infer_type(ctx: TypingContext, t: Term, stack: tuple[SimpleType, ...] = ()) 
             return ctx[n]
         case Const(type=ty):
             return ty
+        case Zero():
+            return NatT()
+        case TT() | FF():
+            return BoolT()
         case Lam(dom=d, body=b):
-            return Arrow(d, infer_type(ctx, b, (d,) + stack))
+            ty = Arrow(d, infer_type(ctx, b, (d,) + stack))
         case App(fn=f, arg=a):
             tf = infer_type(ctx, f, stack)
             if not isinstance(tf, Arrow):
@@ -67,18 +86,18 @@ def infer_type(ctx: TypingContext, t: Term, stack: tuple[SimpleType, ...] = ()) 
                 raise TypeCheckError(
                     f"argument type {pretty_type(ta)} does not match domain {pretty_type(tf.dom)}"
                 )
-            return tf.cod
+            ty = tf.cod
         case Pair(left=l, right=r):
-            return Prod(infer_type(ctx, l, stack), infer_type(ctx, r, stack))
+            ty = Prod(infer_type(ctx, l, stack), infer_type(ctx, r, stack))
         case Proj0(pair=p) | Proj1(pair=p):
             tp = infer_type(ctx, p, stack)
             if not isinstance(tp, Prod):
                 raise TypeCheckError(f"projection from non-product type {pretty_type(tp)}")
-            return tp.left if isinstance(t, Proj0) else tp.right
-        case Inj0(right=ty, value=v):
-            return SumT(infer_type(ctx, v, stack), ty)
-        case Inj1(left=ty, value=v):
-            return SumT(ty, infer_type(ctx, v, stack))
+            ty = tp.left if isinstance(t, Proj0) else tp.right
+        case Inj0(right=r, value=v):
+            ty = SumT(infer_type(ctx, v, stack), r)
+        case Inj1(left=l, value=v):
+            ty = SumT(l, infer_type(ctx, v, stack))
         case Cases(on_left=f, on_right=g, scrutinee=s):
             ts = infer_type(ctx, s, stack)
             if not isinstance(ts, SumT):
@@ -93,14 +112,12 @@ def infer_type(ctx: TypingContext, t: Term, stack: tuple[SimpleType, ...] = ()) 
                 raise TypeCheckError(
                     f"cases branch mismatch: {pretty_type(tf.cod)} vs {pretty_type(tg.cod)}"
                 )
-            return tf.cod
-        case Zero():
-            return NatT()
+            ty = tf.cod
         case Succ(arg=a):
             ta = infer_type(ctx, a, stack)
             if not isinstance(ta, NatT):
                 raise TypeCheckError(f"succ applied to {pretty_type(ta)}")
-            return NatT()
+            ty = NatT()
         case RecNat(base=f, step=g, target=n):
             tn = infer_type(ctx, n, stack)
             if not isinstance(tn, NatT):
@@ -112,9 +129,7 @@ def infer_type(ctx: TypingContext, t: Term, stack: tuple[SimpleType, ...] = ()) 
                 raise TypeCheckError(
                     f"recursor step has type {pretty_type(tg)}, expected {pretty_type(want)}"
                 )
-            return tf
-        case TT() | FF():
-            return BoolT()
+            ty = tf
         case Cond(if_true=f, if_false=g, target=b):
             tb = infer_type(ctx, b, stack)
             if not isinstance(tb, BoolT):
@@ -125,5 +140,9 @@ def infer_type(ctx: TypingContext, t: Term, stack: tuple[SimpleType, ...] = ()) 
                 raise TypeCheckError(
                     f"conditional branches disagree: {pretty_type(tf)} vs {pretty_type(tg)}"
                 )
-            return tf
-    raise TypeError(t)
+            ty = tf
+        case _:
+            raise TypeError(t)
+    if _loose_range(t) == 0:
+        object.__setattr__(t, "_typed", ty)
+    return ty

@@ -205,6 +205,49 @@ def test_eval_of_a_320_numeral_fits_the_stack(tmp_path):
     assert (done.returncode, done.stdout.splitlines()[-1]) == (0, "320"), done.stderr
 
 
+def test_dtt_check_of_400_nested_funs_fits_the_stack(tmp_path):
+    # Inference takes two frames per binder (`_infer` and the rule for the
+    # node's class), so about 490 nested funs fit; a third frame per level
+    # would stop at 327.
+    n = 400
+    path = tmp_path / "funs.dtt"
+    path.write_text("check {" + "".join(f"fun (x{i} : Nat) => " for i in range(n)) + "x0}\n")
+    done = fresh_cli("check", str(path), "--calculus", "dtt")
+    assert done.returncode == 0, done.stdout + done.stderr
+    assert done.stdout.splitlines()[0].startswith("[  1] Check: ok -- Nat -> Nat -> ")
+
+
+def test_a_chain_of_400_stlc_definitions_fits_the_stack(tmp_path):
+    # Each definition names the one before, so the last expands to 1,596
+    # succs; typing it again at every definition ran out of stack at the
+    # 249th, and it is typed once because each closed node keeps its type.
+    path = tmp_path / "chain.stlc"
+    path.write_text("define d_0 := {0}\n" + "".join(
+        f"define d_{i} := {{succ (succ (succ (succ d_{i - 1})))}}\n" for i in range(1, 400)
+    ))
+    done = fresh_cli("check", str(path), "--calculus", "stlc")
+    assert done.returncode == 0, done.stdout + done.stderr
+    assert done.stdout.splitlines()[-1] == f"{path}: ok, 0 theorem(s) certified"
+
+
+@pytest.mark.parametrize("calculus", ["stlc", "dtt"])
+@pytest.mark.parametrize("term, value, contractions", [
+    ("0", "0", 0),
+    ("(fun (x : Nat) => x) 3", "3", 1),
+    ("(fun (f : Nat -> Nat) => f 1) (fun (x : Nat) => succ x)", "2", 2),
+])
+def test_fuel_bounds_the_contractions_of_an_eval(calculus, term, value, contractions, tmp_path, capsys):
+    # `--fuel N` allows N beta or iota contractions, in either calculus.
+    path = tmp_path / f"fuel.{calculus}"
+    path.write_text(f"eval {{{term}}}\n")
+    args = ["eval", str(path), "--calculus", calculus, "--fuel"]
+    assert cli(args + [str(contractions)]) == 0
+    assert capsys.readouterr().out.splitlines()[-1] == value
+    if contractions:
+        assert cli(args + [str(contractions - 1)]) == 1
+        assert "[  1] Eval: error[fuel-exhausted] at 1:1" in capsys.readouterr().out
+
+
 def test_stlc_fun_over_400_succs_fits_the_stack(tmp_path):
     # The parser abstracts x out of the body, and the rebuild costs one
     # frame per level.

@@ -2,7 +2,9 @@
 
 The references below are the hand-written traversals the table replaced:
 one `match` case per constructor, a list of rebuild closures for the
-reduction order. They are compared with the table-driven code on seeded
+reduction order. `ref_contract` is also the `match` of guarded class
+patterns that `reduce.contract` was before its rules moved into the
+class-keyed `reduce._CONTRACT`. They are compared with the table-driven code on seeded
 `gen_term` terms whose every node carries its own span and every binder its
 own hint, so a comparison sees which nodes each side rebuilt (a rebuilt node
 has no span) as well as `==` and the binder hints.
@@ -14,13 +16,15 @@ import random
 import pytest
 
 from foundry import stlc
+from foundry.errors import FuelError
 from foundry.span import Span
 from foundry.stlc import (
     App, BETA_ETA, Cases, Cond, DEFAULT_FLAGS, FF, Free, Inj0, Inj1, Lam,
     LEFTMOST_OUTERMOST, NatT, Pair, Proj0, Proj1, RecNat, RIGHTMOST_INNERMOST, Succ,
     TT, Var, Zero, gen_term, gen_type,
 )
-from foundry.stlc.syntax import _SHAPE
+from foundry.stlc.reduce import _CONTRACT, ReductionFlags
+from foundry.stlc.syntax import _SHAPE, Term
 
 from helpers import is_node, replace
 
@@ -336,3 +340,61 @@ def test_reduce_step_takes_the_reference_step_every_time(strategy, flags):
 def test_unknown_strategy_is_rejected():
     with pytest.raises(ValueError):
         stlc.reduce_step(Zero(), DEFAULT_FLAGS, "outermost")
+
+
+# ---------------------------------------------------------------------------
+# The contraction table against the `match` it replaced
+
+
+FLAG_SETS = [ReductionFlags(*bits) for bits in itertools.product((False, True), repeat=4)]
+
+# Surjective-pairing redexes, so that flag sets with it have some to contract.
+SP_TERMS = [with_spans(Pair(Proj0(t), Proj1(t))) for t in TERMS[:40]]
+
+
+def ref_normalize_steps(t, flags, strategy, fuel):
+    """The terms each contraction leaves, and whether fuel ran out, by the
+    reference step."""
+    steps = []
+    while (nxt := ref_reduce_step(t, flags, strategy)) is not None:
+        if len(steps) >= fuel:
+            return steps, True
+        steps.append(nxt)
+        t = nxt
+    return steps, False
+
+
+def normalize_steps(t, flags, strategy, fuel):
+    steps = []
+    try:
+        stlc.normalize(t, flags, strategy, fuel=fuel, on_step=lambda _before, after: steps.append(after))
+    except FuelError:
+        return steps, True
+    return steps, False
+
+
+def test_every_term_class_contracts_as_the_reference():
+    one = {"index": 0, "name": "a", "type": NatT(), "dom": NatT(), "right": NatT(), "left": NatT()}
+    samples = [cls(*(one.get(n, Zero()) for n in cls.__match_args__)) for cls in Term.__args__]
+    samples += [node for t in TERMS[:100] + ETA_TERMS[:20] + SP_TERMS[:20] for node in _subterms(t)]
+    assert set(_CONTRACT) < set(Term.__args__)
+    for flags in FLAG_SETS:
+        for t in samples:
+            assert anatomy(stlc.contract(t, flags)) == anatomy(ref_contract(t, flags))
+
+
+@pytest.mark.parametrize("strategy", [LEFTMOST_OUTERMOST, RIGHTMOST_INNERMOST])
+def test_normalize_takes_the_reference_steps_under_every_flag_set(strategy):
+    contracted = 0
+    for flags in FLAG_SETS:
+        for t in TERMS[:30] + ETA_TERMS[:10] + SP_TERMS[:10]:
+            want, exhausted = ref_normalize_steps(t, flags, strategy, 300)
+            assert not exhausted
+            got = normalize_steps(t, flags, strategy, 300)
+            assert [anatomy(u) for u in got[0]] == [anatomy(u) for u in want] and not got[1]
+            if want:
+                # one contraction short, fuel runs out after the same steps
+                short = normalize_steps(t, flags, strategy, len(want) - 1)
+                assert short == (got[0][:-1], True)
+            contracted += len(want)
+    assert contracted > 1000

@@ -3,7 +3,11 @@
 Counts function entries, recursive ones included, by rebinding the function
 in every foundry module that holds it, and node constructions by wrapping the
 class's `__init__`, so the bounds do not depend on the machine. Each bound sits well above today's count and well below the count
-of a kernel that repeats work it has already done:
+of a kernel that repeats work it has already done. The DTT counts also have a
+floor, about half of today's count, and `test_counts_see_every_entry` checks
+that a count sees every entry into the function's code: a kernel that
+recursed through a reference it captured, instead of the module name the
+count rebinds, would hide entries, and it fails instead of reading low:
 
 - diaconescu.hol: `_thm` (theorems minted) about 710, against 6,062 when
   every derived rule unfolds the connective definitions from scratch instead
@@ -19,13 +23,13 @@ of a kernel that repeats work it has already done:
   against 1,317, 540 and 223 when the term walks copy every subterm they
   leave unchanged and every equation at Prop builds its own `=` constant;
 - connectives.hol: `_thm` about 250, against 669 without the lemmas;
-- add_comm.dtt: `_infer` 340 entries, against 1,191 when the kernel
+- add_comm.dtt: `_infer` 340 entries (floor 170), against 1,191 when the kernel
   re-infers every occurrence of a closed subterm instead of reusing the type
-  stored on the node; `whnf` 774, against 2,371 without that type cache;
-  `shift` 460, against 948 without the type cache, 2,244 without the
-  loose-bvar range as well, 16,000 when `subst` also shifts its value at
-  every binder it crosses and 67,000 when it also rebuilds unchanged
-  subterms;
+  stored on the node; `whnf` 774 (floor 380), against 2,371 without that
+  type cache; `shift` 460 (floor 230), against 948 without the type cache,
+  2,244 without the loose-bvar range as well, 16,000 when `subst` also
+  shifts its value at every binder it crosses and 67,000 when it also
+  rebuilds unchanged subterms;
 - 400 FOL axioms, each `forall x : obj, P(x)`: `check_well_formed` 800
   entries (the quantifier and its body, once per axiom), against 160,400
   when every new theory checks all of its axioms again.
@@ -36,7 +40,10 @@ quadratic one quadruples, so each count may grow at most 2.3 times. At
 n = 100, 200: FOL declarations make 200 and 400 symbol checks, against
 20,100 and 80,200 when each new signature checks every symbol again; FOL
 axioms with theorems citing them make 100 and 200 `alpha_equal` calls,
-against 5,150 and 20,300 when each citation scans the axioms.
+against 5,150 and 20,300 when each citation scans the axioms; a chain of
+STLC definitions, each the successor of the one before, makes 199 and 399
+`infer_type` entries, against 5,050 and 20,100 when each definition types
+the whole expansion of the one it names.
 """
 
 import pathlib
@@ -79,6 +86,10 @@ def count_entries(monkeypatch, module, name):
     return calls
 
 
+# Floors of the DTT counts, each about half of today's count.
+FLOORS = {"_infer": 170, "whnf": 380, "shift": 230}
+
+
 @pytest.mark.parametrize(
     "script, calculus, options, module, name, bound",
     [
@@ -100,7 +111,41 @@ def test_term_layer_work_bound(monkeypatch, script, calculus, options, module, n
     calls = count_entries(monkeypatch, module, name)
     report = run_script_text(calculus, (CORPUS / script).read_text(), Options(**options), script)
     assert report.ok, report.first_error()
-    assert 0 < calls[0] <= bound
+    assert FLOORS.get(name, 1) <= calls[0] <= bound
+
+
+@pytest.mark.parametrize(
+    "script, calculus, module, name",
+    [
+        ("add_comm.dtt", "dtt", dtt_kernel, "_infer"),
+        ("add_comm.dtt", "dtt", dtt_kernel, "whnf"),
+        ("add_comm.dtt", "dtt", dtt_kernel, "_conv"),
+        ("add_comm.dtt", "dtt", dtt_syntax, "shift"),
+        ("add_comm.dtt", "dtt", dtt_syntax, "subst"),
+        ("stlc_basics.stlc", "stlc", stlc_typing, "infer_type"),
+    ],
+)
+def test_counts_see_every_entry(monkeypatch, script, calculus, module, name):
+    """A count sees a call only if it goes through the module name that
+    `count_entries` rebinds; the interpreter's profile hook sees every entry
+    into the function's code. The two agree, so no call reaches the function
+    through a reference held elsewhere, which would make a bound read low."""
+    code = getattr(module, name).__code__
+    calls = count_entries(monkeypatch, module, name)
+    entries = [0]
+
+    def profile(frame, event, _arg):
+        if event == "call" and frame.f_code is code:
+            entries[0] += 1
+
+    text = (CORPUS / script).read_text()
+    sys.setprofile(profile)
+    try:
+        report = run_script_text(calculus, text, Options(), script)
+    finally:
+        sys.setprofile(None)
+    assert report.ok, report.first_error()
+    assert calls[0] == entries[0] > 0
 
 
 def test_no_inference_work_carries_over_between_runs(monkeypatch):
@@ -178,9 +223,9 @@ def fol_axioms_cited(n):
 
 
 def stlc_definitions(n):
-    # Each body stands alone: STLC definitions expand as macros, so a body
-    # naming the previous definition is typed at its full expanded size.
-    return "".join(f"define d_{i} := {{fun (x : Nat) => succ x}}\n" for i in range(n))
+    return "define d_0 := {0}\n" + "".join(
+        f"define d_{i} := {{succ d_{i - 1}}}\n" for i in range(1, n)
+    )
 
 
 def hol_chain(n):
