@@ -31,7 +31,7 @@ def _check_ground(t: Term) -> None:
     if not isinstance(t, App):
         raise SemanticsError(
             f"congruence closure needs ground terms, got {pretty_term(t)}",
-            tag="non-ground",
+            tag="non-ground", span=t.span,
         )
     for a in t.args:
         _check_ground(a)

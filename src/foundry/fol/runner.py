@@ -64,6 +64,7 @@ class FolRunner(_Runner):
                 )
             case sc.Prove(body_tokens=body):
                 self.goal = self.parse_formula(body)
+                check_well_formed(self.theory.signature, self.goal)
             case sc.Check(body_tokens=body, type_tokens=None):
                 a = self.parse_formula(body)
                 check_well_formed(self.theory.signature, a)

@@ -71,10 +71,9 @@ class RunReport:
                 return r
         return None
 
-    def to_json(self) -> str:
-        import json  # only a JSON report loads it
-
-        doc = {
+    def as_dict(self) -> dict:
+        """The report as the CLI's JSON document."""
+        return {
             "calculus": self.calculus,
             "commands": [r.as_dict() for r in self.results],
             "elapsed_s": round(self.elapsed_s, 6),
@@ -82,7 +81,6 @@ class RunReport:
             "ok": self.ok,
             "theorems_certified": self.theorems_certified,
         }
-        return json.dumps(doc, sort_keys=True, indent=2)
 
     def to_text(self) -> str:
         lines = []

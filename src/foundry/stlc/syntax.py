@@ -6,8 +6,8 @@ syntax-directed.
 
 `_SHAPE` lists each compound constructor's subterm fields and their binder
 depths once; `var_free_in`, `free_names`, `reduce.reduce_step`,
-`generate.term_size`, `_loose_range` and `_map`, the one rebuilding walk
-under `shift`, `subst` and `abstract_free`, all read that one table, so each
+`generate.term_size`, `_loose_range`, `abstract_free` and `_map`, the
+rebuilding walk under `shift` and `subst`, all read that one table, so each
 constructor's subterms are listed once.
 
 Each term node carries two caches outside its fields, so `==`, `hash`,
@@ -346,8 +346,19 @@ def free_names(t: Term) -> frozenset[str]:
 
 
 def abstract_free(t: Term, name: str, depth: int = 0) -> Term:
-    """Turn the named free variable into the binder at the given depth."""
-    return _map(t, lambda u, d: Var(d) if type(u) is Free and u.name == name else u, depth)
+    """Turn the named free variable into the binder at the given depth. A
+    span-less subterm naming no free variable (a `Free` under k binders reads
+    `_NAMES_FREE - k`) is returned as is, unwalked, so a `fun` over a
+    definition shares it, and the type it keeps, instead of copying it."""
+    if t.span is None and _loose_range(t) < _NAMES_FREE >> 1:
+        return t
+    shape = _SHAPE.get(type(t))
+    if shape is None:
+        return Var(depth) if type(t) is Free and t.name == name else t
+    children = []
+    for field, extra in shape:
+        children.append(abstract_free(getattr(t, field), name, depth + extra))
+    return _rebuild(t, children)
 
 
 def numeral(n: int) -> Term:

@@ -429,3 +429,74 @@ def test_every_block_must_parse_to_its_end(tmp_path, capsys, calculus, text):
     path.write_text(text)
     assert cli(["check", str(path), "--calculus", calculus]) == 1
     assert re.search(r"error\[parse-error\] at \d+:\d+: trailing input in ", capsys.readouterr().out)
+
+
+def test_a_chain_of_400_stlc_fun_definitions_checks(tmp_path):
+    # Each `fun` body names the definition before; abstracting `x` out of it
+    # shares that definition instead of copying it, so the chain is linear
+    # and each definition keeps the type it was checked at.
+    path = tmp_path / "funs.stlc"
+    path.write_text("define d_0 := {fun (x : Nat) => x}\n" + "".join(
+        f"define d_{i} := {{fun (x : Nat) => succ (d_{i - 1} x)}}\n" for i in range(1, 400)
+    ))
+    done = fresh_cli("check", str(path))
+    assert done.returncode == 0, done.stdout + done.stderr
+    assert done.stdout.splitlines()[-1] == f"{path}: ok, 0 theorem(s) certified"
+
+
+def test_the_extension_names_the_calculus(tmp_path, capsys):
+    assert cli(["eval", str(CORPUS / "nat_arith.dtt")]) == 0
+    assert capsys.readouterr().out.splitlines()[-1] == "12"
+    path = tmp_path / "nat_arith.txt"
+    path.write_text((CORPUS / "nat_arith.dtt").read_text())
+    for subcommand in ("check", "eval"):
+        assert cli([subcommand, str(path)]) == 2
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert captured.err == f"error: cannot tell the calculus of {path} from its extension: give --calculus\n"
+    assert cli(["eval", str(path), "--calculus", "dtt"]) == 0
+    assert capsys.readouterr().out.splitlines()[-1] == "12"
+
+
+def test_a_calculus_flag_wins_over_the_extension(tmp_path, capsys):
+    path = tmp_path / "identity.dtt"
+    path.write_text("eval {(fun (x : Bool) => x) true}\n")
+    assert cli(["eval", str(path)]) == 0
+    assert capsys.readouterr().out.splitlines()[-1] == "true"
+    assert cli(["eval", str(path), "--calculus", "stlc"]) == 1  # STLC spells it `tt`
+    assert "[  1] Eval: error[type-error] at 1:1: unbound variable true\n" in capsys.readouterr().out
+
+
+@pytest.mark.parametrize("args", [
+    ["countermodel", "cm_two_elements.fol", "--max-size", "0"],
+    ["countermodel", "cm_two_elements.fol", "--max-size", "-3"],
+    ["eval", "nat_arith.dtt", "--fuel", "-1"],
+    ["check", "nat_arith.dtt", "--fuel", "ten"],
+])
+def test_out_of_range_flag_values_are_usage_errors(args, capsys):
+    args[1] = str(CORPUS / args[1])
+    assert cli(args) == 2
+    captured = capsys.readouterr()
+    assert captured.out == "" and f"error: argument {args[2]}: " in captured.err
+
+
+@pytest.mark.parametrize("subcommand, text, formula, error", [
+    ("cc", PROBLEM_HEAD + "assume {x = a}\nprove {a = b}\n", None,
+     "error[theory-error] at {path}:6:1: axiom assumption_1 is not a sentence"),
+    ("cc", PROBLEM_HEAD + "assume {A}\nprove {a = b}\n", None,
+     "error[non-ground] at {path}:6:9: cc assumptions must be equations"),
+    ("cc", PROBLEM_HEAD + "assume {a = b}\nprove {A}\n", None,
+     "error[non-ground] at {path}:7:8: cc goal must be an equation"),
+    ("cc", PROBLEM_HEAD + "assume {a = b}\nprove {f(x) = b}\n", None,
+     "error[non-ground] at {path}:7:10: congruence closure needs ground terms, got x"),
+    # a formula under a binder loses its spans, so these point at the formula
+    ("countermodel", PROBLEM_HEAD + "prove {forall x : obj, A(x)}\n", None,
+     "error[sort-error] at {path}:6:1: arity mismatch: A expects 0 argument(s), got 1"),
+    ("model-check", PROBLEM_HEAD + MODEL, "forall x : obj, A(x)\n",
+     "error[sort-error] at {formula}:1:1: arity mismatch: A expects 0 argument(s), got 1"),
+], ids=["assumption-sentence", "assumption-equation", "goal-equation", "ground-term",
+        "goal-sorts", "formula-sorts"])
+def test_problem_file_errors_name_a_location(subcommand, text, formula, error, tmp_path, capsys):
+    code, err, path = _problem_run(tmp_path, capsys, subcommand, text, formula)
+    assert code == 1
+    assert err == error.format(path=path, formula=tmp_path / "formula.fol") + "\n"

@@ -1,7 +1,8 @@
 """`foundry check` loads only the calculus it checks, and only what it runs.
 
-Each golden script is checked in a fresh interpreter, which then lists the
-foundry modules it imported, and whichever of `json`, `dataclasses` and
+Each golden script is checked in a fresh interpreter, with no `--calculus`
+flag, so the file's extension names the calculus. The interpreter then lists
+the foundry modules it imported, and whichever of `json`, `dataclasses` and
 `inspect` it imported. The report must match the golden file byte for byte,
 and the module list must hold no other calculus, no module of its own
 calculus that a check never runs, and none of those three. These are module names, not timings, so the test does not depend on
@@ -66,10 +67,9 @@ def _flags(options: dict) -> list:
 
 
 def check_in_fresh_process(name: str):
-    calculus, options = MANIFEST[name]
     env = dict(os.environ, PYTHONPATH=str(pathlib.Path(foundry.__file__).parents[1]))
     done = subprocess.run(
-        [sys.executable, "-c", CHILD, "check", name, "--calculus", calculus, *_flags(options)],
+        [sys.executable, "-c", CHILD, "check", name, *_flags(MANIFEST[name][1])],
         cwd=CORPUS, capture_output=True, text=True, env=env, timeout=120,
     )
     return done, done.stderr.split()
