@@ -17,7 +17,7 @@ import sys
 from typing import TYPE_CHECKING
 
 from .errors import FoundryError
-from .run import RUNNERS, Options, RunReport, depth_limit, run_script_text
+from .run import RUNNERS, Options, depth_limit, run_script_text
 from .span import Span
 from .surface import script as sc
 from .surface.lexer import tokenize
@@ -82,30 +82,33 @@ def _emit(args, code: int, doc: dict, text: str) -> int:
     return code
 
 
-def _run_file(args) -> RunReport:
-    """Run the script in the calculus `--calculus` or its extension names; emit its report."""
+def _run_file(args, value: bool = False) -> int:
+    """Run the script in the calculus `--calculus` or its extension names and
+    emit its report. With `value`, the output of its last eval follows the
+    text report, or is the JSON document's `value`; a script that runs
+    without one is a usage error, after its report."""
     calculus = args.calculus or os.path.splitext(args.file)[1][1:]
     if calculus not in RUNNERS:
         _usage(f"cannot tell the calculus of {args.file} from its extension: give --calculus")
     report = run_script_text(calculus, _read(args.file), _options(args), args.file)
-    text = "\n".join([*(f"trace: {line}" for line in report.trace), report.to_text()])
-    _emit(args, 0 if report.ok else 1, report.as_dict(), text)
-    return report
+    doc = report.as_dict()
+    lines = [*(f"trace: {line}" for line in report.trace), report.to_text()]
+    evals = [r.output for r in report.results if r.command == "Eval"]
+    if value and report.ok and evals:
+        doc["value"] = evals[-1]
+        lines.append(evals[-1])
+    code = _emit(args, 0 if report.ok else 1, doc, "\n".join(lines))
+    if value and report.ok and not evals:
+        _usage("no eval command in the file")
+    return code
 
 
 def _cmd_check(args) -> int:
-    return 0 if _run_file(args).ok else 1
+    return _run_file(args)
 
 
 def _cmd_eval(args) -> int:
-    report = _run_file(args)
-    if not report.ok:
-        return 1
-    evals = [r for r in report.results if r.command == "Eval"]
-    if not evals:
-        _usage("no eval command in the file")
-    print(evals[-1].output)
-    return 0
+    return _run_file(args, value=True)
 
 
 _PROBLEM_COMMANDS = (sc.DeclareSort, sc.DeclareFn, sc.DeclareRel, sc.Assume, sc.Prove, sc.ModelDef)
@@ -216,11 +219,7 @@ def _cmd_model_check(args) -> int:
     model = next(iter(problem.models.values()))
     with depth_limit(args.formula_file):
         formula = problem.parse_formula(tokenize(formula_text, args.formula_file))
-        try:
-            fol.check_well_formed(problem.theory.signature, formula)
-        except FoundryError as e:  # an error under a binder has no span of its own
-            e.span = e.span or formula.span
-            raise
+        fol.check_well_formed(problem.theory.signature, formula)
         ok = fol.valid_in(model, formula)
     doc = {"formula_file": args.formula_file, "model_file": args.model_file, "holds": ok}
     text = f"{args.formula_file}: {'holds' if ok else 'fails'} in {args.model_file}"

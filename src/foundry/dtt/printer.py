@@ -7,6 +7,7 @@ both read them.
 
 from __future__ import annotations
 
+from ..span import fresh_name
 from .syntax import (
     _SHAPE, App, Axiom, Bool, BoolCases, Empty, EmptyCases, Expr, FalseE, Id,
     IdCases, Inl, Inr, Lam, Nat, NatRec, Pair, Pi, PropSort, Refl, Sigma,
@@ -54,21 +55,15 @@ def _form(cls):
 
 _FORMS = {cls: _form(cls) for cls in KEYWORDS.values() if cls not in (TypeSort, Axiom)}
 
-# The name of an arrow's binder, which its codomain does not use. `fresh`
-# never returns an empty name, so with this one in scope it picks the names it
-# would pick without it.
+# The name of an arrow's binder, which its codomain does not use. No binder
+# is printed with an empty name, so with this one in scope each binder gets
+# the name it would get without it.
 _HOLE = ""
 
 
 def pretty(e: Expr) -> str:
     dependent: set[int] = set()
     _uses(e, dependent)
-
-    def fresh(base: str, names) -> str:
-        name = base or "x"
-        while name in names:
-            name += "'"
-        return name
 
     def go(e: Expr, names: tuple[str, ...], prec: int) -> str:
         # prec: 0 binders/arrows, 10 sums, 20 application, 30 atoms
@@ -102,7 +97,7 @@ def pretty(e: Expr) -> str:
                 Pi(dom=d, cod=b, hint=h) | Sigma(dom=d, cod=b, hint=h)
                 | W(dom=d, cod=b, hint=h) | Lam(dom=d, body=b, hint=h)
             ):
-                x = fresh(h, names)
+                x = fresh_name(h or "x", names)
                 kw = _BINDER_WORDS[cls, cls is Sigma and e.in_prop]
                 sep = " =>" if cls is Lam else ","
                 s = f"{kw} ({x} : {go(d, names, 0)}){sep} {go(b, (x,) + names, 0)}"

@@ -19,7 +19,7 @@ from __future__ import annotations
 from typing import Iterable, Mapping, Union
 
 from ..errors import SortError
-from ..span import EMPTY, grown, hint_field, node, span_field
+from ..span import EMPTY, fresh_name, grown, hint_field, node, span_field
 
 
 @node
@@ -286,15 +286,6 @@ def alpha_equal(a: Formula, b: Formula) -> bool:
     return a == b
 
 
-def fresh_name(base: str, taken: Iterable[str]) -> str:
-    """Smallest unused name obtained from base by appending prime marks."""
-    taken = set(taken)
-    name = base
-    while name in taken:
-        name += "'"
-    return name
-
-
 # ---------------------------------------------------------------------------
 # Signatures and well-formedness
 
@@ -357,9 +348,11 @@ def single_sorted(sort_name: str = "obj") -> Signature:
     return Signature(sorts=frozenset({Sort(sort_name)}))
 
 
-def term_sort(sig: Signature, t: Term, binders: tuple[Sort, ...] = ()) -> Sort:
+def term_sort(
+    sig: Signature, t: Term, binders: tuple[Sort, ...] = (), names: tuple[str, ...] = ()
+) -> Sort:
     """Sort of a term; `binders` is the stack of enclosing binder sorts
-    (innermost first)."""
+    (innermost first), and `names` the names an error shows for them."""
     match t:
         case BVar(index=i):
             if i >= len(binders):
@@ -371,36 +364,40 @@ def term_sort(sig: Signature, t: Term, binders: tuple[Sort, ...] = ()) -> Sort:
             return s
         case App(fn=f, args=args):
             if f not in sig.functions:
-                raise SortError(f"unknown function symbol in {pretty_term(t)}", span=t.span)
+                raise SortError(f"unknown function symbol in {pretty_term(t, names)}", span=t.span)
             decl_args, res = sig.functions[f]
             if len(args) != len(decl_args):
                 raise SortError(
-                    f"arity mismatch in {pretty_term(t)}: "
+                    f"arity mismatch in {pretty_term(t, names)}: "
                     f"{f} expects {len(decl_args)} argument(s), got {len(args)}",
                     span=t.span,
                 )
             for a, want in zip(args, decl_args):
-                got = term_sort(sig, a, binders)
+                got = term_sort(sig, a, binders, names)
                 if got != want:
                     raise SortError(
-                        f"sort mismatch in {pretty_term(t)}: "
-                        f"argument {pretty_term(a)} has sort {got}, expected {want}",
+                        f"sort mismatch in {pretty_term(t, names)}: "
+                        f"argument {pretty_term(a, names)} has sort {got}, expected {want}",
                         span=t.span,
                     )
             return res
     raise TypeError(t)
 
 
-def check_well_formed(sig: Signature, a: Formula, binders: tuple[Sort, ...] = ()) -> None:
-    """Succeeds iff every symbol resolves with matching arity and sorts."""
+def check_well_formed(
+    sig: Signature, a: Formula, binders: tuple[Sort, ...] = (), names: tuple[str, ...] = ()
+) -> None:
+    """Succeeds iff every symbol resolves with matching arity and sorts. An
+    error names each bound variable by its binder's hint, primed where it
+    repeats the name of a binder around it, as the printer does."""
     match a:
         case Eq(lhs=l, rhs=r):
-            sl = term_sort(sig, l, binders)
-            sr = term_sort(sig, r, binders)
+            sl = term_sort(sig, l, binders, names)
+            sr = term_sort(sig, r, binders, names)
             if sl != sr:
                 raise SortError(
                     f"equation sides have different sorts: "
-                    f"{pretty_term(l)} : {sl} vs {pretty_term(r)} : {sr}",
+                    f"{pretty_term(l, names)} : {sl} vs {pretty_term(r, names)} : {sr}",
                     span=a.span,
                 )
         case Rel(name=n, args=args):
@@ -413,22 +410,22 @@ def check_well_formed(sig: Signature, a: Formula, binders: tuple[Sort, ...] = ()
                     span=a.span,
                 )
             for t, want in zip(args, decl):
-                got = term_sort(sig, t, binders)
+                got = term_sort(sig, t, binders, names)
                 if got != want:
                     raise SortError(
-                        f"sort mismatch in {n}({', '.join(map(pretty_term, args))}): "
-                        f"{pretty_term(t)} has sort {got}, expected {want}",
+                        f"sort mismatch in {n}({', '.join(pretty_term(u, names) for u in args)}): "
+                        f"{pretty_term(t, names)} has sort {got}, expected {want}",
                         span=a.span,
                     )
         case Bot():
             pass
         case And(left=l, right=r) | Or(left=l, right=r) | Implies(left=l, right=r):
-            check_well_formed(sig, l, binders)
-            check_well_formed(sig, r, binders)
+            check_well_formed(sig, l, binders, names)
+            check_well_formed(sig, r, binders, names)
         case Forall(sort=s, body=b) | Exists(sort=s, body=b):
             if s not in sig.sorts:
                 raise SortError(f"unknown sort {s} in quantifier", span=a.span)
-            check_well_formed(sig, b, (s,) + binders)
+            check_well_formed(sig, b, (s,) + binders, (fresh_name(a.hint or "x", names),) + names)
         case _:
             raise TypeError(a)
 

@@ -41,6 +41,7 @@ takes the derivation from scratch, so errors stay the same as well.
 from __future__ import annotations
 
 from ..errors import KernelError
+from ..span import fresh_name
 from .kernel import (
     ABS, ASSUME, BETA, DEDUCT_ANTISYM, EQ_MP, ETA, MK_COMB, REFL, TRANS,
     Abs, App, BVar, Const, FVar, HolTerm, HolTheorem, HolType, KernelState,
@@ -59,10 +60,7 @@ def _fresh(base: str, ty, *terms) -> FVar:
             taken |= {v.name for v in free_vars(t.conclusion)}
         elif t is not None:
             taken |= {v.name for v in free_vars(t)}
-    name = base
-    while name in taken:
-        name += "'"
-    return FVar(name, ty)
+    return FVar(fresh_name(base, taken), ty)
 
 
 def rhs_of(th: HolTheorem) -> HolTerm:

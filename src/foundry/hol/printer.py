@@ -7,6 +7,7 @@ and free variable carries its type annotation.
 
 from __future__ import annotations
 
+from ..span import fresh_name
 from .kernel import Abs, App, BVar, Const, FVar, HolTerm, dest_eq, free_vars, pretty_type
 
 
@@ -31,11 +32,7 @@ def pretty_term(t: HolTerm, types: bool = False) -> str:
                 s = f"{go(f, names, 20)} {go(a, names, 21)}"
                 return s if prec <= 20 else f"({s})"
             case Abs(dom=d, body=b, hint=h):
-                base = h or "x"
-                name = base
-                taken = set(names) | frees
-                while name in taken:
-                    name += "'"
+                name = fresh_name(h or "x", set(names) | frees)
                 s = f"fun ({name} : {pretty_type(d)}) => {go(b, (name,) + names, 0)}"
                 return s if prec == 0 else f"({s})"
         raise TypeError(t)

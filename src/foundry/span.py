@@ -2,7 +2,9 @@
 
 Spans and binder-name hints ride along on AST nodes but are excluded from
 equality and hashing, so structural ``==`` on the nameless representations is
-exactly alpha-equivalence.
+exactly alpha-equivalence. `fresh_name` primes a hint until it is a name
+not yet taken; every printer, and every rule that needs a new variable,
+names it so.
 
 Every immutable record, from the AST nodes to the signatures, models, kernel
 states and run options, is a class of annotated fields built by `node`, and
@@ -55,6 +57,13 @@ def span_field():
 
 def hint_field():
     return _AUX
+
+
+def fresh_name(base: str, taken) -> str:
+    """base with the fewest primes appended that make it a name not in taken."""
+    while base in taken:
+        base += "'"
+    return base
 
 
 def _repr(self) -> str:

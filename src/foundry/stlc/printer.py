@@ -8,6 +8,7 @@ both read them.
 
 from __future__ import annotations
 
+from ..span import fresh_name
 from .syntax import (
     _SHAPE, FF, TT, App, Cases, Cond, Const, Free, Inj0, Inj1, Lam, Pair,
     Proj0, Proj1, RecNat, Succ, Term, Var, Zero, free_names, numeral_value,
@@ -41,12 +42,6 @@ def pretty_term(t: Term) -> str:
     """The surface text of a term, which the STLC parser reads back as an
     alpha-equal term. Numerals print as digits."""
 
-    def fresh(base, names):
-        name = base or "x"
-        while name in names:
-            name += "'"
-        return name
-
     frees = free_names(t)
 
     def go(t, names, prec) -> str:
@@ -71,7 +66,7 @@ def pretty_term(t: Term) -> str:
             case Const(name=nm):
                 return nm
             case Lam(dom=d, body=b, hint=h):
-                x = fresh(h, set(names) | frees)
+                x = fresh_name(h or "x", set(names) | frees)
                 s = f"{_BINDER_WORDS[Lam]} ({x} : {pretty_type(d)}) => {go(b, (x,) + names, 0)}"
                 return s if prec == 0 else f"({s})"
             case App(fn=f, arg=a):

@@ -348,8 +348,8 @@ def free_names(t: Term) -> frozenset[str]:
 def abstract_free(t: Term, name: str, depth: int = 0) -> Term:
     """Turn the named free variable into the binder at the given depth. A
     span-less subterm naming no free variable (a `Free` under k binders reads
-    `_NAMES_FREE - k`) is returned as is, unwalked, so a `fun` over a
-    definition shares it, and the type it keeps, instead of copying it."""
+    `_NAMES_FREE - k`) is returned as is, unwalked, so the term that binds
+    it shares it, and the type it keeps, instead of copying it."""
     if t.span is None and _loose_range(t) < _NAMES_FREE >> 1:
         return t
     shape = _SHAPE.get(type(t))

@@ -1,5 +1,6 @@
 """Recursive-descent parser for dependent type theory expressions, read
-into de Bruijn indices.
+into de Bruijn indices: a bound name is read as its index against the stack
+of the names the binders around it bind, innermost first.
 
 Every keyword is spelled once, in the tables `dtt.printer.KEYWORDS` and
 `BINDERS` that this parser and the printer share; a prefix form's arguments
@@ -23,41 +24,22 @@ def _dtt_expr(cur, defs, binders):
     if t.kind == "ident" and t.value in BINDERS:
         cls, in_prop = BINDERS[t.value]
         cur.next()
-        groups = []  # (name, type, binder depth at which the type was parsed)
-        while cur.at("("):
-            cur.next()
-            names = [cur.expect_kind("ident").value]
-            while cur.at_kind("ident"):
-                names.append(cur.next().value)
-            cur.expect(":")
-            depth = len(groups)
-            ty = _dtt_expr(cur, defs, _extend_names(binders, [g[0] for g in groups]))
-            cur.expect(")")
-            groups.extend((n, ty, depth) for n in names)
+        groups = cur.binder_groups(lambda bound: _dtt_expr(cur, defs, tuple(reversed(bound)) + binders))
         cur.expect("=>" if cls is dtt.Lam else ",")
-        body = _dtt_expr(cur, defs, _extend_names(binders, [g[0] for g in groups]))
+        body = _dtt_expr(cur, defs, tuple(n for n, _, _ in reversed(groups)) + binders)
         flags = (in_prop,) if cls is dtt.Sigma else ()
-        for i, (n, ty, depth) in reversed(list(enumerate(groups))):
-            if i != depth:
-                ty = dtt.shift(ty, i - depth)
-            body = cls(ty, body, *flags, hint=n, span=t.span)
+        for n, ty, k in reversed(groups):
+            body = cls(dtt.shift(ty, k) if k else ty, body, *flags, hint=n, span=t.span)
         return body
     return _dtt_arrow(cur, defs, binders)
-
-
-def _extend_names(binders, names):
-    inner = binders
-    for n in names:
-        inner = ((n,),) + inner
-    return inner
 
 
 def _dtt_arrow(cur, defs, binders):
     a = _dtt_sum(cur, defs, binders)
     if cur.at("->"):
         cur.next()
-        # non-dependent arrow: parse the codomain under a dummy binder
-        b = _dtt_expr(cur, defs, _extend_names(binders, ["_"]))
+        # non-dependent arrow: parse the codomain under a binder no name reads
+        b = _dtt_expr(cur, defs, ("",) + binders)
         return dtt.Pi(a, b, hint="_", span=a.span)
     return a
 
@@ -109,9 +91,8 @@ def _dtt_factor(cur, defs, binders):
         for _ in range(len(shape) - len(args)):
             args.append(_dtt_factor(cur, defs, binders))
         return cls(*args, span=t.span)
-    for i, (n, *_rest) in enumerate(binders):
-        if n == name:
-            return dtt.Var(i, span=t.span)
+    if name in binders:
+        return dtt.Var(binders.index(name), span=t.span)
     if name in defs:
         return defs[name]
     cur.fail(f"unknown name {name}")

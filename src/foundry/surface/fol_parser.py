@@ -3,13 +3,14 @@
 Every keyword and connective is spelled once, in the table
 `fol.syntax.SURFACE` that this parser and `pretty_formula` share; the
 connectives are read by one right-associative loop over its precedences.
+A bound name is read as its de Bruijn index against the stack of the names
+the quantifiers around it bind, innermost first.
 """
 
 from __future__ import annotations
 
 from ..fol.syntax import (
-    SURFACE, And, App, Bot, Eq, Formula, FVar, Implies, Rel, Signature, Sort, Term,
-    _close as close_impl,
+    SURFACE, And, App, Bot, BVar, Eq, Formula, FVar, Implies, Rel, Signature, Sort, Term,
 )
 from ..span import node
 from .lexer import Cursor
@@ -84,9 +85,7 @@ def _fol_unary(cur, env, binders):
         if cls is Bot:
             return Bot(span=t.span)
         names = [cur.expect_kind("ident").value]
-        while cur.at_kind("ident") and not cur.at(":") and cur.peek().value not in (",",):
-            if cur.peek().value in SURFACE:
-                break
+        while cur.at_kind("ident") and cur.peek().value not in SURFACE:
             names.append(cur.next().value)
         if cur.at(":"):
             cur.next()
@@ -97,18 +96,11 @@ def _fol_unary(cur, env, binders):
             else:
                 cur.fail("quantifier needs a sort annotation")
         cur.expect(",")
-        inner = binders
-        for name in names:
-            inner = ((name, sort),) + inner
-        body = parse_fol_formula(cur, env, inner)
+        body = parse_fol_formula(cur, env, tuple(reversed(names)) + binders)
         for name in reversed(names):
-            body = cls(sort, _close(body, name, sort), hint=name, span=t.span)
+            body = cls(sort, body, hint=name, span=t.span)
         return body
     return _fol_atom(cur, env, binders)
-
-
-def _close(a, name, sort):
-    return close_impl(a, 0, FVar(name, sort))
 
 
 def _fol_atom(cur, env, binders):
@@ -123,12 +115,13 @@ def _fol_atom(cur, env, binders):
         cur.next()
         rhs = parse_fol_term(cur, env, binders)
         return Eq(term, rhs, span=t.span)
-    # reinterpret the term as a relational atom
+    # reinterpret the term as a relational atom; a lone name, bound or not,
+    # is a propositional atom
     match term:
         case App(fn=f, args=args):
             return Rel(f, args, span=t.span)
-        case FVar(name=n):
-            return Rel(n, (), span=t.span)
+        case FVar() | BVar():
+            return Rel(t.value, (), span=t.span)
     cur.fail("expected an atomic formula")
 
 
@@ -145,11 +138,8 @@ def parse_fol_term(cur: Cursor, env: FolEnv, binders=()) -> Term:
                 args.append(parse_fol_term(cur, env, binders))
         cur.expect(")")
         return App(name, tuple(args), span=t.span)
-    for name2, sort in binders:
-        if name2 == name:
-            # parsed against the binder stack: keep as a tagged free variable,
-            # closed by the quantifier constructor above
-            return FVar(name, sort, span=t.span)
+    if name in binders:
+        return BVar(binders.index(name), span=t.span)
     if env.is_constant(name):
         return App(name, (), span=t.span)
     return FVar(name, env.default_sort(cur, name), span=t.span)

@@ -1,5 +1,7 @@
 """Recursive-descent parser for HOL terms and types, type-checked against a
-kernel state as they are read."""
+kernel state as they are read. A bound name is read as its de Bruijn index
+against the stack of the names and types the binders around it bind,
+innermost first."""
 
 from __future__ import annotations
 
@@ -167,29 +169,18 @@ def _hol_factor(cur, state, macros, binders):
         return inner
     if t.kind == "ident" and t.value == "fun":
         cur.next()
-        groups = []
-        while cur.at("("):
-            cur.next()
-            names = [cur.expect_kind("ident").value]
-            while cur.at_kind("ident"):
-                names.append(cur.next().value)
-            cur.expect(":")
-            ty = parse_hol_type(cur, state)
-            cur.expect(")")
-            groups.extend((n, ty) for n in names)
+        groups = cur.binder_groups(lambda _bound: parse_hol_type(cur, state))
         cur.expect("=>")
-        inner = binders
-        for n, ty in groups:
-            inner = ((n, ty),) + inner
+        inner = tuple((n, ty) for n, ty, _ in reversed(groups)) + binders
         body, bty = _hol_eq(cur, state, macros, inner)
-        for n, ty in reversed(groups):
-            body = hk.abs_over(hk.FVar(n, ty), body)
+        for n, ty, _ in reversed(groups):
+            body = hk.Abs(ty, body, hint=n)
             bty = hk.fn(ty, bty)
         return body, bty
     name = cur.expect_kind("ident").value
-    for n, ty in binders:
+    for i, (n, ty) in enumerate(binders):
         if n == name:
-            return hk.FVar(name, ty, span=t.span), ty
+            return hk.BVar(i, span=t.span), ty
     if name in (macros or {}):
         term = macros[name]
         return term, hk.type_of(term)

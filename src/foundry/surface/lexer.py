@@ -156,6 +156,25 @@ class Cursor:
             raise ParseError(message, tag="depth-exceeded", span=t.span)
         return n
 
+    def binder_groups(self, read_type) -> list[tuple[str, object, int]]:
+        """The groups `(x y : T) (z : U) ...` that open a binder, as each
+        name with its type and the number of names before it in its group.
+        `read_type(bound)` reads one group's type, given the names the groups
+        before it bind; a type that can name them is read at the depth of the
+        group's first name, and the group's later names see it shifted by
+        that number."""
+        groups = []
+        while self.at("("):
+            self.next()
+            names = [self.expect_kind("ident").value]
+            while self.at_kind("ident"):
+                names.append(self.next().value)
+            self.expect(":")
+            ty = read_type([g[0] for g in groups])
+            self.expect(")")
+            groups.extend((n, ty, k) for k, n in enumerate(names))
+        return groups
+
     def fail(self, message: str, expected=None):
         t = self.peek()
         got = t.value or t.kind

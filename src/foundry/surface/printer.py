@@ -26,6 +26,10 @@ def pretty(calculus: str, ast) -> str:
         from ..hol.printer import pretty_term
 
         return pretty_term(ast, types=True)
+    if calculus == "hol-type":
+        from ..hol.kernel import pretty_type
+
+        return pretty_type(ast)
     if calculus == "dtt":
         from ..dtt.printer import pretty as pretty_dtt
 

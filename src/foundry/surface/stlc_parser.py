@@ -3,14 +3,16 @@
 Every keyword is spelled once, in the tables this parser shares with the
 printers: `stlc.printer.KEYWORDS` and `BINDERS` for terms and
 `stlc.typing.TYPE_KEYWORDS` for types; a prefix form's arguments are its
-constructor's `stlc.syntax._SHAPE` fields, in order.
+constructor's `stlc.syntax._SHAPE` fields, in order. A bound name is read as
+its de Bruijn index against the stack of the names the binders around it
+bind, innermost first.
 """
 
 from __future__ import annotations
 
 from ..stlc.printer import ANNOTATED, BINDERS, KEYWORDS
 from ..stlc.syntax import (
-    _SHAPE, App, Arrow, Base, Free, Pair, Prod, SimpleType, SumT, Term, abstract_free, numeral,
+    _SHAPE, App, Arrow, Base, Free, Pair, Prod, SimpleType, SumT, Term, Var, numeral,
 )
 from ..stlc.typing import TYPE_KEYWORDS
 from .lexer import MAX_NUMERAL, Cursor
@@ -59,24 +61,11 @@ def parse_stlc_term(cur: Cursor, consts: dict | None = None, binders=()) -> Term
     if t.kind == "ident" and t.value in BINDERS:
         binder = BINDERS[t.value]
         cur.next()
-        groups = []
-        while cur.at("("):
-            cur.next()
-            names = [cur.expect_kind("ident").value]
-            while cur.at_kind("ident") and not cur.at(":"):
-                names.append(cur.next().value)
-            cur.expect(":")
-            ty = parse_stlc_type(cur)
-            cur.expect(")")
-            groups.extend((n, ty) for n in names)
+        groups = cur.binder_groups(lambda _bound: parse_stlc_type(cur))
         cur.expect("=>")
-        inner = binders
-        for n, ty in groups:
-            inner = ((n, ty),) + inner
-        body = parse_stlc_term(cur, consts, inner)
-        # binder references were parsed as Free(name); abstract innermost-first
-        for n, ty in reversed(groups):
-            body = binder(ty, abstract_free(body, n), hint=n, span=t.span)
+        body = parse_stlc_term(cur, consts, tuple(n for n, _, _ in reversed(groups)) + binders)
+        for n, ty, _ in reversed(groups):
+            body = binder(ty, body, hint=n, span=t.span)
         return body
     return _stlc_app(cur, consts, binders)
 
@@ -120,9 +109,8 @@ def _stlc_factor(cur, consts, binders):
         for _ in _SHAPE.get(cls, ()):
             args.append(_stlc_factor(cur, consts, binders))
         return cls(*args, span=t.span)
-    for n, _ty in binders:
-        if n == name:
-            return Free(name, span=t.span)  # parse_stlc_term abstracts it
+    if name in binders:
+        return Var(binders.index(name), span=t.span)
     if name in consts:
         return consts[name]  # a constant or a macro expansion
     return Free(name, span=t.span)

@@ -489,14 +489,37 @@ def test_out_of_range_flag_values_are_usage_errors(args, capsys):
      "error[non-ground] at {path}:7:8: cc goal must be an equation"),
     ("cc", PROBLEM_HEAD + "assume {a = b}\nprove {f(x) = b}\n", None,
      "error[non-ground] at {path}:7:10: congruence closure needs ground terms, got x"),
-    # a formula under a binder loses its spans, so these point at the formula
+    # an atom under a binder keeps its span
     ("countermodel", PROBLEM_HEAD + "prove {forall x : obj, A(x)}\n", None,
-     "error[sort-error] at {path}:6:1: arity mismatch: A expects 0 argument(s), got 1"),
+     "error[sort-error] at {path}:6:24: arity mismatch: A expects 0 argument(s), got 1"),
     ("model-check", PROBLEM_HEAD + MODEL, "forall x : obj, A(x)\n",
-     "error[sort-error] at {formula}:1:1: arity mismatch: A expects 0 argument(s), got 1"),
+     "error[sort-error] at {formula}:1:17: arity mismatch: A expects 0 argument(s), got 1"),
 ], ids=["assumption-sentence", "assumption-equation", "goal-equation", "ground-term",
         "goal-sorts", "formula-sorts"])
 def test_problem_file_errors_name_a_location(subcommand, text, formula, error, tmp_path, capsys):
     code, err, path = _problem_run(tmp_path, capsys, subcommand, text, formula)
     assert code == 1
     assert err == error.format(path=path, formula=tmp_path / "formula.fol") + "\n"
+
+
+def test_a_sort_error_under_a_binder_names_the_bound_variable(tmp_path, capsys):
+    text = "sort obj\nfn f : (obj) -> obj\nprove {forall x : obj, f(x, x) = x}\n"
+    code, err, path = _problem_run(tmp_path, capsys, "countermodel", text)
+    assert code == 1
+    assert err == (
+        f"error[sort-error] at {path}:3:24: arity mismatch in f(x, x): "
+        "f expects 1 argument(s), got 2\n"
+    )
+
+
+@pytest.mark.parametrize("name, code, value", [
+    ("nat_arith.dtt", 0, "12"),
+    ("stlc_basics.stlc", 0, "5"),
+    ("connectives.hol", 2, None),  # no eval command: the report, then a usage error
+    ("girard.dtt", 1, None),
+])
+def test_an_eval_json_report_is_one_document(name, code, value, capsys):
+    assert cli(["eval", str(CORPUS / name), "--report", "json"]) == code
+    doc = json.loads(capsys.readouterr().out)
+    assert doc.get("value") == value
+    assert doc["ok"] == (code != 1)

@@ -5,7 +5,7 @@ import pytest
 
 from foundry import dtt, fol, stlc
 from foundry.errors import FoundryError, ParseError
-from foundry.hol import PROP, IND, FVar as HVar, fn, initial_state, define_connectives, type_of
+from foundry.hol import PROP, IND, FVar as HVar, TyVar, fn, initial_state, define_connectives, type_of
 from foundry.run import Options, run_script_text
 from foundry.span import Span
 from foundry.surface import Token, parse_expr, parse_script, pretty, tokenize
@@ -106,6 +106,39 @@ def test_hol_round_trip_random():
         text = pretty("hol", t)
         t2 = parse_expr("hol", text, state=st)
         assert t == t2, text
+
+
+def test_an_arrow_does_not_bind_the_name_underscore():
+    e = parse_expr("dtt", "fun (_ : Type 0) => _ -> _")
+    assert e == dtt.Lam(dtt.TypeSort(0), dtt.Pi(dtt.Var(0), dtt.Var(1)))
+    assert parse_expr("dtt", pretty("dtt", e)) == e
+
+
+def _gen_hol_type(rng: random.Random, depth: int):
+    if depth <= 0 or rng.random() < 0.3:
+        return rng.choice([PROP, IND, TyVar("a"), TyVar("b")])
+    return fn(_gen_hol_type(rng, depth - 1), _gen_hol_type(rng, depth - 1))
+
+
+def test_hol_type_round_trip_random():
+    rng = random.Random(46)
+    for _ in range(150):
+        ty = _gen_hol_type(rng, 4)
+        text = pretty("hol-type", ty)
+        assert parse_expr("hol-type", text) == ty, text
+
+
+@pytest.mark.parametrize("calculus, script, line, kwarg, macro", [
+    ("hol", "term m := {(x : Ind)}\nthm t := refl {fun (x : Ind) => m}\n",
+     "[  2] Thm t: ok -- |- (fun (x' : Ind) => x) = (fun (x' : Ind) => x)",
+     "macros", HVar("x", IND)),
+    ("stlc", "term m := {x}\ncheck {fun (x : Ind) => m}\n",
+     "[  2] Check: error[type-error] at 2:1: unbound variable x",
+     "consts", stlc.Free("x")),
+])
+def test_a_macro_free_variable_stays_free_under_a_binder_of_its_name(calculus, script, line, kwarg, macro):
+    assert run_script_text(calculus, script, Options()).to_text().splitlines()[1] == line
+    assert parse_expr(calculus, "fun (x : Ind) => m", **{kwarg: {"m": macro}}).body == macro
 
 
 def test_parse_error_spans_lie_within_input():

@@ -9,7 +9,9 @@ functions call each other through the module, so the whole parse then takes
 the old path. The two sides are compared on seeded terms, on one hand-built
 node per constructor and on mutated texts that mostly fail to parse: on the
 printed text, on the parsed node with which of its nodes carry a span, and
-on the error's message and span.
+on the error's message and span. The grammar references read a bound name
+as the grammars now do: straight into its de Bruijn index, against a stack
+of the bound names, innermost first.
 """
 
 import random
@@ -316,11 +318,11 @@ def ref_dtt_expr(cur, defs, binders):
                 names.append(cur.next().value)
             cur.expect(":")
             depth = len(groups)
-            ty = ref_dtt_expr(cur, defs, dp._extend_names(binders, [g[0] for g in groups]))
+            ty = ref_dtt_expr(cur, defs, tuple(reversed([g[0] for g in groups])) + binders)
             cur.expect(")")
             groups.extend((n, ty, depth) for n in names)
         cur.expect("=>" if kw == "fun" else ",")
-        body = ref_dtt_expr(cur, defs, dp._extend_names(binders, [g[0] for g in groups]))
+        body = ref_dtt_expr(cur, defs, tuple(reversed([g[0] for g in groups])) + binders)
         for i, (n, ty, depth) in reversed(list(enumerate(groups))):
             if i != depth:
                 ty = dtt.shift(ty, i - depth)
@@ -375,9 +377,8 @@ def ref_dtt_factor(cur, defs, binders):
             cur.expect("]")
         args = [ref_dtt_factor(cur, defs, binders) for _ in range(nterm)]
         return ref_dtt_build(name, brackets, args, t.span)
-    for i, (n, *_rest) in enumerate(binders):
-        if n == name:
-            return dtt.Var(i, span=t.span)
+    if name in binders:
+        return dtt.Var(binders.index(name), span=t.span)
     if name in defs:
         return defs[name]
     cur.fail(f"unknown name {name}")
@@ -447,12 +448,9 @@ def ref_parse_stlc_term(cur, consts=None, binders=()):
             cur.expect(")")
             groups.extend((n, ty) for n in names)
         cur.expect("=>")
-        inner = binders
-        for n, ty in groups:
-            inner = ((n, ty),) + inner
-        body = ref_parse_stlc_term(cur, consts, inner)
+        body = ref_parse_stlc_term(cur, consts, tuple(n for n, _ in reversed(groups)) + binders)
         for n, ty in reversed(groups):
-            body = stlc.Lam(ty, stlc.abstract_free(body, n), hint=n, span=t.span)
+            body = stlc.Lam(ty, body, hint=n, span=t.span)
         return body
     return sp._stlc_app(cur, consts, binders)
 
@@ -502,9 +500,8 @@ def ref_stlc_factor(cur, consts, binders):
                 return stlc.Proj0(args[0], span=t.span)
             case "snd":
                 return stlc.Proj1(args[0], span=t.span)
-    for n, _ty in binders:
-        if n == name:
-            return stlc.Free(name, span=t.span)
+    if name in binders:
+        return stlc.Var(binders.index(name), span=t.span)
     if name in consts:
         return consts[name]
     return stlc.Free(name, span=t.span)
@@ -568,15 +565,12 @@ def ref_fol_unary(cur, env, binders):
             else:
                 cur.fail("quantifier needs a sort annotation")
         cur.expect(",")
-        inner = binders
-        for name in names:
-            inner = ((name, sort),) + inner
-        body = fp.parse_fol_formula(cur, env, inner)
+        body = fp.parse_fol_formula(cur, env, tuple(reversed(names)) + binders)
         for name in reversed(names):
             body = (
-                fol.Forall(sort, fp._close(body, name, sort), hint=name, span=t.span)
+                fol.Forall(sort, body, hint=name, span=t.span)
                 if t.value == "forall"
-                else fol.Exists(sort, fp._close(body, name, sort), hint=name, span=t.span)
+                else fol.Exists(sort, body, hint=name, span=t.span)
             )
         return body
     return ref_fol_atom(cur, env, binders)
@@ -600,8 +594,8 @@ def ref_fol_atom(cur, env, binders):
     match term:
         case fol.App(fn=f, args=args):
             return fol.Rel(f, args, span=t.span)
-        case fol.FVar(name=n):
-            return fol.Rel(n, (), span=t.span)
+        case fol.FVar() | fol.BVar():
+            return fol.Rel(t.value, (), span=t.span)
     cur.fail("expected an atomic formula")
 
 

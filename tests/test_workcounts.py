@@ -44,16 +44,26 @@ against 5,150 and 20,300 when each citation scans the axioms; a chain of
 STLC definitions, each the successor of the one before, makes 199 and 399
 `infer_type` entries, against 5,050 and 20,100 when each definition types
 the whole expansion of the one it names; a chain of STLC `fun` definitions,
-each applying the one before, makes 496 and 996 `abstract_free` entries and
-890 and 1,790 `infer_type` entries, against 20,000 and 80,000 `infer_type`
-entries when abstracting the bound name copies the definition it names.
+each applying the one before, makes 497 and 997 `infer_type` entries,
+against 20,000 and 80,000 when a `fun` copies the definition it names
+instead of sharing it, and its parser enters 199 and 399 terms and 397 and
+797 factors, one pass over the text with each binder read in place.
+
+The grammars read a bound name straight into its de Bruijn index, so the
+n = 100 binder chains below make no entries into the walks that close a
+binder over its body, against n(n+1)/2 per chain when each binder is closed
+by a second walk: 5,050 in FOL and in STLC, and 15,150 for HOL's three.
 """
 
+import json
+import os
 import pathlib
+import subprocess
 import sys
 
 import pytest
 
+import foundry
 import foundry.dtt.kernel as dtt_kernel
 import foundry.dtt.syntax as dtt_syntax
 import foundry.fol.runner  # noqa: F401  (loaded first, so its name is counted and restored)
@@ -62,6 +72,7 @@ import foundry.hol.kernel as hol_kernel
 import foundry.stlc.runner  # noqa: F401  (as foundry.fol.runner)
 import foundry.stlc.syntax as stlc_syntax
 import foundry.stlc.typing as stlc_typing
+import foundry.surface.stlc_parser as stlc_parser
 from foundry.run import Options, run_script_text
 
 CORPUS = pathlib.Path(__file__).resolve().parent.parent / "corpus"
@@ -258,7 +269,7 @@ def dtt_chain(n):
         ("stlc", stlc_definitions, (stlc_typing, ("infer_type",))),
         ("hol", hol_chain, (hol_kernel, ("check_term",))),
         ("dtt", dtt_chain, (dtt_kernel, ("_infer",))),
-        ("stlc", stlc_fun_definitions, (stlc_syntax, ("abstract_free",))),
+        ("stlc", stlc_fun_definitions, (stlc_parser, ("parse_stlc_term", "_stlc_factor"))),
         ("stlc", stlc_fun_definitions, (stlc_typing, ("infer_type",))),
     ],
     ids=lambda v: getattr(v, "__name__", None),
@@ -276,3 +287,47 @@ def test_work_grows_linearly_with_the_script(monkeypatch, calculus, script, work
     small, large = counts
     assert any(small.values())
     assert all(large[name] <= 2.3 * small[name] for name in names), counts
+
+
+# Checks one n-deep chain of binders per calculus and prints, per calculus,
+# the entries into the walks that close a binder over its body. A fresh
+# process, because the test runner's own frames eat the stack.
+CHAINS_CHILD = """
+import json, sys
+from foundry.fol import syntax as fol_syntax
+from foundry.hol import kernel as hol_kernel
+from foundry.run import Options, run_script_text
+from foundry.stlc import syntax as stlc_syntax
+
+xs = [f"x{i}" for i in range(100)]
+fol_chain = "".join(f"forall {x} : obj, " for x in xs) + "P(x0, x99)"
+lams = "(" + "".join(f"fun ({x} : Prop) => " for x in xs) + "x0)"
+scripts = {
+    "fol": "sort obj\\nrel P : (obj, obj)\\ncheck {" + fol_chain + "}\\n",
+    "stlc": "check {" + "".join(f"fun ({x} : Nat) => " for x in xs) + "x0}\\n",
+    "hol": f"theorem t : {{{lams} = {lams}}} := refl {{{lams}}}\\n",
+}
+codes = {f.__code__ for f in (fol_syntax._map_formula, stlc_syntax.abstract_free, hol_kernel._map)}
+entries = {}
+for calculus, text in scripts.items():
+    entries[calculus] = 0
+
+    def profile(frame, event, _arg):
+        if event == "call" and frame.f_code in codes:
+            entries[calculus] += 1
+
+    sys.setprofile(profile)
+    report = run_script_text(calculus, text, Options(), calculus)
+    sys.setprofile(None)
+    assert report.ok, report.first_error()
+print(json.dumps(entries))
+"""
+
+
+def test_binder_chains_are_read_without_a_closing_walk():
+    env = dict(os.environ, PYTHONPATH=str(pathlib.Path(foundry.__file__).parents[1]))
+    done = subprocess.run(
+        [sys.executable, "-c", CHAINS_CHILD], capture_output=True, text=True, env=env, timeout=60
+    )
+    assert done.returncode == 0, done.stderr
+    assert json.loads(done.stdout) == {"fol": 0, "stlc": 0, "hol": 0}
