@@ -66,7 +66,7 @@ def _read(path: str) -> str:
     try:
         with open(path, "r", encoding="utf-8") as f:
             return f.read()
-    except OSError as e:
+    except (OSError, UnicodeDecodeError) as e:
         _usage(f"cannot read {path}: {e}")
 
 

@@ -42,6 +42,8 @@ BINDERS = {
 
 _WORDS = {cls: kw for kw, cls in KEYWORDS.items()}
 _BINDER_WORDS = {entry: kw for kw, entry in BINDERS.items()}
+# No binder is printed with a keyword's name, which would read back as the keyword.
+_KEYWORD_NAMES = frozenset(KEYWORDS) | frozenset(BINDERS)
 
 
 def _form(cls):
@@ -97,7 +99,7 @@ def pretty(e: Expr) -> str:
                 Pi(dom=d, cod=b, hint=h) | Sigma(dom=d, cod=b, hint=h)
                 | W(dom=d, cod=b, hint=h) | Lam(dom=d, body=b, hint=h)
             ):
-                x = fresh_name(h or "x", names)
+                x = fresh_name(h or "x", _KEYWORD_NAMES.union(names))
                 kw = _BINDER_WORDS[cls, cls is Sigma and e.in_prop]
                 sep = " =>" if cls is Lam else ","
                 s = f"{kw} ({x} : {go(d, names, 0)}){sep} {go(b, (x,) + names, 0)}"

@@ -1,8 +1,10 @@
-"""Brute-force semantic oracles: Tarski models, Kripke forcing, countermodels.
+"""Semantic oracles: Tarski models, Kripke forcing, countermodels.
 
-These are deliberately naive (exhaustive quantifier enumeration, no symmetry
-reduction): they exist to cross-check the syntactic proof checkers at desk
-scale, so simplicity beats speed.
+Truth and model enumeration are deliberately naive (exhaustive quantifier
+enumeration, no symmetry reduction): they cross-check the syntactic proof
+checkers at desk scale, so simplicity beats speed, and acceptance criterion
+1 checks proofs against every model `all_models` yields. `search_countermodel`
+hands every problem to the one countermodel search, in `groundsearch`.
 """
 
 from __future__ import annotations
@@ -246,7 +248,7 @@ def forces(kripke: KripkeModel, world: str, assignment: Assignment, a: Formula) 
 # Countermodel search
 
 
-def all_models(sig: Signature, max_size: int, sizes: dict | None = None) -> Iterator[FiniteModel]:
+def all_models(sig: Signature, max_size: int) -> Iterator[FiniteModel]:
     """Every model of the signature with universes of size <= max_size.
 
     Exhaustive and deterministic; intended for desk-scale signatures only.
@@ -291,42 +293,11 @@ def all_models(sig: Signature, max_size: int, sizes: dict | None = None) -> Iter
                 yield FiniteModel(universes=universes, functions=fns, relations=rels)
 
 
-def search_countermodel(
-    sig: Signature,
-    axioms: Iterable[Formula],
-    goal: Formula,
-    max_size: int,
-) -> FiniteModel | None:
-    """A model of the axioms falsifying the goal, if one exists with all
-    universes of size <= max_size; None on exhaustion."""
+def search_countermodel(sig: Signature, axioms: Iterable[Formula], goal: Formula,
+                        max_size: int) -> FiniteModel | None:
+    """A model of the axioms falsifying the goal, as `groundsearch` finds it, or None."""
     if max_size < 1:
         raise SemanticsError("max_size must be at least 1")
-    axioms = list(axioms)
-    ground = _as_ground_equations(axioms, goal)
-    if ground is not None:
-        from .groundsearch import ground_countermodel
+    from .groundsearch import ground_countermodel
 
-        eqs, goal_eq = ground
-        return ground_countermodel(sig, eqs, goal_eq, max_size)
-    for model in all_models(sig, max_size):
-        if all(valid_in(model, a) for a in axioms) and not valid_in(model, goal):
-            return model
-    return None
-
-
-def _is_ground(t: Term) -> bool:
-    match t:
-        case App(args=args):
-            return all(_is_ground(a) for a in args)
-        case _:
-            return False
-
-
-def _as_ground_equations(axioms, goal):
-    eqs = []
-    for a in axioms:
-        if not (isinstance(a, Eq) and _is_ground(a.lhs) and _is_ground(a.rhs)):
-            return None
-    if not (isinstance(goal, Eq) and _is_ground(goal.lhs) and _is_ground(goal.rhs)):
-        return None
-    return [(a.lhs, a.rhs) for a in axioms], (goal.lhs, goal.rhs)
+    return ground_countermodel(sig, list(axioms), goal, max_size)

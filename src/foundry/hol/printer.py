@@ -12,7 +12,7 @@ from .kernel import Abs, App, BVar, Const, FVar, HolTerm, dest_eq, free_vars, pr
 
 
 def pretty_term(t: HolTerm, types: bool = False) -> str:
-    frees = {v.name for v in free_vars(t)}
+    taken = {v.name for v in free_vars(t)} | {"fun"}  # a binder named fun reads back as one
 
     def go(t: HolTerm, names: tuple[str, ...], prec: int) -> str:
         # prec: 0 top/binder, 10 equation, 20 application, 21 argument
@@ -32,7 +32,7 @@ def pretty_term(t: HolTerm, types: bool = False) -> str:
                 s = f"{go(f, names, 20)} {go(a, names, 21)}"
                 return s if prec <= 20 else f"({s})"
             case Abs(dom=d, body=b, hint=h):
-                name = fresh_name(h or "x", set(names) | frees)
+                name = fresh_name(h or "x", set(names) | taken)
                 s = f"fun ({name} : {pretty_type(d)}) => {go(b, (name,) + names, 0)}"
                 return s if prec == 0 else f"({s})"
         raise TypeError(t)

@@ -13,7 +13,7 @@ import importlib
 import time
 from contextlib import contextmanager
 
-from .errors import FoundryError, ScriptError
+from .errors import FoundryError, ScriptError, unknown_calculus
 from .span import Span, node
 from .surface import script as sc
 from .surface.lexer import Cursor
@@ -197,6 +197,8 @@ RUNNERS = {
 
 def run_script_text(calculus: str, text: str, options: Options | None = None, filename: str = "<script>") -> RunReport:
     options = options or Options()
+    if calculus not in RUNNERS:
+        raise unknown_calculus(calculus)
     module, name = RUNNERS[calculus]
     runner = getattr(importlib.import_module(module), name)(options, filename)
     try:

@@ -30,6 +30,8 @@ ANNOTATED = {Inj0: "right", Inj1: "left"}
 BINDERS = {"fun": Lam}
 
 _BINDER_WORDS = {cls: kw for kw, cls in BINDERS.items()}
+# No binder is printed with a keyword's name, which would read back as the keyword.
+_KEYWORD_NAMES = frozenset(KEYWORDS) | frozenset(BINDERS)
 
 # constructor: (keyword, annotation field or None, argument fields)
 _FORMS = {
@@ -42,7 +44,7 @@ def pretty_term(t: Term) -> str:
     """The surface text of a term, which the STLC parser reads back as an
     alpha-equal term. Numerals print as digits."""
 
-    frees = free_names(t)
+    taken = free_names(t) | _KEYWORD_NAMES
 
     def go(t, names, prec) -> str:
         # prec: 0 lambda, 20 application, 21 atoms
@@ -66,7 +68,7 @@ def pretty_term(t: Term) -> str:
             case Const(name=nm):
                 return nm
             case Lam(dom=d, body=b, hint=h):
-                x = fresh_name(h or "x", set(names) | frees)
+                x = fresh_name(h or "x", set(names) | taken)
                 s = f"{_BINDER_WORDS[Lam]} ({x} : {pretty_type(d)}) => {go(b, (x,) + names, 0)}"
                 return s if prec == 0 else f"({s})"
             case App(fn=f, arg=a):

@@ -10,7 +10,7 @@ parsed, so parsing one calculus loads no other.
 
 from __future__ import annotations
 
-from ..errors import ParseError
+from ..errors import unknown_calculus
 from .lexer import Cursor, tokenize
 
 
@@ -49,4 +49,4 @@ def parse_expr_at(calculus: str, cur: Cursor, **kwargs):
         from .dtt_parser import parse_dtt_expr
 
         return parse_dtt_expr(cur, kwargs.get("defs"))
-    raise ParseError(f"unknown calculus {calculus}")
+    raise unknown_calculus(calculus)

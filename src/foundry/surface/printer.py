@@ -2,6 +2,8 @@
 
 from __future__ import annotations
 
+from ..errors import unknown_calculus
+
 
 def pretty(calculus: str, ast) -> str:
     """The surface text of a node of the given calculus; only that calculus's
@@ -34,4 +36,4 @@ def pretty(calculus: str, ast) -> str:
         from ..dtt.printer import pretty as pretty_dtt
 
         return pretty_dtt(ast)
-    raise ValueError(f"unknown calculus {calculus}")
+    raise unknown_calculus(calculus)

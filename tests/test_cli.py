@@ -12,7 +12,9 @@ import foundry
 from foundry.cli import run as cli
 from foundry.dtt.syntax import numeral_value as dtt_numeral_value
 from foundry.errors import FoundryError
+from foundry.run import run_script_text
 from foundry.stlc.syntax import numeral_value as stlc_numeral_value
+from foundry.surface import parse_expr, pretty
 from foundry.surface.lexer import MAX_NUMERAL
 
 CORPUS = pathlib.Path(__file__).resolve().parent.parent / "corpus"
@@ -28,6 +30,19 @@ def test_check_exit_codes(capsys):
 
 def test_missing_file_is_usage_error(capsys):
     assert cli(["check", "no_such_file.fol", "--calculus", "fol"]) == 2
+
+
+def test_a_file_that_is_not_utf8_is_an_io_error(tmp_path, capsys):
+    path = tmp_path / "latin1.fol"
+    path.write_bytes(b"\xffsort obj\n")
+    for argv in (["check"], ["eval"], ["cc"], ["countermodel"], ["model-check", str(path)]):
+        assert cli([argv[0], str(path), *argv[1:]]) == 2
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert captured.err == (
+            f"error: cannot read {path}: 'utf-8' codec can't decode byte 0xff in position 0: "
+            "invalid start byte\n"
+        )
 
 
 def test_unknown_flag_is_usage_error():
@@ -53,6 +68,21 @@ def test_countermodel_exit_codes(capsys):
     assert cli(["countermodel", str(CORPUS / "cm_two_elements.fol"), "--max-size", "2"]) == 1
     capsys.readouterr()
     assert cli(["countermodel", str(CORPUS / "cm_classical_tautology.fol"), "--max-size", "3"]) == 0
+
+
+def test_a_tautological_assumption_leaves_the_countermodel_alone(tmp_path, capsys):
+    # every sort gets the smallest size that works, whatever the problem's shape
+    head = "sort A\nsort B\nconst a : A\nconst b : A\nconst c : B\nrel P : (B)\n"
+    reports = []
+    for extra in ("", "assume { P(c) -> P(c) }\n"):
+        path = tmp_path / "problem.fol"
+        path.write_text(head + extra + "prove { a = b }\n")
+        assert cli(["countermodel", str(path), "--max-size", "2"]) == 1
+        reports.append(capsys.readouterr().out)
+    assert reports[0] == reports[1]
+    assert reports[0].splitlines()[1:5] == [
+        "  sort A = { 0, 1 }", "  sort B = { 0 }", "  fn a = { () -> 0 }", "  fn b = { () -> 1 }",
+    ]
 
 
 def test_model_check(capsys):
@@ -456,6 +486,16 @@ def test_the_extension_names_the_calculus(tmp_path, capsys):
         assert captured.err == f"error: cannot tell the calculus of {path} from its extension: give --calculus\n"
     assert cli(["eval", str(path), "--calculus", "dtt"]) == 0
     assert capsys.readouterr().out.splitlines()[-1] == "12"
+    # every entry point that takes a calculus name refuses an unknown one alike
+    for call in (
+        lambda: run_script_text("txt", "eval {0}\n"),
+        lambda: parse_expr("txt", "0"),
+        lambda: pretty("txt", None),
+    ):
+        with pytest.raises(FoundryError) as e:
+            call()
+        assert type(e.value) is FoundryError and e.value.tag == "usage"
+        assert e.value.message == "unknown calculus 'txt'"
 
 
 def test_a_calculus_flag_wins_over_the_extension(tmp_path, capsys):

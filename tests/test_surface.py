@@ -5,7 +5,11 @@ import pytest
 
 from foundry import dtt, fol, stlc
 from foundry.errors import FoundryError, ParseError
-from foundry.hol import PROP, IND, FVar as HVar, TyVar, fn, initial_state, define_connectives, type_of
+from foundry.dtt import printer as dtt_printer
+from foundry.hol import (
+    PROP, IND, Abs, BVar, FVar as HVar, TyVar, fn, initial_state, define_connectives, type_of,
+)
+from foundry.stlc import printer as stlc_printer
 from foundry.run import Options, run_script_text
 from foundry.span import Span
 from foundry.surface import Token, parse_expr, parse_script, pretty, tokenize
@@ -35,6 +39,11 @@ def test_stlc_round_trip_random():
         text = pretty("stlc", t)
         t2 = parse_expr("stlc", text)
         assert t == t2, text
+    # a binder hinted with a keyword is renamed, not read back as the keyword
+    for kw in [*stlc_printer.KEYWORDS, *stlc_printer.BINDERS]:
+        t = stlc.Lam(stlc.NatT(), stlc.Var(0), hint=kw)
+        text = pretty("stlc", t)
+        assert text == f"fun ({kw}' : Nat) => {kw}'" and parse_expr("stlc", text) == t
 
 
 def test_dtt_round_trip_random():
@@ -44,6 +53,10 @@ def test_dtt_round_trip_random():
         text = pretty("dtt", e)
         e2 = parse_expr("dtt", text)
         assert e == e2, text
+    for kw in [*dtt_printer.KEYWORDS, *dtt_printer.BINDERS]:
+        e = dtt.Lam(dtt.Nat(), dtt.Var(0), hint=kw)
+        text = pretty("dtt", e)
+        assert text == f"fun ({kw}' : Nat) => {kw}'" and parse_expr("dtt", text) == e
     # types round trip too
     for src in [
         "Pi (a : Type 0), a -> a",
@@ -106,6 +119,9 @@ def test_hol_round_trip_random():
         text = pretty("hol", t)
         t2 = parse_expr("hol", text, state=st)
         assert t == t2, text
+    t = Abs(PROP, BVar(0), hint="fun")
+    assert pretty("hol", t) == "fun (fun' : Prop) => fun'"
+    assert parse_expr("hol", pretty("hol", t), state=st) == t
 
 
 def test_an_arrow_does_not_bind_the_name_underscore():
