@@ -18,6 +18,7 @@ from __future__ import annotations
 
 import itertools
 
+from ..errors import SemanticsError
 from .semantics import FiniteModel
 from .syntax import And, App, Bot, BVar, Eq, Exists, Forall, Implies, Rel, forall_many, free_vars
 
@@ -51,6 +52,8 @@ def _lower(sig, axioms, goal, dims):
         key = (t.fn, tuple([term(u, env) for u in t.args]) if t.args else ())
         if key not in index:
             si = sort_of.get(t.fn, -1)
+            if si < 0 and t.fn not in sig.relations:
+                raise SemanticsError(f"symbol {t.fn} is not declared in the signature")
             steps.append((*key, si, last.get(si, -1) if si >= 0 else -2, [], []))
             index[key] = last[si] = len(steps) - 1
         return index[key]

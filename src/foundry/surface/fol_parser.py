@@ -43,6 +43,9 @@ class FolEnv:
             and self.signature.functions[name][0] == ()
         )
 
+    def is_proposition(self, name: str) -> bool:
+        return self.signature is not None and self.signature.relations.get(name) == ()
+
 
 def parse_fol_formula(cur: Cursor, env: FolEnv, binders=()) -> Formula:
     return _fol_iff(cur, env, binders)
@@ -110,6 +113,14 @@ def _fol_atom(cur, env, binders):
         a = parse_fol_formula(cur, env, binders)
         cur.expect(")")
         return a
+    # a name no quantifier binds and the signature declares a nullary
+    # relation is that atom, unless `(` or `=` makes it a term: read as a
+    # term it is a variable, whose sort only a one-sort signature gives
+    if t.kind == "ident" and t.value not in binders and env.is_proposition(t.value):
+        after = cur.tokens[cur.pos + 1]
+        if not (after.kind == "symbol" and after.value in ("(", "=")):
+            cur.next()
+            return Rel(t.value, (), span=t.span)
     term = parse_fol_term(cur, env, binders)
     if cur.at("="):
         cur.next()

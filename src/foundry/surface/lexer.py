@@ -1,10 +1,19 @@
-"""Shared lexer for all four calculi and the script command language.
+r"""Shared lexer for all four calculi and the script command language.
 
-One compiled pattern is walked with `finditer`; its alternatives are tried in
-order, and the order is significant: newline, blanks (space, tab, carriage
-return), a `--` comment to the end of the line, an identifier, a HOL type
-variable ('a), a numeral, then `SYMBOLS` in list order, where every symbol
-comes before its own prefixes.
+`tokenize` scans the text one line at a time. It splits only at `\n`, never
+with `splitlines()`, which also breaks at `\x0b`, `\x0c`, `\x1c`-`\x1e`,
+`\x85`, `\u2028` and `\u2029`; inside a line those are ordinary characters,
+and as none is a blank or starts a lexeme they are unexpected characters.
+
+One compiled pattern's `findall` runs over each line. Each match is a
+lexeme's leading blanks (space, tab, carriage return) followed by exactly one
+non-empty group: an identifier, a `--` comment to the end of the line, one of
+`SYMBOLS`, a numeral, a HOL type variable ('a), or any other single
+character that is not a blank. The comment comes before the symbols because
+`-` and `->` are symbols, and every symbol comes before its own prefixes.
+Every non-blank character starts some group, so the matches cover the line
+but for its trailing blanks, and a match in the last group is the
+`unexpected character` error, at that character's column.
 
 - An identifier starts with a character that is `isalpha()` or `_`, and
   continues with characters that are `isalnum()`, `_` or a prime `'`.
@@ -12,9 +21,17 @@ comes before its own prefixes.
 - A numeral is a run of `isdecimal()` characters, exactly the digits `int()`
   accepts (so `٣` is one, `²` is not).
 
-Columns count characters from 1. The column does not advance over a comment:
-the `eof` token after a trailing comment with no newline sits at the
-comment's first column.
+On str patterns `\w` is exactly `isalnum()` or `_`, and `\d` is exactly
+`isdecimal()`. So `[^\W\d]`, the first character of an identifier or type
+variable, also admits characters such as `²` that are `isalnum()` but not
+`isalpha()`, and `tokenize` rejects those. Every such character is outside
+ASCII, so the check runs only on text that is not `isascii()`.
+
+Columns count characters from 1, each from the running lengths of the line's
+blanks and lexemes. The column does not advance over a comment: the `eof`
+token after a trailing comment with no newline sits at the comment's first
+column; otherwise it sits one past the last line's last character, trailing
+blanks included.
 
 `tokenize` builds each `Token` and `Span` with `tuple.__new__`, which is what
 a NamedTuple's generated `__new__` calls after binding its arguments; calling
@@ -35,18 +52,13 @@ SYMBOLS = [
     "(", ")", "{", "}", "[", "]", ",", ":", ";", "=", "~", "*", "+", "?", "!", ".", "-",
 ]
 
-# On str patterns `\w` is exactly `isalnum()` or `_`, and `\d` is exactly
-# `isdecimal()`. `[^\W\d]` also admits characters such as `²` that are
-# `isalnum()` but not `isalpha()`; `tokenize` rejects those as a first
-# character. Groups: 1 newline, 2 comment, 3 identifier, 4 type variable,
-# 5 numeral, 6 symbol; blanks have none.
-_LEXEME = re.compile(
-    r"(\n)|[ \t\r]+|(--)[^\n]*|([^\W\d][\w']*)|'([^\W\d]\w*)|(\d+)|("
+# Groups: blanks, then one of identifier, comment, symbol, numeral, type
+# variable (without its `'`), unexpected character.
+_LINE_LEXEMES = re.compile(
+    r"([ \t\r]*)(?:([^\W\d][\w']*)|(--.*)|("
     + "|".join(map(re.escape, SYMBOLS))
-    + ")"
-)
-_NEWLINE, _COMMENT, _IDENT, _TYVAR = 1, 2, 3, 4
-_KINDS = (None, None, None, "ident", "tyvar", "int", "symbol")
+    + r")|(\d+)|'([^\W\d]\w*)|([^ \t\r]))"
+).findall
 
 # The largest numeral that STLC and DTT read. A numeral n is n nested `succ`
 # nodes, built before any check, and none that deep passes one.
@@ -61,40 +73,47 @@ class Token(NamedTuple):
     span: Span
 
 
-def _unexpected(text: str, i: int, filename: str, line: int, line_start: int) -> ParseError:
-    col = i - line_start + 1
-    return ParseError(
-        f"unexpected character {text[i]!r}", span=Span(filename, line, col, line, col + 1)
-    )
-
-
 def tokenize(text: str, filename: str = "<input>") -> list[Token]:
     tokens: list[Token] = []
     append = tokens.append
     new = tuple.__new__
-    line, line_start, pos = 1, 0, 0
-    group = start = 0
-    for m in _LEXEME.finditer(text):
-        start = m.start()
-        if start != pos:
-            raise _unexpected(text, pos, filename, line, line_start)
-        pos = m.end()
-        group = m.lastindex
-        if group is None or group == _COMMENT:
-            continue
-        if group == _NEWLINE:
-            line += 1
-            line_start = pos
-            continue
-        value = m[group]
-        if (group == _IDENT or group == _TYVAR) and not (value[0].isalpha() or value[0] == "_"):
-            raise _unexpected(text, start, filename, line, line_start)
-        append(new(Token, (_KINDS[group], value, new(
-            Span, (filename, line, start - line_start + 1, line, pos - line_start + 1)))))
-    if pos != len(text):
-        raise _unexpected(text, pos, filename, line, line_start)
-    col = (start if group == _COMMENT else pos) - line_start + 1
-    append(Token("eof", "", Span(filename, line, col, line, col)))
+    unicode = not text.isascii()
+    line = 0
+    for chars in text.split("\n"):
+        line += 1
+        end = 1
+        eof = len(chars) + 1
+        for blanks, ident, comment, symbol, numeral, tyvar, other in _LINE_LEXEMES(chars):
+            col = end + len(blanks)
+            if ident:
+                if unicode and not (ident[0].isalpha() or ident[0] == "_"):
+                    other = ident[0]
+                else:
+                    end = col + len(ident)
+                    append(new(Token, ("ident", ident, new(Span, (filename, line, col, line, end)))))
+                    continue
+            elif symbol:
+                end = col + len(symbol)
+                append(new(Token, ("symbol", symbol, new(Span, (filename, line, col, line, end)))))
+                continue
+            elif comment:
+                eof = col
+                continue
+            elif numeral:
+                end = col + len(numeral)
+                append(new(Token, ("int", numeral, new(Span, (filename, line, col, line, end)))))
+                continue
+            elif tyvar:
+                if unicode and not (tyvar[0].isalpha() or tyvar[0] == "_"):
+                    other = "'"
+                else:
+                    end = col + 1 + len(tyvar)
+                    append(new(Token, ("tyvar", tyvar, new(Span, (filename, line, col, line, end)))))
+                    continue
+            raise ParseError(
+                f"unexpected character {other!r}", span=Span(filename, line, col, line, col + 1)
+            )
+    append(Token("eof", "", Span(filename, line, eof, line, eof)))
     return tokens
 
 

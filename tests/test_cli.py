@@ -85,6 +85,22 @@ def test_a_tautological_assumption_leaves_the_countermodel_alone(tmp_path, capsy
     ]
 
 
+@pytest.mark.parametrize("sorts", ["", "sort A\nsort B\n"], ids=["no-sort", "two-sorts"])
+def test_a_nullary_relation_needs_no_sort(sorts, tmp_path, capsys):
+    """A lone name declared `rel P : ()` is that atom, with or without one
+    sort to give a variable of its name."""
+    head = sorts + "rel P : ()\nrel Q : ()\n"
+    path = tmp_path / "props.fol"
+    path.write_text(head + "prove {P -> P}\n")
+    assert cli(["check", str(path)]) == 0
+    assert "Prove: ok" in capsys.readouterr().out
+    code, err, _ = _problem_run(tmp_path, capsys, "cc", head + "prove { P }\n")
+    assert code == 1 and "error[non-ground]" in err and "cc goal must be an equation" in err
+    path.write_text(head + "assume { P }\nprove { P -> Q }\n")
+    assert cli(["countermodel", str(path)]) == 1
+    assert capsys.readouterr().out.splitlines()[-2:] == ["  rel P = { () }", "  rel Q = {  }"]
+
+
 def test_model_check(capsys):
     code = cli(["model-check", str(CORPUS / "geometry.model"), str(CORPUS / "geometry.formula")])
     assert code == 0

@@ -1,12 +1,15 @@
-"""The regex lexer against the character-loop lexer it replaced.
+r"""The line-at-a-time lexer against the character-loop lexer it replaced.
 
 `reference_tokenize` is that lexer, kept verbatim apart from its name. Both
 must give the same kind, value and five span fields for every token, or the
-same `ParseError` message and span, on every corpus input file and on
-seeded mutants: windows of corpus text, so truncated anywhere, with characters
-inserted, deleted or replaced from an alphabet that includes non-ASCII
-letters and digits (`ª`, `٣`), characters that are `isalnum()` but neither
-`isalpha()` nor `isdecimal()` (`²`, `½`, `Ⅻ`), tab and carriage return.
+same `ParseError` message and span, on every corpus input file, on one line
+of more than 20,000 tokens, and on seeded mutants: windows of corpus text, so
+truncated anywhere, with characters inserted, deleted or replaced from an
+alphabet that includes non-ASCII letters and digits (`ª`, `٣`), characters
+that are `isalnum()` but neither `isalpha()` nor `isdecimal()` (`²`, `½`,
+`Ⅻ`), tab and carriage return, and the characters other than `\n` at which
+`str.splitlines()` would break a line (`\x0b`, `\x0c`, `\x1c`, `\x85`,
+`\u2028`, `\u2029`), which are unexpected characters to both.
 """
 
 import pathlib
@@ -23,7 +26,7 @@ CORPUS = pathlib.Path(__file__).resolve().parent.parent / "corpus"
 SCRIPTS = sorted(p for p in CORPUS.iterdir() if p.suffix != ".expected")
 
 MUTANTS = 20_000
-ALPHABET = "ax_Z09'-(){}[]:=>.,~*+?!|/\\<; \n\t\r#²٣ª½Ⅻ"
+ALPHABET = "ax_Z09'-(){}[]:=>.,~*+?!|/\\<; \n\t\r#²٣ª½Ⅻ\x0b\x0c\x1c\x85\u2028\u2029"
 
 
 def _is_ident_start(c: str) -> bool:
@@ -156,6 +159,33 @@ def test_eof_after_a_trailing_comment_sits_at_the_comment(text, expected):
     eof = tokenize(text)[-1]
     assert eof.kind == "eof"
     assert (eof.span.line, eof.span.col, eof.span.end_line, eof.span.end_col) == expected * 2
+
+
+@pytest.mark.parametrize("text, expected", [
+    ("x  \t", (1, 5)),
+    ("x\r\ny\r\n", (3, 1)),
+    ("x\r\ny\r", (2, 3)),
+    ("x\ny", (2, 2)),
+    ("x\n \t", (2, 3)),
+], ids=["trailing-blanks", "crlf", "crlf-unterminated", "no-final-newline", "blank-last-line"])
+def test_eof_sits_past_the_last_line(text, expected):
+    """With no trailing comment, eof sits one past the last line's last
+    character, counting its blanks and carriage returns."""
+    assert outcome(tokenize, text) == outcome(reference_tokenize, text)
+    eof = tokenize(text)[-1]
+    assert (eof.kind, eof.span.line, eof.span.col) == ("eof", *expected)
+
+
+def test_one_long_line_lexes_as_before():
+    # ten tokens a piece, then a comment to the end of the line
+    text = "\t".join(f"(f{i} x' : 'a) -> {i} /\\ g_{i}" for i in range(2_100)) + " -- c"
+    got = outcome(tokenize, text)
+    assert got == outcome(reference_tokenize, text)
+    assert len(got) == 21_001 and {t[3] for t in got} == {1}
+    text = text.replace("g_2000", "g_2000 ²")
+    got = outcome(tokenize, text)
+    assert got == outcome(reference_tokenize, text)
+    assert got[:2] == ("error", "unexpected character '²'")
 
 
 @pytest.mark.parametrize("path", SCRIPTS, ids=lambda p: p.name)

@@ -219,6 +219,16 @@ def test_search_countermodel_examples():
         search_countermodel(sig, [], taut, 0)
 
 
+@pytest.mark.parametrize("goal, symbol", [
+    (Rel("S", (fol.const("c"),)), "S"),
+    (Eq(App("h", (fol.const("c"),)), fol.const("c")), "h"),
+], ids=["relation", "function"])
+def test_search_countermodel_names_an_undeclared_symbol(goal, symbol):
+    sig = fol.single_sorted("obj").with_function("c", (), OBJ)
+    with pytest.raises(SemanticsError, match=f"symbol {symbol} is not declared in the signature"):
+        search_countermodel(sig, [], goal, 2)
+
+
 def test_certified_intuitionistic_derivations_are_forced():
     # spec invariant: certified intuitionistic sequents hold at every node of
     # every small Kripke model that forces their hypotheses
