@@ -2,8 +2,9 @@
 
 Subcommands: check, eval, model-check, cc, countermodel. `check` and `eval`
 run a script in the calculus its extension names (`.fol`, `.stlc`, `.hol`,
-`.dtt`); `--calculus` overrides the extension. Exit codes: 0 on success, 1 on
-a logical failure (reported with one primary span), 2 on usage or I/O errors.
+`.dtt`: the scripted rows of `calculi.CALCULI`); `--calculus` overrides the
+extension. Exit codes: 0 on success, 1 on a logical failure (reported with
+one primary span), 2 on usage or I/O errors.
 `--report json` emits the report with stable key order. `check` and `eval`
 load only the calculus they run; FOL is imported by the problem-file
 subcommands that use it.
@@ -12,12 +13,12 @@ subcommands that use it.
 from __future__ import annotations
 
 import argparse
-import os
 import sys
 from typing import TYPE_CHECKING
 
+from . import calculi
 from .errors import FoundryError
-from .run import RUNNERS, Options, depth_limit, run_script_text
+from .run import Options, depth_limit, run_script_text
 from .span import Span
 from .surface import script as sc
 from .surface.lexer import tokenize
@@ -46,7 +47,7 @@ def _at_least(least: int):
 
 
 def _add_flags(p: argparse.ArgumentParser) -> None:
-    p.add_argument("--calculus", choices=RUNNERS, help="default: the file's extension")
+    p.add_argument("--calculus", choices=calculi.SCRIPTED, help="default: the file's extension")
     p.add_argument("--classical", action="store_true", help="classical logic mode")
     p.add_argument("--eta", action="store_true", help="enable eta rules")
     p.add_argument("--cumulative", action="store_true", help="cumulative universes (dtt)")
@@ -87,8 +88,8 @@ def _run_file(args, value: bool = False) -> int:
     emit its report. With `value`, the output of its last eval follows the
     text report, or is the JSON document's `value`; a script that runs
     without one is a usage error, after its report."""
-    calculus = args.calculus or os.path.splitext(args.file)[1][1:]
-    if calculus not in RUNNERS:
+    calculus = args.calculus or calculi.of_file(args.file)
+    if calculus is None:
         _usage(f"cannot tell the calculus of {args.file} from its extension: give --calculus")
     report = run_script_text(calculus, _read(args.file), _options(args), args.file)
     doc = report.as_dict()

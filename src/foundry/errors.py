@@ -71,11 +71,6 @@ class ParseError(FoundryError):
     tag = "parse-error"
 
 
-def unknown_calculus(name: str) -> FoundryError:
-    """The one error every entry point raises for a calculus name it does not know."""
-    return FoundryError(f"unknown calculus {name!r}", tag="usage")
-
-
 class ScriptError(FoundryError):
     """Script-level failure: unknown command, bad reference, failed step."""
 

@@ -320,6 +320,8 @@ def extend_by_relation(theory: Theory, name: str, definition: Formula, params: t
     """Declare R(params) with defining axiom ∀params (R(params) ⟺ definition)."""
     if name in theory.signature.relations or name in theory.signature.functions:
         raise TheoryError(f"symbol {name} already declared")
+    if len({p.name for p in params}) < len(params):  # a repeated one would be shadowed
+        raise TheoryError("the definition's variables must have distinct names")
     if free_vars(definition) != frozenset(params):
         raise TheoryError(
             "the definition's free variables must be exactly the designated parameters"
@@ -343,6 +345,8 @@ def extend_by_function(
     with axiom ∀params definition[f(params)/result]."""
     if name in theory.signature.relations or name in theory.signature.functions:
         raise TheoryError(f"symbol {name} already declared")
+    if len({v.name for v in (*params, result)}) <= len(params):
+        raise TheoryError("the definition's variables must have distinct names")
     if free_vars(definition) != frozenset(params) | {result}:
         raise TheoryError("definition must use exactly the parameters and the result variable")
     statement = forall_many(params, exists_unique(result, definition))
@@ -371,6 +375,8 @@ def add_skolem_function(
     intuitionistically in the presence of decidable equality."""
     if name in theory.signature.relations or name in theory.signature.functions:
         raise TheoryError(f"symbol {name} already declared")
+    if len({v.name for v in (*params, result)}) <= len(params):
+        raise TheoryError("the definition's variables must have distinct names")
     if theory.mode != "classical":
         wanted = decidable_equality(result.sort)
         if wanted not in theory._formulas:

@@ -11,6 +11,11 @@ from ..span import fresh_name
 from .kernel import Abs, App, BVar, Const, FVar, HolTerm, dest_eq, free_vars, pretty_type
 
 
+def pretty_typed(t: HolTerm) -> str:
+    """The term with every binder and free variable annotated with its type."""
+    return pretty_term(t, types=True)
+
+
 def pretty_term(t: HolTerm, types: bool = False) -> str:
     taken = {v.name for v in free_vars(t)} | {"fun"}  # a binder named fun reads back as one
 

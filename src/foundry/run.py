@@ -3,17 +3,18 @@
 The CLI and the test suite both drive scripts through these runners. A report
 carries one status per command; apart from the elapsed-time field it is a
 pure function of the input. Each calculus's runner lives in its own package
-(`foundry.<calculus>.runner`), and `run_script_text` imports only the one it
-runs, so checking a script loads no other calculus.
+(`foundry.<calculus>.runner`, named in `calculi.CALCULI`), and
+`run_script_text` imports only the one it runs, so checking a script loads no
+other calculus.
 """
 
 from __future__ import annotations
 
-import importlib
 import time
 from contextlib import contextmanager
 
-from .errors import FoundryError, ScriptError, unknown_calculus
+from . import calculi
+from .errors import FoundryError, ScriptError
 from .span import Span, node
 from .surface import script as sc
 from .surface.lexer import Cursor
@@ -186,32 +187,18 @@ class _Runner:
             self.report.trace.append(line)
 
 
-# Each calculus's runner class, by module and name.
-RUNNERS = {
-    "fol": ("foundry.fol.runner", "FolRunner"),
-    "stlc": ("foundry.stlc.runner", "StlcRunner"),
-    "hol": ("foundry.hol.runner", "HolRunner"),
-    "dtt": ("foundry.dtt.runner", "DttRunner"),
-}
-
-
 def run_script_text(calculus: str, text: str, options: Options | None = None, filename: str = "<script>") -> RunReport:
-    options = options or Options()
-    if calculus not in RUNNERS:
-        raise unknown_calculus(calculus)
-    module, name = RUNNERS[calculus]
-    runner = getattr(importlib.import_module(module), name)(options, filename)
+    runner = calculi.load(calculus, "runner")(options or Options(), filename)
     try:
         with depth_limit(filename):
             commands = sc.parse_script(text, filename)
     except FoundryError as e:
-        report = RunReport(file=filename, calculus=calculus)
         span = e.span
-        report.results.append(
+        runner.report.results.append(
             CommandResult(
                 0, "parse", "error", tag=e.tag, message=e.message,
                 line=span.line if span else 0, col=span.col if span else 0,
             )
         )
-        return report
+        return runner.report
     return runner.run(commands)

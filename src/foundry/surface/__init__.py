@@ -1,7 +1,7 @@
 """Concrete syntax: lexer, parsers, printers, and the script language.
 
-The package loads no calculus: `parse_expr` and `pretty` import the one they
-are asked for.
+The package loads no calculus: `parse_expr` and `pretty` look the calculus
+up in `calculi.CALCULI` and import only its grammar or printer.
 """
 
 from .lexer import Cursor, Token, tokenize  # noqa: F401

@@ -47,6 +47,11 @@ class FolEnv:
         return self.signature is not None and self.signature.relations.get(name) == ()
 
 
+def parse_fol_expr(cur: Cursor, signature: Signature | None = None, var_sorts: dict | None = None) -> Formula:
+    """A formula read against a signature and the sorts of named variables."""
+    return parse_fol_formula(cur, FolEnv(signature, var_sorts))
+
+
 def parse_fol_formula(cur: Cursor, env: FolEnv, binders=()) -> Formula:
     return _fol_iff(cur, env, binders)
 

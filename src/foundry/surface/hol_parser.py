@@ -28,6 +28,11 @@ def parse_hol_type(cur: Cursor, state: hk.KernelState) -> hk.HolType:
     return a
 
 
+def parse_hol_type_expr(cur: Cursor, state: hk.KernelState | None = None) -> hk.HolType:
+    """A type read against `state`, or else the initial kernel state."""
+    return parse_hol_type(cur, state or hk.initial_state())
+
+
 def _hol_type_list(cur: Cursor, state: hk.KernelState) -> tuple:
     """`[ ty {, ty} ]`."""
     cur.expect("[")
@@ -82,8 +87,8 @@ class _Pending:
         return term, ty
 
 
-def parse_hol_term(cur: Cursor, state: hk.KernelState, macros=None, binders=()):
-    term, ty = _hol_eq(cur, state, macros or {}, binders)
+def parse_hol_term(cur: Cursor, state: hk.KernelState | None = None, macros=None, binders=()):
+    term, ty = _hol_eq(cur, state or hk.initial_state(), macros or {}, binders)
     return term
 
 

@@ -263,6 +263,7 @@ def _parse_command(cur: Cursor, names: set) -> ScriptCommand:
         name = cur.expect_kind("ident").value
         cur.expect(":")
         if cur.at("{"):
+            _check_fresh(name, names, t.span)
             return DeclareTyped(name, _collect_braces(cur), t.span)
         args = _ident_tuple(cur)
         cur.expect("->")
@@ -407,13 +408,13 @@ _COMMAND_KEYWORDS = {
 
 
 def parse_script(text: str, filename: str = "<script>") -> list[ScriptCommand]:
-    """Ordered command list; duplicate theorem/definition names rejected."""
+    """Ordered command list; duplicate theorem/definition/constant names rejected."""
     cur = Cursor(tokenize(text, filename), filename)
     names: set[str] = set()
     commands: list[ScriptCommand] = []
     while not cur.done():
         cmd = _parse_command(cur, names)
-        if isinstance(cmd, (Define, Theorem, Thm, TermMacro)):
+        if isinstance(cmd, (Define, DeclareTyped, Theorem, Thm, TermMacro)):
             names.add(cmd.name)
         commands.append(cmd)
     return commands

@@ -502,16 +502,23 @@ def test_the_extension_names_the_calculus(tmp_path, capsys):
         assert captured.err == f"error: cannot tell the calculus of {path} from its extension: give --calculus\n"
     assert cli(["eval", str(path), "--calculus", "dtt"]) == 0
     assert capsys.readouterr().out.splitlines()[-1] == "12"
-    # every entry point that takes a calculus name refuses an unknown one alike
-    for call in (
-        lambda: run_script_text("txt", "eval {0}\n"),
-        lambda: parse_expr("txt", "0"),
-        lambda: pretty("txt", None),
+    # every entry point that takes a calculus name refuses an unknown one
+    # alike; `fol-term` and `stlc-type` are no calculi, and `hol-type` has no
+    # runner
+    for name, call in (
+        ("txt", lambda: run_script_text("txt", "eval {0}\n")),
+        ("txt", lambda: parse_expr("txt", "0")),
+        ("txt", lambda: pretty("txt", None)),
+        ("fol-term", lambda: parse_expr("fol-term", "x")),
+        ("fol-term", lambda: pretty("fol-term", None)),
+        ("stlc-type", lambda: parse_expr("stlc-type", "Nat")),
+        ("stlc-type", lambda: pretty("stlc-type", None)),
+        ("hol-type", lambda: run_script_text("hol-type", "")),
     ):
         with pytest.raises(FoundryError) as e:
             call()
         assert type(e.value) is FoundryError and e.value.tag == "usage"
-        assert e.value.message == "unknown calculus 'txt'"
+        assert e.value.message == f"unknown calculus {name!r}"
 
 
 def test_a_calculus_flag_wins_over_the_extension(tmp_path, capsys):

@@ -17,6 +17,7 @@ import sys
 import pytest
 
 import foundry
+from foundry.calculi import SCRIPTED, of_file
 from test_golden import CORPUS, MANIFEST
 
 # Standard modules that a check does not need: only a JSON report needs
@@ -34,15 +35,10 @@ print(" ".join(sorted(m for m in sys.modules if m in ("foundry", *STDLIB) or m.s
 raise SystemExit(code)
 """
 
-# The calculus packages a check of each calculus must not import. STLC's
-# proofs-as-terms bridge is built on FOL's natural deduction, but a check
-# never runs it.
-FORBIDDEN = {
-    "fol": ("dtt", "stlc", "hol"),
-    "dtt": ("fol", "stlc", "hol"),
-    "hol": ("fol", "stlc", "dtt"),
-    "stlc": ("hol", "dtt", "fol"),
-}
+# The calculus packages a check of each calculus must not import: every
+# other scripted calculus. STLC's proofs-as-terms bridge is built on FOL's
+# natural deduction, but a check never runs it.
+FORBIDDEN = {calculus: tuple(c for c in SCRIPTED if c != calculus) for calculus in SCRIPTED}
 # The modules of the checked calculus that a check never runs: FOL's semantic
 # oracles, primitive recursion, Hilbert proof transforms and builtin theories,
 # STLC's bridge and term generator.
@@ -69,7 +65,7 @@ def _flags(options: dict) -> list:
 def check_in_fresh_process(name: str):
     env = dict(os.environ, PYTHONPATH=str(pathlib.Path(foundry.__file__).parents[1]))
     done = subprocess.run(
-        [sys.executable, "-c", CHILD, "check", name, *_flags(MANIFEST[name][1])],
+        [sys.executable, "-c", CHILD, "check", name, *_flags(MANIFEST[name])],
         cwd=CORPUS, capture_output=True, text=True, env=env, timeout=120,
     )
     return done, done.stderr.split()
@@ -77,7 +73,7 @@ def check_in_fresh_process(name: str):
 
 @pytest.mark.parametrize("name", sorted(MANIFEST))
 def test_check_loads_only_its_calculus(name):
-    calculus = MANIFEST[name][0]
+    calculus = of_file(name)
     done, modules = check_in_fresh_process(name)
     expected = (CORPUS / (name + ".expected")).read_text()
     assert done.stdout == expected

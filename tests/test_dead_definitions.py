@@ -4,12 +4,12 @@ A definition that nothing reads is code to maintain and to trust for nothing.
 Each module under `src/foundry` is parsed with `ast`, and each top-level
 function or class it defines must be referenced somewhere in `src`, `tests`
 or `benchmarks`: as a name, as an attribute, as an imported name, or as a
-string constant, as `run.RUNNERS` names each runner class. A package
-`__init__` imports its public names only to re-export them, so an import
-there does not count: a re-exported name must still be used elsewhere. A dict
-key is a label, such as the rule name a script types, so a string used as one
-does not count; a name that appears only in a docstring or a comment does not
-count either.
+string constant, as `calculi.CALCULI` names each runner class, grammar and
+printer. A package `__init__` imports its public names only to re-export
+them, so an import there does not count: a re-exported name must still be
+used elsewhere. A dict key is a label, such as the rule name a script types,
+so a string used as one does not count; a name that appears only in a
+docstring or a comment does not count either.
 """
 
 import ast

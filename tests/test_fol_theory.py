@@ -9,6 +9,7 @@ from foundry.fol import (
     extend_by_function, extend_by_relation, forall, instantiate_schema, neg,
     pra_induction_schema, pure_theory, schema_recognizes, separation_schema,
 )
+from foundry.run import run_script_text
 from foundry.surface import parse_expr
 
 SET = Sort("set")
@@ -62,6 +63,33 @@ def test_extend_by_function_identity():
         extend_by_function(th, "other", Eq(x, y), (x,), y, cert)
     with pytest.raises(TheoryError):
         extend_by_function(th2, "id", definition, (x,), y, cert)
+
+
+def test_a_definition_binds_each_variable_once():
+    # With `x` twice, the defining axiom `forall x, forall x, R(x, x) <-> x = x`
+    # fixes R on the diagonal only, so the extension would not be definitional.
+    s = Sort("S")
+    th = pure_theory(fol.single_sorted("S").with_function("c", (), s), "classical")
+    x, z, c = FVar("x", s), FVar("z", s), App("c", ())
+    with pytest.raises(TheoryError) as e:
+        extend_by_relation(th, "R", Eq(x, x), (x, x))
+    assert e.value.message == "the definition's variables must have distinct names"
+    # A function's result variable may not be one of its parameters, even
+    # with a certificate of `forall x, exists! x, x = c`.
+    target = exists_unique(x, Eq(x, c))
+    d = AllI(x, ExI(target, c, AndI(fol.EqRefl(c), AllI(z, ImpI(Eq(z, c), Hyp(Eq(z, c)))))))
+    cert = check_nd(th, d)
+    for extend in (extend_by_function, add_skolem_function):
+        with pytest.raises(TheoryError) as e:
+            extend(th, "f", Eq(x, c), (x,), x, cert)
+        assert e.value.message == "the definition's variables must have distinct names"
+
+
+def test_a_script_definition_binds_each_parameter_once():
+    report = run_script_text("fol", "sort S\ndefine rel R (x : S, x : S) := {x = x}\n")
+    assert report.to_text().splitlines()[1] == (
+        "[  2] DefineRel R: error[theory-error] at 2:1: the definition's variables must have distinct names"
+    )
 
 
 def _union_uniqueness_cert(zf):

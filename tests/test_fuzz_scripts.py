@@ -13,6 +13,7 @@ import random
 
 from test_golden import CORPUS, MANIFEST
 
+from foundry.calculi import of_file
 from foundry.run import Options, RunReport, run_script_text
 
 ASCII = "abcxyzPQ(){}[]:=->,~/\\ \n0123456789'"
@@ -41,8 +42,8 @@ def mutate(rng: random.Random, text: str) -> str:
 def test_mutated_scripts_always_return_a_report():
     rng = random.Random(20240611)
     scripts = [
-        (name, calculus, Options(**kw), (CORPUS / name).read_text())
-        for name, (calculus, kw) in sorted(MANIFEST.items())
+        (name, of_file(name), Options(**kw), (CORPUS / name).read_text())
+        for name, kw in sorted(MANIFEST.items())
     ]
     escaped = []
     for _ in range(MUTANTS):

@@ -9,31 +9,33 @@ import pathlib
 
 import pytest
 
+from foundry.calculi import of_file
 from foundry.run import Options, run_script_text
 
 CORPUS = pathlib.Path(__file__).resolve().parent.parent / "corpus"
 
+# Each golden script and the options its report is made under. Its extension
+# names its calculus, as `calculi.of_file` reads it.
 MANIFEST = {
-    "fol_basics.fol": ("fol", {}),
-    "em_negative.fol": ("fol", {}),
-    "stlc_basics.stlc": ("stlc", {}),
-    "connectives.hol": ("hol", {}),
-    "ext_rule.hol": ("hol", {}),
-    "diaconescu.hol": ("hol", {"axioms": ("choice", "propext")}),
-    "add_comm.dtt": ("dtt", {}),
-    "nat_arith.dtt": ("dtt", {}),
-    "fin.dtt": ("dtt", {}),
-    "types_library.dtt": ("dtt", {}),
-    "w_types.dtt": ("dtt", {}),
-    "funext_stuck.dtt": ("dtt", {}),
-    "prop_demo.dtt": ("dtt", {"impredicative_prop": True}),
-    "girard.dtt": ("dtt", {}),
+    "fol_basics.fol": {},
+    "em_negative.fol": {},
+    "stlc_basics.stlc": {},
+    "connectives.hol": {},
+    "ext_rule.hol": {},
+    "diaconescu.hol": {"axioms": ("choice", "propext")},
+    "add_comm.dtt": {},
+    "nat_arith.dtt": {},
+    "fin.dtt": {},
+    "types_library.dtt": {},
+    "w_types.dtt": {},
+    "funext_stuck.dtt": {},
+    "prop_demo.dtt": {"impredicative_prop": True},
+    "girard.dtt": {},
 }
 
 
 def _render(name: str) -> str:
-    calculus, kw = MANIFEST[name]
-    report = run_script_text(calculus, (CORPUS / name).read_text(), Options(**kw), name)
+    report = run_script_text(of_file(name), (CORPUS / name).read_text(), Options(**MANIFEST[name]), name)
     return report.to_text() + "\n"
 
 

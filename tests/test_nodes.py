@@ -34,6 +34,7 @@ import pytest
 
 import dataclass_records as was
 import foundry
+from foundry.calculi import of_file
 from foundry.dtt.kernel import KernelConfig
 from foundry.fol.semantics import FiniteModel, KripkeModel
 from foundry.fol.syntax import BVar, Forall, FVar, Rel, Signature, Sort
@@ -231,8 +232,7 @@ def test_corpus_nodes_match_their_dataclasses(name, monkeypatch):
 
     for cls in NODES.values():
         monkeypatch.setattr(cls, "__init__", recording(cls, cls.__init__))
-    calculus, options = MANIFEST[name]
-    report = run_script_text(calculus, (CORPUS / name).read_text(), Options(**options), name)
+    report = run_script_text(of_file(name), (CORPUS / name).read_text(), Options(**MANIFEST[name]), name)
     monkeypatch.undo()
     assert report.results
     assert built

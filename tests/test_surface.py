@@ -209,6 +209,14 @@ theorem t : {P -> P} := nd { impI {P} (hyp {P}) }
     assert "duplicate" in str(e.value)
 
 
+def test_an_stlc_constant_may_not_rebind_a_defined_name():
+    report = run_script_text("stlc", "define c := {0}\nfn c : {Bool}\ncheck {c}\n", Options())
+    assert report.to_text().splitlines()[0] == "[  1] parse: error[parse-error] at 2:1: duplicate name c"
+    with pytest.raises(ParseError) as e:
+        parse_script("fn c : {Bool}\ndefine c := {0}\n")
+    assert (e.value.message, e.value.span.line, e.value.span.col) == ("duplicate name c", 2, 1)
+
+
 def test_reference_before_definition_fails_at_runtime():
     src = "thm a := mp b c\nthm b := truth\n"
     r = run_script_text("hol", src, Options())

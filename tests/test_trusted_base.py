@@ -20,11 +20,12 @@ Each module under `src/foundry` is parsed with `ast`, and the scan fails on:
   `_KERNEL_TOKEN` unlock the certificate and theorem constructors, and
   `_thm` mints a HOL theorem.
 
-The README lists the same modules.
+The README lists the same modules, each with its line count.
 """
 
 import ast
 import pathlib
+import re
 import sys
 
 ROOT = pathlib.Path(__file__).resolve().parent.parent
@@ -179,6 +180,23 @@ def test_the_readme_names_every_trusted_module():
     readme = (ROOT / "README.md").read_text()
     missing = [m for m in TRUSTED if f"{m.replace('.', '/')}.py" not in readme]
     assert missing == []
+
+
+def test_the_readme_counts_the_trusted_lines():
+    """Each row of the README's trusted-base table, and its total, give the
+    module's line count as `wc -l` gives it."""
+    readme = (ROOT / "README.md").read_text()
+    listed = {
+        path: int(count)
+        for path, count in re.findall(r"^\| `([\w/]+\.py)` \| (\d+) \|", readme, re.M)
+    }
+    actual = {
+        f"{m.replace('.', '/')}.py": (SRC / f"{m.replace('.', '/')}.py").read_text().count("\n")
+        for m in TRUSTED
+    }
+    assert listed == actual
+    total = re.search(r"([\d,]+) lines in all", readme).group(1)
+    assert int(total.replace(",", "")) == sum(actual.values())
 
 
 def test_the_scan_catches_a_certificate_minted_outside_the_checkers():
