@@ -4,8 +4,7 @@ from .syntax import (  # noqa: F401
     App, Axiom, Bool, BoolCases, Empty, EmptyCases, Expr, FalseE, Id, IdCases,
     Inl, Inr, Lam, Nat, NatRec, Pair, Pi, PropSort, Refl, Sigma, SigmaCases,
     Star, Succ, Sum, SumCases, Sup, TrueE, TypeSort, Unit, Var, W, WRec,
-    Zero, arrow, contains_axiom, instantiate, map_subexprs, numeral,
-    numeral_value, shift, subst,
+    Zero, arrow, instantiate, numeral, numeral_value, shift, subst,
 )
 from .kernel import (  # noqa: F401
     DTT_AXIOMS, DttContext, KernelConfig, axiom_term, axiom_type, check,

@@ -5,11 +5,11 @@ recurses; eta for Pi is comparison-time expansion behind a flag. Universe
 levels are concrete naturals; Prop sits at the bottom (Prop : Type 0) and is
 impredicative when enabled. Axioms never reduce.
 
-Inference looks each node's rule up in `_INFER`, one handler per node class,
-and `_infer` calls it directly, so a nesting level costs the same two frames
-the `match` it replaced did. The rules recurse only through the module names
-`_infer`, `_check`, `whnf` and `_conv`, so anything that rebinds those names
-(the work counts, the layer trace) sees every entry.
+Inference looks each node's rule up in `_INFER`, and `whnf` each head step
+in `_STEP`, both keyed by node class. Every recursion goes through a module
+name, never a reference it holds: `_infer`, `_check`, `whnf`, `_conv` and
+`_normal` here, `shift` and `subst` in `syntax`. So anything that rebinds
+those names (the work counts, the layer trace) sees every entry.
 
 Closed terms are checked once per config. The runner inlines each `define`
 as one closed node object at every use, so `_infer` stores a closed compound
@@ -48,7 +48,7 @@ from .syntax import (
     App, Axiom, Bool, BoolCases, Empty, EmptyCases, Expr, FalseE, Id, IdCases,
     Inl, Inr, Lam, Nat, NatRec, Pair, Pi, PropSort, Refl, Sigma, SigmaCases,
     Star, Succ, Sum, SumCases, Sup, TrueE, TypeSort, Unit, Var, W, WRec,
-    Zero, _SHAPE, _loose_range, arrow, instantiate, map_subexprs, replace_field,
+    Zero, _SHAPE, _loose_range, _rebuild, arrow, instantiate, replace_field,
     shift,
 )
 
@@ -125,50 +125,41 @@ class _Fuel:
             raise FuelError("normalization fuel exhausted")
 
 
-def _step(cfg: KernelConfig, e: Expr) -> Expr | None:
-    """One head reduction (beta or iota), or None. Axioms are inert."""
-    match e:
-        case App(fn=Lam(body=b), arg=a):
-            return instantiate(b, a)
-        case NatRec(base=b, target=Zero()):
-            return b
-        case NatRec(motive=m, base=b, step=s, target=Succ(arg=u)):
-            return App(App(s, u), NatRec(m, b, s, u))
-        case SigmaCases(branch=br, scrutinee=Pair(fst=a, snd=b)):
-            return App(App(br, a), b)
-        case IdCases(refl_case=rc, proof=Refl(term=z)):
-            return App(rc, z)
-        case BoolCases(if_true=t, target=TrueE()):
-            return t
-        case BoolCases(if_false=f, target=FalseE()):
-            return f
-        case SumCases(on_left=f, scrutinee=Inl(value=a)):
-            return App(f, a)
-        case SumCases(on_right=g, scrutinee=Inr(value=b)):
-            return App(g, b)
-        case WRec(motive=m, step=s, target=Sup(wtype=wty, label=a, children=f)):
-            braw = whnf(cfg, wty)
-            if not isinstance(braw, W):
-                return None
-            child_ty = instantiate(braw.cod, a)
-            rec_children = Lam(
-                child_ty,
-                WRec(shift(m, 1), shift(s, 1), App(shift(f, 1), Var(0))),
-                hint="y",
-            )
-            return App(App(App(s, a), f), rec_children)
-    return None
+def _w_rec(cfg: KernelConfig, e: WRec, t: Sup) -> Expr | None:
+    braw = whnf(cfg, t.wtype)
+    if not isinstance(braw, W):
+        return None
+    m, s, a, f = e.motive, e.step, t.label, t.children
+    rec_children = Lam(
+        instantiate(braw.cod, a),
+        WRec(shift(m, 1), shift(s, 1), App(shift(f, 1), Var(0))),
+        hint="y",
+    )
+    return App(App(App(s, a), f), rec_children)
 
 
-_HEAD_FIELD = {
-    App: "fn",
-    NatRec: "target",
-    SigmaCases: "scrutinee",
-    IdCases: "proof",
-    BoolCases: "target",
-    SumCases: "scrutinee",
-    WRec: "target",
-    EmptyCases: "target",
+# The head steps (beta, iota): for each class that can head a redex, the field
+# whose whnf decides the step and one contraction per class that field takes,
+# called with (cfg, e, head); a missing entry or a None result means stuck, as
+# for every Empty eliminator (Empty has no constructor) and every axiom.
+_STEP = {
+    App: ("fn", {Lam: lambda cfg, e, f: instantiate(f.body, e.arg)}),
+    NatRec: ("target", {
+        Zero: lambda cfg, e, _: e.base,
+        Succ: lambda cfg, e, n: App(App(e.step, n.arg), NatRec(e.motive, e.base, e.step, n.arg)),
+    }),
+    SigmaCases: ("scrutinee", {Pair: lambda cfg, e, p: App(App(e.branch, p.fst), p.snd)}),
+    IdCases: ("proof", {Refl: lambda cfg, e, p: App(e.refl_case, p.term)}),
+    BoolCases: ("target", {
+        TrueE: lambda cfg, e, _: e.if_true,
+        FalseE: lambda cfg, e, _: e.if_false,
+    }),
+    SumCases: ("scrutinee", {
+        Inl: lambda cfg, e, v: App(e.on_left, v.value),
+        Inr: lambda cfg, e, v: App(e.on_right, v.value),
+    }),
+    WRec: ("target", {Sup: _w_rec}),
+    EmptyCases: ("target", {}),
 }
 
 
@@ -177,16 +168,18 @@ def whnf(cfg: KernelConfig, e: Expr, fuel: _Fuel | None = None) -> Expr:
     unit of fuel; without a tank, one of `DEFAULT_FUEL` is made when the head
     is an application or an eliminator, the only heads that can step."""
     while True:
-        head_field = _HEAD_FIELD.get(type(e))
-        if head_field is None:
+        rule = _STEP.get(type(e))
+        if rule is None:
             return e  # only applications and eliminators step
         if fuel is None:
             fuel = _Fuel(DEFAULT_FUEL)
-        sub = getattr(e, head_field)
-        sub_w = whnf(cfg, sub, fuel)
-        if sub_w is not sub:
-            e = replace_field(e, head_field, sub_w)
-        stepped = _step(cfg, e)
+        head_field, contractions = rule
+        head = getattr(e, head_field)
+        head_w = whnf(cfg, head, fuel)
+        if head_w is not head:
+            e = replace_field(e, head_field, head_w)
+        contract = contractions.get(type(head_w))
+        stepped = None if contract is None else contract(cfg, e, head_w)
         if stepped is None:
             return e
         fuel.burn()
@@ -197,12 +190,24 @@ def normalize(cfg: KernelConfig, ctx: DttContext, e: Expr, fuel: int = DEFAULT_F
     """Full normal form: no remaining beta/iota redex; axioms stay inert.
     `fuel` bounds the contractions, so a term that normalizes in exactly
     `fuel` of them succeeds."""
-    tank = _Fuel(fuel)
+    return _normal(cfg, e, _Fuel(fuel))
 
-    def go(e: Expr) -> Expr:
-        return map_subexprs(whnf(cfg, e, tank), lambda sub, _d: go(sub))
 
-    return go(e)
+def _normal(cfg: KernelConfig, e: Expr, fuel: _Fuel) -> Expr:
+    """whnf of e with each subexpression normalized; an unchanged node is kept."""
+    e = whnf(cfg, e, fuel)
+    shape = _SHAPE.get(type(e))
+    if shape is None:
+        return e
+    children = []
+    changed = False
+    for name, _ in shape:
+        sub = getattr(e, name)
+        new = _normal(cfg, sub, fuel)
+        if new is not sub:
+            changed = True
+        children.append(new)
+    return _rebuild(e, children) if changed else e
 
 
 def defeq(cfg: KernelConfig, ctx: DttContext, s: Expr, t: Expr, ty: Expr | None = None) -> bool:
@@ -241,7 +246,10 @@ def _conv(cfg: KernelConfig, s: Expr, t: Expr, fuel: _Fuel | None = None) -> boo
     shape = _SHAPE.get(type(s))
     if shape is None:
         return s == t
-    return all(_conv(cfg, getattr(s, f), getattr(t, f), fuel) for f, _ in shape)
+    for name, _ in shape:
+        if not _conv(cfg, getattr(s, name), getattr(t, name), fuel):
+            return False
+    return True
 
 
 # ---------------------------------------------------------------------------

@@ -10,7 +10,12 @@ pattern matching and the class's `_fields` never see them. Both are set with
 
 - `_loose`: one more than the largest loose de Bruijn index (0 when closed),
   which lets shift and subst return a subterm they cannot change untouched;
+  a leaf class other than `Var` holds 0 on the class;
 - `_typed`: the kernel's `(config, type)` pair for a closed node.
+
+Shift and subst recurse field by field over `_SHAPE`, through their own
+module names, so a nesting level costs one frame and anything that rebinds
+those names (the work counts, the layer trace) sees every entry.
 """
 
 from __future__ import annotations
@@ -312,10 +317,6 @@ Expr = Union[
     W, Sup, WRec, Axiom,
 ]
 
-for _cls in Expr.__args__:
-    _cls._loose = None
-    _cls._typed = None
-
 # (field name, binder depth) per constructor; leaves omitted
 _SHAPE = {
     Pi: (("dom", 0), ("cod", 1)),
@@ -341,6 +342,11 @@ _SHAPE = {
 }
 
 
+for _cls in Expr.__args__:
+    _cls._loose = None if _cls in _SHAPE or _cls is Var else 0
+    _cls._typed = None
+
+
 def _rebuild(e: Expr, children: list) -> Expr:
     """A new node of e's constructor over the given subexpressions (in
     `_SHAPE` order, which is each constructor's positional field order),
@@ -353,27 +359,6 @@ def _rebuild(e: Expr, children: list) -> Expr:
     return cls(*children)
 
 
-def map_subexprs(e: Expr, f) -> Expr:
-    """Rebuild e with f(child, binder_depth_increment) over each subexpression.
-
-    When f returns every child itself (`is`), e itself is returned, so
-    callers such as shift and subst allocate nothing for subterms they leave
-    unchanged.
-    """
-    shape = _SHAPE.get(type(e))
-    if shape is None:
-        return e
-    children = []
-    changed = False
-    for name, depth in shape:
-        sub = getattr(e, name)
-        new = f(sub, depth)
-        if new is not sub:
-            changed = True
-        children.append(new)
-    return _rebuild(e, children) if changed else e
-
-
 def replace_field(e: Expr, name: str, value: Expr) -> Expr:
     return _rebuild(e, [value if n == name else getattr(e, n) for n, _ in _SHAPE[type(e)]])
 
@@ -382,11 +367,10 @@ def _loose_range(e: Expr) -> int:
     """One more than the largest loose de Bruijn index of e; 0 when closed."""
     r = e._loose
     if r is None:
-        shape = _SHAPE.get(type(e))
-        if shape is None:
-            return e.index + 1 if type(e) is Var else 0
+        if type(e) is Var:
+            return e.index + 1
         r = 0
-        for name, depth in shape:
+        for name, depth in _SHAPE[type(e)]:
             sub = _loose_range(getattr(e, name)) - depth
             if sub > r:
                 r = sub
@@ -395,13 +379,19 @@ def _loose_range(e: Expr) -> int:
 
 
 def shift(e: Expr, d: int, cutoff: int = 0) -> Expr:
-    if _loose_range(e) <= cutoff:
+    r = e._loose
+    if r is None:
+        if type(e) is Var:
+            return Var(e.index + d) if e.index >= cutoff else e
+        r = _loose_range(e)
+    if r <= cutoff:
         return e
-    match e:
-        case Var(index=k):
-            return Var(k + d)
-        case _:
-            return map_subexprs(e, lambda sub, extra: shift(sub, d, cutoff + extra))
+    # A Var at or above the cutoff occurs in e, and a shifted Var is always a
+    # new node, so e always changes; the fields it does not reach stay shared.
+    children = []
+    for name, depth in _SHAPE[type(e)]:
+        children.append(shift(getattr(e, name), d, cutoff + depth))
+    return _rebuild(e, children)
 
 
 def subst(e: Expr, j: int, value: Expr, lift: int = 0) -> Expr:
@@ -415,17 +405,25 @@ def subst(e: Expr, j: int, value: Expr, lift: int = 0) -> Expr:
     object, and so is e when Var(j) and the indices above it do not occur,
     which the loose-bvar range tells without a walk.
     """
-    if _loose_range(e) <= j:
-        return e
-    match e:
-        case Var(index=k):
+    r = e._loose
+    if r is None:
+        if type(e) is Var:
+            k = e.index
             if k == j:
                 return shift(value, lift) if lift else value
-            return Var(k - 1)
-        case _:
-            return map_subexprs(
-                e, lambda sub, extra: subst(sub, j + extra, value, lift + extra)
-            )
+            return Var(k - 1) if k > j else e
+        r = _loose_range(e)
+    if r <= j:
+        return e
+    children = []
+    changed = False
+    for name, depth in _SHAPE[type(e)]:
+        sub = getattr(e, name)
+        new = subst(sub, j + depth, value, lift + depth)
+        if new is not sub:
+            changed = True
+        children.append(new)
+    return _rebuild(e, children) if changed else e
 
 
 def instantiate(binder_body: Expr, value: Expr) -> Expr:
@@ -445,12 +443,6 @@ def numeral_value(e: Expr) -> int | None:
         n += 1
         e = e.arg
     return n if isinstance(e, Zero) else None
-
-
-def contains_axiom(e: Expr) -> bool:
-    if isinstance(e, Axiom):
-        return True
-    return any(contains_axiom(getattr(e, name)) for name, _ in _SHAPE.get(type(e), ()))
 
 
 def arrow(dom: Expr, cod: Expr) -> Pi:

@@ -1,6 +1,8 @@
 """DTT test helpers: random well-typed closed terms of type Nat (the
-canonicity corpus), the definitions a corpus script leaves, and an
-enumeration of the canonical inhabitants of Fin n."""
+canonicity corpus), the definitions a corpus script leaves, an enumeration
+of the canonical inhabitants of Fin n, and two walks over `_SHAPE` that only
+tests use: `map_subexprs`, the closure-taking rebuild the kernel's walks
+once went through, and `contains_axiom`."""
 
 from __future__ import annotations
 
@@ -13,6 +15,7 @@ from foundry.dtt import (
     instantiate, numeral, whnf,
 )
 from foundry.dtt.runner import DttRunner
+from foundry.dtt.syntax import _SHAPE, Axiom, _rebuild
 from foundry.run import Options
 from foundry.surface.script import parse_script
 
@@ -71,6 +74,31 @@ def gen_dtt_nat(rng: random.Random, depth: int = 4, nvars: int = 0):
     if nvars and k == 6:
         return Var(rng.randrange(nvars))
     return numeral(rng.randrange(4))
+
+
+def map_subexprs(e, f):
+    """Rebuild e with f(child, binder_depth_increment) over each subexpression.
+
+    When f returns every child itself (`is`), e itself is returned.
+    """
+    shape = _SHAPE.get(type(e))
+    if shape is None:
+        return e
+    children = []
+    changed = False
+    for name, depth in shape:
+        sub = getattr(e, name)
+        new = f(sub, depth)
+        if new is not sub:
+            changed = True
+        children.append(new)
+    return _rebuild(e, children) if changed else e
+
+
+def contains_axiom(e) -> bool:
+    if isinstance(e, Axiom):
+        return True
+    return any(contains_axiom(getattr(e, name)) for name, _ in _SHAPE.get(type(e), ()))
 
 
 def corpus_defs(name: str) -> dict:

@@ -6,13 +6,13 @@ from foundry.dtt import (
     App, Axiom, Bool, DttContext, Empty, Id, IdCases, KernelConfig, Lam, Nat,
     NatRec, Pair, Pi, PropSort, Refl, Sigma, SigmaCases, Star, Succ, Sum,
     TypeSort, Unit, Var, W, WRec, Zero, axiom_term, check, check_ctx,
-    contains_axiom, defeq, infer, normalize, numeral, numeral_value,
+    defeq, infer, normalize, numeral, numeral_value,
     prop_elim_guard, shift, sort_of, whnf,
 )
 from foundry.errors import FuelError, TypeCheckError, UniverseError
 from foundry.surface.parsers import parse_expr
 
-from helpers_dtt import corpus_defs, fin_inhabitants, gen_dtt_nat
+from helpers_dtt import contains_axiom, corpus_defs, fin_inhabitants, gen_dtt_nat
 
 CFG = KernelConfig()
 CTX = DttContext()

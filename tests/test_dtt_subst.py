@@ -1,21 +1,29 @@
-"""shift, subst and instantiate against a naive reference.
+"""shift, subst, instantiate and normalize against a naive reference.
 
 The reference rebuilds every node and shifts the substituted value at every
-binder: slow, but with no fast path to get wrong.
+binder: slow, but with no fast path to get wrong. The reference normalizer
+puts a term in weak head normal form with the kernel's `whnf` and then
+normalizes and rebuilds every child.
 """
+
+import random
 
 import pytest
 from hypothesis import given, settings, strategies as st
 
 import foundry.dtt.syntax as dtt_syntax
+from foundry.dtt.kernel import DEFAULT_FUEL, _Fuel
 from foundry.dtt.syntax import _loose_range
+from foundry.errors import FuelError
 
 from foundry.dtt import (
-    App, Axiom, Id, Lam, Nat, NatRec, Pair, Pi, Refl, Sigma, Succ, Sup,
-    TypeSort, Var, W, Zero, instantiate, shift, subst,
+    App, Axiom, DttContext, Id, KernelConfig, Lam, Nat, NatRec, Pair, Pi, Refl,
+    Sigma, Succ, Sup, TypeSort, Var, W, Zero, instantiate, normalize, numeral,
+    shift, subst, whnf,
 )
 
 from helpers import is_node, replace
+from helpers_dtt import gen_dtt_nat
 
 # the fields that sit under one binder
 _BINDS = {(Pi, "cod"), (Lam, "body"), (Sigma, "cod"), (W, "cod")}
@@ -144,3 +152,71 @@ def test_subst_shifts_only_where_it_replaces(e, j, value):
     if not occurs(e, j):
         assert calls == []
     assert out == ref_subst(e, j, value)
+
+
+def ref_normalize(cfg, e, tank):
+    w = whnf(cfg, e, tank)
+    return replace(w, **{n: ref_normalize(cfg, v, tank) for n, v, _ in _children(w)})
+
+
+def contractions(e):
+    """e's reference normal form and the contractions it took."""
+    tank = _Fuel(DEFAULT_FUEL)
+    nf = ref_normalize(CFG, e, tank)
+    return nf, DEFAULT_FUEL - tank.left
+
+
+CFG = KernelConfig()
+CTX = DttContext()
+NAT_TO_NAT = Lam(Nat(), Nat(), hint="_")
+SUCC_STEP = Lam(Nat(), Lam(Nat(), Succ(Var(0)), hint="ih"), hint="n")
+
+
+def seeded_terms(n=150):
+    """Seeded terms of type Nat: closed ones, and open ones under up to two
+    Nat binders."""
+    rng = random.Random(20240624)
+    return [gen_dtt_nat(rng, depth=rng.randrange(1, 5), nvars=i % 3) for i in range(n)]
+
+
+def test_normalize_matches_reference():
+    opened = 0
+    for e in seeded_terms():
+        want, _ = contractions(e)
+        assert normalize(CFG, CTX, e) == want
+        opened += _loose_range(e) > 0
+    assert opened > 20
+
+
+def test_a_normal_term_comes_back_as_the_same_object():
+    normal = [Lam(Nat(), App(Var(1), Succ(Var(0))), hint="x"), numeral(3), Var(2)]
+    normal += [contractions(e)[0] for e in seeded_terms(40)]
+    for e in normal:
+        assert e.span is None
+        assert normalize(CFG, CTX, e) is e
+
+
+@pytest.mark.parametrize("e, n", [
+    (App(Lam(Nat(), Succ(Var(0)), hint="x"), numeral(2)), 1),
+    (App(Lam(Nat(), App(Lam(Nat(), Var(0), hint="y"), Var(0)), hint="x"), Zero()), 2),
+    (Lam(Nat(), App(Lam(Nat(), Var(0), hint="y"), Var(0)), hint="x"), 1),
+    (NatRec(NAT_TO_NAT, Zero(), SUCC_STEP, numeral(2)), 7),
+])
+def test_fuel_counts_each_contraction(e, n):
+    want, counted = contractions(e)
+    assert counted == n
+    assert normalize(CFG, CTX, e, fuel=n) == want
+    with pytest.raises(FuelError):
+        normalize(CFG, CTX, e, fuel=n - 1)
+
+
+def test_fuel_is_exact_on_seeded_terms():
+    took = set()
+    for e in seeded_terms(60):
+        want, n = contractions(e)
+        took.add(n)
+        assert normalize(CFG, CTX, e, fuel=n) == want
+        if n:
+            with pytest.raises(FuelError):
+                normalize(CFG, CTX, e, fuel=n - 1)
+    assert len(took) > 5

@@ -141,7 +141,7 @@ def test_dtt_rebuild_keeps_hint_and_in_prop_and_drops_the_span():
             one = ds.replace_field(e, name, c)
             assert one == ref_rebuild(e, {name: c}) and one.span is None
             assert getattr(one, "hint", None) == getattr(e, "hint", None)
-        # map_subexprs rebuilds only what changed
-        assert ds.map_subexprs(e, lambda sub, _d: sub) is e
-        shifted = ds.map_subexprs(e, lambda sub, d: ds.Var(sub.index + 10))
+        # shift rebuilds as _rebuild does; a subst that finds no index keeps e
+        shifted = ds.shift(e, 10)
         assert shifted == got and getattr(shifted, "hint", None) == getattr(e, "hint", None)
+        assert ds.subst(e, len(shape), ds.Zero()) is e

@@ -27,7 +27,7 @@ from foundry.dtt import (
 )
 from foundry.dtt import printer as dtt_printer, syntax as dtt_syntax
 from foundry.dtt.kernel import DTT_AXIOMS
-from foundry.dtt.syntax import _SHAPE as DTT_SHAPE, map_subexprs
+from foundry.dtt.syntax import _SHAPE as DTT_SHAPE
 from foundry.errors import FoundryError, ParseError
 from foundry.fol import And, Bot, Eq, Exists, Forall, Implies, Or, Rel, pretty_term
 from foundry.fol.syntax import SURFACE as FOL_SURFACE, _binder_name, free_vars
@@ -42,6 +42,7 @@ from foundry.surface import stlc_parser as sp
 from foundry.surface import parse_expr, tokenize
 
 from helpers import gen_formula, is_node, nd_signature
+from helpers_dtt import map_subexprs
 
 
 # ---------------------------------------------------------------------------

@@ -137,6 +137,8 @@ def test_term_layer_work_bound(monkeypatch, script, calculus, options, module, n
         ("add_comm.dtt", "dtt", dtt_kernel, "_conv"),
         ("add_comm.dtt", "dtt", dtt_syntax, "shift"),
         ("add_comm.dtt", "dtt", dtt_syntax, "subst"),
+        ("nat_arith.dtt", "dtt", dtt_kernel, "whnf"),
+        ("types_library.dtt", "dtt", dtt_syntax, "subst"),
         ("stlc_basics.stlc", "stlc", stlc_typing, "infer_type"),
     ],
 )
