@@ -1,8 +1,8 @@
 """DTT test helpers: random well-typed closed terms of type Nat (the
 canonicity corpus), the definitions a corpus script leaves, an enumeration
 of the canonical inhabitants of Fin n, and two walks over `_SHAPE` that only
-tests use: `map_subexprs`, the closure-taking rebuild the kernel's walks
-once went through, and `contains_axiom`."""
+tests use: `map_subexprs`, which rebuilds a node with a function over its
+children, and `contains_axiom`."""
 
 from __future__ import annotations
 
