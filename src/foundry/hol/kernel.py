@@ -7,13 +7,15 @@ else in the package (derived rules, scripts, tests) builds on this surface.
 Types are Prop, Ind, the binary `fun` operator, type variables, and user
 operators added by type definition. Terms use de Bruijn binders with named
 free variables, so alpha-equivalence is structural equality and hypothesis
-sets deduplicate up to alpha. The term operations that rebuild a term
-(term_ty_subst, subst_fvars, open_term, abstract_fvar) differ only at the
-leaves and share one walk, _map; those that read one (free_vars,
-term_ty_vars, _uses_bvar) share _nodes. Like HOL Light's substitution, _map
-and type_subst return a span-less subterm they leave unchanged as the same
-object, so a rule's result shares the parts of its premises it does not
-touch instead of copying them; terms are immutable, so sharing is safe.
+sets deduplicate up to alpha. The walks that check or rebuild a term or a
+type test the node's class and recurse through their own module names, so
+a count that rebinds a name sees every entry; those that only read a term
+(free_vars, term_ty_vars, _uses_bvar) share _nodes. Like HOL Light's
+substitution, the rebuilding walks (term_ty_subst, subst_fvars, open_term,
+abstract_fvar, type_subst) return a span-less subterm they leave unchanged
+as the same object, so a rule's result shares the parts of its premises it
+does not touch instead of copying them; terms are immutable, so sharing is
+safe.
 
 The rules rely on one invariant: every minted conclusion is a well-typed
 Prop term. Whatever new term or type a rule, an instantiation, a definition
@@ -56,11 +58,12 @@ def _hashed_once(cls):
     structural = cls.__hash__
 
     def __hash__(self):
-        h = getattr(self, "_h", None)
-        if h is None:
+        try:
+            return self._h
+        except AttributeError:
             h = structural(self)
             object.__setattr__(self, "_h", h)
-        return h
+            return h
 
     cls.__hash__ = __hash__
     return cls
@@ -101,14 +104,14 @@ def fn(dom: HolType, cod: HolType) -> TyApp:
 
 
 def ty_vars(ty: HolType) -> frozenset[str]:
-    match ty:
-        case TyVar(name=n):
-            return frozenset((n,))
-        case TyApp(args=args):
-            out: frozenset[str] = frozenset()
-            for a in args:
-                out |= ty_vars(a)
-            return out
+    cls = type(ty)
+    if cls is TyVar:
+        return frozenset((ty.name,))
+    if cls is TyApp:
+        out: frozenset[str] = frozenset()
+        for a in ty.args:
+            out |= ty_vars(a)
+        return out
     raise TypeError(ty)
 
 
@@ -116,14 +119,15 @@ def type_subst(ty: HolType, mapping: Mapping[str, HolType]) -> HolType:
     """ty with each type variable in mapping replaced. A span-less operator
     application none of whose arguments changed is returned as the same
     object; one that carries a span is rebuilt without it."""
-    match ty:
-        case TyVar(name=n):
-            return mapping.get(n, ty)
-        case TyApp(op=op, args=args):
-            new = tuple(type_subst(a, mapping) for a in args)
-            if ty.span is None and all(a is b for a, b in zip(new, args)):
-                return ty
-            return TyApp(op, new)
+    cls = type(ty)
+    if cls is TyVar:
+        return mapping.get(ty.name, ty)
+    if cls is TyApp:
+        args = ty.args
+        new = tuple(type_subst(a, mapping) for a in args)
+        if ty.span is None and all(a is b for a, b in zip(new, args)):
+            return ty
+        return TyApp(ty.op, new)
     raise TypeError(ty)
 
 
@@ -132,19 +136,21 @@ def type_match(generic: HolType, concrete: HolType, env: dict[str, HolType] | No
     the substitution or None."""
     if env is None:
         env = {}
-    match generic:
-        case TyVar(name=n):
-            if n in env:
-                return env if env[n] == concrete else None
-            env[n] = concrete
-            return env
-        case TyApp(op=op, args=args):
-            if not (isinstance(concrete, TyApp) and concrete.op == op and len(concrete.args) == len(args)):
+    cls = type(generic)
+    if cls is TyVar:
+        n = generic.name
+        if n in env:
+            return env if env[n] == concrete else None
+        env[n] = concrete
+        return env
+    if cls is TyApp:
+        args = generic.args
+        if not (type(concrete) is TyApp and concrete.op == generic.op and len(concrete.args) == len(args)):
+            return None
+        for g, c in zip(args, concrete.args):
+            if type_match(g, c, env) is None:
                 return None
-            for g, c in zip(args, concrete.args):
-                if type_match(g, c, env) is None:
-                    return None
-            return env
+        return env
     raise TypeError(generic)
 
 
@@ -225,26 +231,26 @@ EPS = "eps"
 
 
 def type_of(t: HolTerm, stack: tuple[HolType, ...] = ()) -> HolType:
-    match t:
-        case BVar(index=k):
-            if k >= len(stack):
-                raise KernelError(f"unbound de Bruijn index {k}")
-            return stack[k]
-        case FVar(type=ty) | Const(type=ty):
-            return ty
-        case App(fn=f, arg=a):
-            tf = type_of(f, stack)
-            if not (isinstance(tf, TyApp) and tf.op == "fun"):
-                raise KernelError(f"application of non-function of type {pretty_type(tf)}")
-            ta = type_of(a, stack)
-            if ta != tf.args[0]:
-                raise KernelError(
-                    f"ill-typed application: argument {pretty_type(ta)} vs "
-                    f"domain {pretty_type(tf.args[0])}"
-                )
-            return tf.args[1]
-        case Abs(dom=d, body=b):
-            return fn(d, type_of(b, (d,) + stack))
+    cls = type(t)
+    if cls is App:
+        tf = type_of(t.fn, stack)
+        if not (type(tf) is TyApp and tf.op == "fun"):
+            raise KernelError(f"application of non-function of type {pretty_type(tf)}")
+        ta = type_of(t.arg, stack)
+        if ta != tf.args[0]:
+            raise KernelError(
+                f"ill-typed application: argument {pretty_type(ta)} vs "
+                f"domain {pretty_type(tf.args[0])}"
+            )
+        return tf.args[1]
+    if cls is FVar or cls is Const:
+        return t.type
+    if cls is BVar:
+        if t.index >= len(stack):
+            raise KernelError(f"unbound de Bruijn index {t.index}")
+        return stack[t.index]
+    if cls is Abs:
+        return fn(t.dom, type_of(t.body, (t.dom,) + stack))
     raise TypeError(t)
 
 
@@ -272,36 +278,24 @@ def term_ty_vars(t: HolTerm) -> frozenset[str]:
     )
 
 
-def _map(t: HolTerm, leaf, depth: int = 0, dom=None) -> HolTerm:
-    """Rebuild t with each leaf u replaced by leaf(u, binder depth) and, if
-    dom is given, each binder domain d by dom(d). A span-less application or
-    abstraction none of whose parts changed (`is`) is returned as the same
-    object, so an unchanged subterm is shared, not copied; the others are
-    rebuilt without spans. Binder hints are kept."""
+def term_ty_subst(t: HolTerm, mapping: Mapping[str, HolType]) -> HolTerm:
     cls = type(t)
     if cls is App:
-        f = _map(t.fn, leaf, depth, dom)
-        a = _map(t.arg, leaf, depth, dom)
+        f = term_ty_subst(t.fn, mapping)
+        a = term_ty_subst(t.arg, mapping)
         if f is t.fn and a is t.arg and t.span is None:
             return t
         return App(f, a)
     if cls is Abs:
-        d = t.dom if dom is None else dom(t.dom)
-        b = _map(t.body, leaf, depth + 1, dom)
+        d = type_subst(t.dom, mapping)
+        b = term_ty_subst(t.body, mapping)
         if d is t.dom and b is t.body and t.span is None:
             return t
         return Abs(d, b, hint=t.hint)
-    return leaf(t, depth)
-
-
-def term_ty_subst(t: HolTerm, mapping: Mapping[str, HolType]) -> HolTerm:
-    def leaf(u, _depth):
-        if type(u) is BVar:
-            return u
-        ty = type_subst(u.type, mapping)
-        return u if ty is u.type and u.span is None else type(u)(u.name, ty)
-
-    return _map(t, leaf, dom=lambda d: type_subst(d, mapping))
+    if cls is BVar:
+        return t
+    ty = type_subst(t.type, mapping)
+    return t if ty is t.type and t.span is None else cls(t.name, ty)
 
 
 def free_vars(t: HolTerm) -> frozenset[FVar]:
@@ -311,27 +305,56 @@ def free_vars(t: HolTerm) -> frozenset[FVar]:
 def subst_fvars(t: HolTerm, mapping: Mapping[FVar, "HolTerm"]) -> HolTerm:
     """Simultaneous substitution for free variables; capture-free because
     bound variables are indices."""
-    return _map(t, lambda u, _depth: mapping.get(u, u) if type(u) is FVar else u)
+    cls = type(t)
+    if cls is App:
+        f = subst_fvars(t.fn, mapping)
+        a = subst_fvars(t.arg, mapping)
+        if f is t.fn and a is t.arg and t.span is None:
+            return t
+        return App(f, a)
+    if cls is Abs:
+        b = subst_fvars(t.body, mapping)
+        if b is t.body and t.span is None:
+            return t
+        return Abs(t.dom, b, hint=t.hint)
+    return mapping.get(t, t) if cls is FVar else t
 
 
 def open_term(body: HolTerm, value: HolTerm, depth: int = 0) -> HolTerm:
     """Instantiate BVar(depth) with a locally closed term."""
-
-    def leaf(u, d):
-        if type(u) is not BVar or u.index < d:
-            return u
-        return value if u.index == d else BVar(u.index - 1)
-
-    return _map(body, leaf, depth)
+    cls = type(body)
+    if cls is App:
+        f = open_term(body.fn, value, depth)
+        a = open_term(body.arg, value, depth)
+        if f is body.fn and a is body.arg and body.span is None:
+            return body
+        return App(f, a)
+    if cls is Abs:
+        b = open_term(body.body, value, depth + 1)
+        if b is body.body and body.span is None:
+            return body
+        return Abs(body.dom, b, hint=body.hint)
+    if cls is not BVar or body.index < depth:
+        return body
+    return value if body.index == depth else BVar(body.index - 1)
 
 
 def abstract_fvar(t: HolTerm, x: FVar, depth: int = 0) -> HolTerm:
-    def leaf(u, d):
-        if type(u) is BVar:
-            return BVar(u.index + 1) if u.index >= d else u
-        return BVar(d) if u == x else u
-
-    return _map(t, leaf, depth)
+    cls = type(t)
+    if cls is App:
+        f = abstract_fvar(t.fn, x, depth)
+        a = abstract_fvar(t.arg, x, depth)
+        if f is t.fn and a is t.arg and t.span is None:
+            return t
+        return App(f, a)
+    if cls is Abs:
+        b = abstract_fvar(t.body, x, depth + 1)
+        if b is t.body and t.span is None:
+            return t
+        return Abs(t.dom, b, hint=t.hint)
+    if cls is BVar:
+        return BVar(t.index + 1) if t.index >= depth else t
+    return BVar(depth) if t == x else t
 
 
 def abs_over(x: FVar, body: HolTerm) -> Abs:
@@ -359,9 +382,10 @@ def mk_eq(lhs: HolTerm, rhs: HolTerm) -> HolTerm:
 
 
 def dest_eq(t: HolTerm):
-    match t:
-        case App(fn=App(fn=Const(name=n), arg=l), arg=r) if n == EQ:
-            return l, r
+    if type(t) is App:
+        f = t.fn
+        if type(f) is App and type(f.fn) is Const and f.fn.name == EQ:
+            return f.arg, t.arg
     return None
 
 
@@ -372,9 +396,12 @@ def _dest_eq_typed(t: HolTerm):
     the type of both sides only when t is well-typed, as every theorem's
     conclusion is.
     """
-    match t:
-        case App(fn=App(fn=Const(name=n, type=TyApp(op="fun", args=(ty, _))), arg=l), arg=r) if n == EQ:
-            return ty, l, r
+    if type(t) is App:
+        f = t.fn
+        if type(f) is App and type(f.fn) is Const and f.fn.name == EQ:
+            ty = f.fn.type
+            if type(ty) is TyApp and ty.op == "fun" and len(ty.args) == 2:
+                return ty.args[0], f.arg, t.arg
     return None
 
 
@@ -490,19 +517,20 @@ def initial_state() -> KernelState:
 
 
 def check_type(state: KernelState, ty: HolType) -> None:
-    match ty:
-        case TyVar():
-            return
-        case TyApp(op=op, args=args):
-            if op not in state.type_ops:
-                raise KernelError(f"unknown type operator {op}")
-            if state.type_ops[op] != len(args):
-                raise KernelError(
-                    f"type operator {op} has arity {state.type_ops[op]}, got {len(args)}"
-                )
-            for a in args:
-                check_type(state, a)
-            return
+    cls = type(ty)
+    if cls is TyVar:
+        return
+    if cls is TyApp:
+        op, args = ty.op, ty.args
+        if op not in state.type_ops:
+            raise KernelError(f"unknown type operator {op}")
+        if state.type_ops[op] != len(args):
+            raise KernelError(
+                f"type operator {op} has arity {state.type_ops[op]}, got {len(args)}"
+            )
+        for a in args:
+            check_type(state, a)
+        return
     raise TypeError(ty)
 
 
@@ -512,43 +540,45 @@ def check_term(state: KernelState, t: HolTerm, stack: tuple[HolType, ...] = ()) 
 
     Constant and free-variable leaves are closed wherever they occur, so
     each is checked once per state and then found in state.checked."""
-    match t:
-        case BVar(index=k):
-            if k >= len(stack):
-                raise KernelError(f"unbound de Bruijn index {k}")
-            return stack[k]
-        case FVar(type=ty):
-            if t not in state.checked:
-                check_type(state, ty)
-                state.checked[t] = ty
-            return ty
-        case Const(name=n, type=ty):
-            if t not in state.checked:
-                decl = state.constants.get(n)
-                if decl is None:
-                    raise KernelError(f"unknown constant {n}")
-                check_type(state, ty)
-                if type_match(decl.generic, ty) is None:
-                    raise KernelError(
-                        f"constant {n} used at {pretty_type(ty)}, not an instance of "
-                        f"{pretty_type(decl.generic)}"
-                    )
-                state.checked[t] = ty
-            return ty
-        case App(fn=f, arg=a):
-            tf = check_term(state, f, stack)
-            if not (isinstance(tf, TyApp) and tf.op == "fun"):
-                raise KernelError(f"application of non-function of type {pretty_type(tf)}")
-            ta = check_term(state, a, stack)
-            if ta != tf.args[0]:
+    cls = type(t)
+    if cls is App:
+        tf = check_term(state, t.fn, stack)
+        if not (type(tf) is TyApp and tf.op == "fun"):
+            raise KernelError(f"application of non-function of type {pretty_type(tf)}")
+        ta = check_term(state, t.arg, stack)
+        if ta != tf.args[0]:
+            raise KernelError(
+                f"ill-typed application: argument {pretty_type(ta)} vs "
+                f"domain {pretty_type(tf.args[0])}"
+            )
+        return tf.args[1]
+    if cls is Const:
+        ty = t.type
+        if t not in state.checked:
+            decl = state.constants.get(t.name)
+            if decl is None:
+                raise KernelError(f"unknown constant {t.name}")
+            check_type(state, ty)
+            if type_match(decl.generic, ty) is None:
                 raise KernelError(
-                    f"ill-typed application: argument {pretty_type(ta)} vs "
-                    f"domain {pretty_type(tf.args[0])}"
+                    f"constant {t.name} used at {pretty_type(ty)}, not an instance of "
+                    f"{pretty_type(decl.generic)}"
                 )
-            return tf.args[1]
-        case Abs(dom=d, body=b, hint=h):
-            check_type(state, d)
-            return fn(d, check_term(state, b, (d,) + stack))
+            state.checked[t] = ty
+        return ty
+    if cls is BVar:
+        if t.index >= len(stack):
+            raise KernelError(f"unbound de Bruijn index {t.index}")
+        return stack[t.index]
+    if cls is FVar:
+        ty = t.type
+        if t not in state.checked:
+            check_type(state, ty)
+            state.checked[t] = ty
+        return ty
+    if cls is Abs:
+        check_type(state, t.dom)
+        return fn(t.dom, check_term(state, t.body, (t.dom,) + stack))
     raise TypeError(t)
 
 

@@ -21,25 +21,25 @@ def pretty_term(t: HolTerm, types: bool = False) -> str:
 
     def go(t: HolTerm, names: tuple[str, ...], prec: int) -> str:
         # prec: 0 top/binder, 10 equation, 20 application, 21 argument
-        eq = dest_eq(t)
-        if eq is not None:
-            l, r = eq
-            s = f"{go(l, names, 20)} = {go(r, names, 20)}"
-            return s if prec <= 0 else f"({s})"
-        match t:
-            case BVar(index=k):
-                return names[k] if k < len(names) else f"#{k}"
-            case FVar(name=n, type=ty):
-                return f"({n} : {pretty_type(ty)})" if types else n
-            case Const(name=n):
-                return n
-            case App(fn=f, arg=a):
-                s = f"{go(f, names, 20)} {go(a, names, 21)}"
-                return s if prec <= 20 else f"({s})"
-            case Abs(dom=d, body=b, hint=h):
-                name = fresh_name(h or "x", set(names) | taken)
-                s = f"fun ({name} : {pretty_type(d)}) => {go(b, (name,) + names, 0)}"
-                return s if prec == 0 else f"({s})"
+        cls = type(t)
+        if cls is App:
+            eq = dest_eq(t)
+            if eq is not None:
+                s = f"{go(eq[0], names, 20)} = {go(eq[1], names, 20)}"
+                return s if prec <= 0 else f"({s})"
+            s = f"{go(t.fn, names, 20)} {go(t.arg, names, 21)}"
+            return s if prec <= 20 else f"({s})"
+        if cls is BVar:
+            k = t.index
+            return names[k] if k < len(names) else f"#{k}"
+        if cls is FVar:
+            return f"({t.name} : {pretty_type(t.type)})" if types else t.name
+        if cls is Const:
+            return t.name
+        if cls is Abs:
+            name = fresh_name(t.hint or "x", set(names) | taken)
+            s = f"fun ({name} : {pretty_type(t.dom)}) => {go(t.body, (name,) + names, 0)}"
+            return s if prec == 0 else f"({s})"
         raise TypeError(t)
 
     return go(t, (), 0)

@@ -1,7 +1,7 @@
 """Rebuilding walks keep what they do not change.
 
-The HOL walkers (`_map` and the four leaf functions over it, and
-`type_subst`) return a span-less node none of whose parts changed as the
+The HOL walkers (`term_ty_subst`, `subst_fvars`, `open_term`,
+`abstract_fvar` and `type_subst`) return a span-less node none of whose parts changed as the
 same object, so an unchanged subterm is shared instead of copied. A node
 that carries a span is still rebuilt without it, the contract
 `tests/test_hol_walkers.py` pins with its references. DTT's `_rebuild`

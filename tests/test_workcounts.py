@@ -129,6 +129,10 @@ def test_term_layer_work_bound(monkeypatch, script, calculus, options, module, n
     assert FLOORS.get(name, 1) <= calls[0] <= bound
 
 
+# Options of the scripts that need any; the others run with Options().
+SCRIPT_OPTIONS = {"diaconescu.hol": {"axioms": ("choice", "propext")}}
+
+
 @pytest.mark.parametrize(
     "script, calculus, module, name",
     [
@@ -140,6 +144,11 @@ def test_term_layer_work_bound(monkeypatch, script, calculus, options, module, n
         ("nat_arith.dtt", "dtt", dtt_kernel, "whnf"),
         ("types_library.dtt", "dtt", dtt_syntax, "subst"),
         ("stlc_basics.stlc", "stlc", stlc_typing, "infer_type"),
+        ("diaconescu.hol", "hol", hol_kernel, "check_term"),
+        ("diaconescu.hol", "hol", hol_kernel, "type_of"),
+        ("diaconescu.hol", "hol", hol_kernel, "type_subst"),
+        ("diaconescu.hol", "hol", hol_kernel, "subst_fvars"),
+        ("diaconescu.hol", "hol", hol_kernel, "open_term"),
     ],
 )
 def test_counts_see_every_entry(monkeypatch, script, calculus, module, name):
@@ -158,7 +167,7 @@ def test_counts_see_every_entry(monkeypatch, script, calculus, module, name):
     text = (CORPUS / script).read_text()
     sys.setprofile(profile)
     try:
-        report = run_script_text(calculus, text, Options(), script)
+        report = run_script_text(calculus, text, Options(**SCRIPT_OPTIONS.get(script, {})), script)
     finally:
         sys.setprofile(None)
     assert report.ok, report.first_error()
@@ -309,7 +318,7 @@ scripts = {
     "stlc": "check {" + "".join(f"fun ({x} : Nat) => " for x in xs) + "x0}\\n",
     "hol": f"theorem t : {{{lams} = {lams}}} := refl {{{lams}}}\\n",
 }
-codes = {f.__code__ for f in (fol_syntax._map_formula, stlc_syntax.abstract_free, hol_kernel._map)}
+codes = {f.__code__ for f in (fol_syntax._map_formula, stlc_syntax.abstract_free, hol_kernel.abstract_fvar)}
 entries = {}
 for calculus, text in scripts.items():
     entries[calculus] = 0
