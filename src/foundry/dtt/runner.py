@@ -13,6 +13,7 @@ from .printer import pretty as pretty_dtt
 
 class DttRunner(_Runner):
     calculus = "dtt"
+    keywords = frozenset({"axiom-enable", "enable", "define", "term", "check", "eval", "theorem"})
 
     def __init__(self, options: Options, filename: str = "<script>"):
         super().__init__(options, filename)

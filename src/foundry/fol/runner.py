@@ -21,6 +21,9 @@ if TYPE_CHECKING:
 
 class FolRunner(_Runner):
     calculus = "fol"
+    keywords = frozenset({
+        "sort", "fn", "const", "rel", "define rel", "axiom", "assume", "prove", "check", "model", "theorem",
+    })
 
     def __init__(self, options: Options, filename: str = "<script>"):
         super().__init__(options, filename)

@@ -89,11 +89,19 @@ def AP_THM(state: KernelState, th: HolTheorem, x: HolTerm) -> HolTheorem:
     return MK_COMB(state, th, REFL(state, x))
 
 
+# beta_conv's variable: the lexer reads no name with a space, so no script
+# term has it free, and beta_conv substitutes it away in the call that
+# introduces it.
+BETA_VAR = " beta"
+
+
 def beta_conv(state: KernelState, t: HolTerm) -> HolTheorem:
-    """⊢ (λx. b) a = b[a/x] for an arbitrary argument, via BETA + inst."""
+    """⊢ (λx. b) a = b[a/x] for an arbitrary argument, via BETA + inst.
+
+    t must not have the variable BETA_VAR free."""
     match t:
         case App(fn=Abs(dom=d) as lam, arg=arg):
-            x = _fresh("v", d, lam, arg)
+            x = FVar(BETA_VAR, d)
             th = BETA(state, App(lam, x))
             return inst_term(state, th, {x: arg})
     raise KernelError("beta_conv expects a beta redex")
@@ -196,10 +204,14 @@ def _drop_truth(state: KernelState, th: HolTheorem) -> HolTheorem:
     return EQ_MP(state, DEDUCT_ANTISYM(state, truth, th), truth)
 
 
-# the generic variables of the propositional lemmas
+# the generic variables of the propositional lemmas, and the constants that
+# the connective formers share
 _P = FVar("p", PROP)
 _Q = FVar("q", PROP)
 _TRUE = Const("true", PROP)
+_IMP = Const("imp", fn(PROP, fn(PROP, PROP)))
+_AND = Const("and", fn(PROP, fn(PROP, PROP)))
+_OR = Const("or", fn(PROP, fn(PROP, PROP)))
 
 _FORALL_DEPS = ("true", "forall")
 _AND_DEPS = ("true", "forall", "and")
@@ -340,15 +352,15 @@ def GEN(state: KernelState, x: FVar, th: HolTheorem) -> HolTheorem:
 
 
 def mk_imp(p: HolTerm, q: HolTerm) -> HolTerm:
-    return App(App(Const("imp", fn(PROP, fn(PROP, PROP))), p), q)
+    return App(App(_IMP, p), q)
 
 
 def mk_conj(p: HolTerm, q: HolTerm) -> HolTerm:
-    return App(App(Const("and", fn(PROP, fn(PROP, PROP))), p), q)
+    return App(App(_AND, p), q)
 
 
 def mk_disj(p: HolTerm, q: HolTerm) -> HolTerm:
-    return App(App(Const("or", fn(PROP, fn(PROP, PROP))), p), q)
+    return App(App(_OR, p), q)
 
 
 def mk_neg(p: HolTerm) -> HolTerm:

@@ -23,7 +23,8 @@ or an axiom brings in is checked against the state (check_term,
 check_type); the rest only recombines parts of existing conclusions. So in
 a conclusion `(=) l r` the `=` constant's instance type `ty -> ty -> Prop`
 names the type of both sides, and TRANS, MK_COMB, ABS and EQ_MP read `ty`
-from it instead of inferring the types of `l` and `r` again.
+from it instead of inferring the types of `l` and `r` again; TRANS reuses
+its first premise's `=` constant as it is.
 
 Closed terms are checked at most once per state. Each KernelState carries a
 memo from term to type; REFL, ASSUME, BETA, ETA, inst_term, the definitions
@@ -49,32 +50,13 @@ from ..span import hint_field, node, replace, span_field
 
 
 # ---------------------------------------------------------------------------
-# Nodes are slotted and keep their structural hash in an `_h` slot, filled on
-# the first hash; equality still compares the fields, ignoring spans and hints.
-
-
-def _hashed_once(cls):
-    """Make a frozen node with an `_h` slot compute its hash once."""
-    structural = cls.__hash__
-
-    def __hash__(self):
-        try:
-            return self._h
-        except AttributeError:
-            h = structural(self)
-            object.__setattr__(self, "_h", h)
-            return h
-
-    cls.__hash__ = __hash__
-    return cls
-
-
-# ---------------------------------------------------------------------------
 # Types
+#
+# Nodes are slotted and store their structural hash in an `_h` slot when they
+# are built (span.node); equality compares the fields, ignoring spans and hints.
 
 
-@_hashed_once
-@node(slots=("_h",))
+@node(slots=True)
 class TyVar:
     """A HOL type variable."""
 
@@ -82,8 +64,7 @@ class TyVar:
     span: object = span_field()
 
 
-@_hashed_once
-@node(slots=("_h",))
+@node(slots=True)
 class TyApp:
     """A HOL type operator applied to argument types."""
 
@@ -174,8 +155,7 @@ def pretty_type(ty: HolType) -> str:
 # Terms
 
 
-@_hashed_once
-@node(slots=("_h",))
+@node(slots=True)
 class BVar:
     """A HOL bound variable, as a de Bruijn index."""
 
@@ -183,8 +163,7 @@ class BVar:
     span: object = span_field()
 
 
-@_hashed_once
-@node(slots=("_h",))
+@node(slots=True)
 class FVar:
     """A HOL free variable of a type."""
 
@@ -193,8 +172,7 @@ class FVar:
     span: object = span_field()
 
 
-@_hashed_once
-@node(slots=("_h",))
+@node(slots=True)
 class Const:
     """A HOL constant at a type instance."""
 
@@ -203,8 +181,7 @@ class Const:
     span: object = span_field()
 
 
-@_hashed_once
-@node(slots=("_h",))
+@node(slots=True)
 class App:
     """HOL function application."""
 
@@ -213,8 +190,7 @@ class App:
     span: object = span_field()
 
 
-@_hashed_once
-@node(slots=("_h",))
+@node(slots=True)
 class Abs:
     """A HOL lambda abstraction with its domain type."""
 
@@ -621,10 +597,11 @@ def TRANS(state: KernelState, th1: HolTheorem, th2: HolTheorem) -> HolTheorem:
     e2 = _dest_eq_typed(th2.conclusion)
     if e1 is None or e2 is None:
         raise KernelError("TRANS needs two equations")
-    ty, s, t = e1
+    _, s, t = e1
     if t != e2[1]:
         raise KernelError("TRANS: middle terms differ")
-    return _thm(th1.hypotheses | th2.hypotheses, mk_eq_at(ty, s, e2[2]))
+    # th1's `=` constant is at ty -> ty -> Prop, ty the type of s and e2[2]
+    return _thm(th1.hypotheses | th2.hypotheses, App(App(th1.conclusion.fn.fn, s), e2[2]))
 
 
 def MK_COMB(state: KernelState, th_fn: HolTheorem, th_arg: HolTheorem) -> HolTheorem:

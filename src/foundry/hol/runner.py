@@ -15,6 +15,7 @@ from .printer import pretty_term
 
 class HolRunner(_Runner):
     calculus = "hol"
+    keywords = frozenset({"define", "term", "axiom-enable", "enable", "thm", "theorem", "check"})
 
     def __init__(self, options: Options, filename: str = "<script>"):
         super().__init__(options, filename)

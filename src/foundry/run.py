@@ -123,6 +123,7 @@ def depth_limit(filename: str):
 
 class _Runner:
     calculus = "?"
+    keywords: frozenset = frozenset()  # the command keywords run in some form
 
     def __init__(self, options: Options, filename: str = "<script>"):
         self.options = options
@@ -171,7 +172,8 @@ class _Runner:
             raise _depth_exceeded(cmd.span) from None
 
     def dispatch(self, cmd) -> str:
-        raise ScriptError(f"command {type(cmd).__name__} is not supported in {self.calculus}")
+        form = "this form of " if cmd.keyword in self.keywords else ""
+        raise ScriptError(f"{form}`{cmd.keyword}` is not a command of {self.calculus}")
 
     def block(self, tokens, what: str, parse, *args):
         """parse(cursor, *args) over the tokens of one `{...}` block, which

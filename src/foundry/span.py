@@ -18,6 +18,12 @@ about 1 ms a class, most of a FOL `foundry check` after interpreter start.
 `__hash__`, and shares the `__repr__`, `__setattr__` and `__delattr__` below,
 for about 0.2 ms a class. Methods written once over a tuple of field names
 would build faster still, but made a corpus pass about 20% slower.
+
+A slotted record (HOL's terms and types) stores `hash` of its compared
+fields in `_h` when built, reading its children's stored hashes (Filliâtre &
+Conchon's hash-consing, without the table). Its `==` answers True on
+identity, as `==` is reflexive, and False on unequal `_h`, as equal records
+have equal hashes; only then does it compare the fields.
 """
 
 from __future__ import annotations
@@ -79,16 +85,16 @@ def _delattr(self, name):
     raise FrozenInstanceError(f"cannot delete field {name!r}")
 
 
-def node(cls=None, /, *, slots: tuple[str, ...] | None = None):
+def node(cls=None, /, *, slots: bool = False):
     """Make a class body of annotated fields a frozen record.
 
     A field whose default is `span_field()` or `hint_field()` is keyword-only,
     defaults to None and is not compared; every other field is positional
     (with its default, if it has one), compared, hashed, shown by `repr` and
     listed in `__match_args__`. `_fields` names every field in order. With
-    `slots`, the class gets a slot per field plus the names given, and no
-    instance dict. A `__post_init__` that the class defines runs last in
-    `__init__`.
+    `slots`, the class gets a slot per field and an `_h` slot, which
+    `__init__` sets to the hash of the compared fields, and no instance
+    dict. A `__post_init__` that the class defines runs last in `__init__`.
     """
     if cls is None:
         return lambda c: _build(c, slots)
@@ -105,31 +111,38 @@ def _build(cls, slots):
     params = [n if i < first_default else f"{n}=_d[{i - first_default}]" for i, n in enumerate(compared)]
     if aux:
         params += ["*", *(f"{n}=None" for n in aux)]
-    lines = [f"    _set(self, {n!r}, {n})\n" for n in names]
-    if "__post_init__" in body:
-        lines.append("    self.__post_init__()\n")
     own = "(" + "".join(f"self.{n}," for n in compared) + ")"
     other = "(" + "".join(f"other.{n}," for n in compared) + ")"
-    source = (
-        f"def __init__(self, {', '.join(params)}):\n"
-        + ("".join(lines) or "    pass\n")
-        + "def __eq__(self, other):\n"
-        "    if other.__class__ is self.__class__:\n"
-        f"        return {own} == {other}\n"
-        "    return NotImplemented\n"
-        "def __hash__(self):\n"
-        f"    return hash({own})\n"
-    )
-    ns = {"__name__": cls.__module__, "_set": object.__setattr__, "_d": defaults}
-    exec(source, ns)
-    if slots is None:
+    eq = f"    if other.__class__ is self.__class__:\n        return {own} == {other}\n    return NotImplemented\n"
+    hashed = f"hash({own})"
+    if not slots:
         for n in aux:
             setattr(cls, n, None)
+        ns = {"_set": object.__setattr__}
+        lines = [f"    _set(self, {n!r}, {n})\n" for n in names]
     else:
         kept = {k: v for k, v in body.items() if k not in names and k not in ("__dict__", "__weakref__")}
         qualname = cls.__qualname__
-        cls = type(cls)(cls.__name__, cls.__bases__, {**kept, "__slots__": names + slots})
+        cls = type(cls)(cls.__name__, cls.__bases__, {**kept, "__slots__": names + ("_h",)})
         cls.__qualname__ = qualname
+        # Each slot's descriptor sets it past the frozen __setattr__.
+        ns = {f"_set_{n}": vars(cls)[n].__set__ for n in (*names, "_h")}
+        lines = [*(f"    _set_{n}(self, {n})\n" for n in names), f"    _set__h(self, {hashed})\n"]
+        eq = (
+            "    if other is self:\n        return True\n"
+            "    if other.__class__ is not self.__class__:\n        return NotImplemented\n"
+            f"    return other._h == self._h and {own} == {other}\n"
+        )
+        hashed = "self._h"
+    if "__post_init__" in body:
+        lines.append("    self.__post_init__()\n")
+    source = (
+        f"def __init__(self, {', '.join(params)}):\n"
+        + ("".join(lines) or "    pass\n")
+        + f"def __eq__(self, other):\n{eq}def __hash__(self):\n    return {hashed}\n"
+    )
+    ns.update(__name__=cls.__module__, _d=defaults)
+    exec(source, ns)
     for name in ("__init__", "__eq__", "__hash__"):
         fn = ns[name]
         fn.__qualname__ = f"{cls.__qualname__}.{name}"

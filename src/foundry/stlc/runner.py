@@ -14,6 +14,7 @@ from .typing import infer_type, pretty_type
 
 class StlcRunner(_Runner):
     calculus = "stlc"
+    keywords = frozenset({"fn", "define", "term", "check", "eval", "theorem"})
 
     def __init__(self, options: Options, filename: str = "<script>"):
         super().__init__(options, filename)

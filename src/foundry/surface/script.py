@@ -3,7 +3,8 @@
 Scripts are line-oriented with block expressions in braces and `--` comments.
 parse_script performs the structural pass (commands, names, brace matching);
 expression blocks are kept as token slices and parsed by the per-calculus
-executors, which also enforce definition-before-use.
+executors, which also enforce definition-before-use. Each command's
+`keyword` is the keyword that starts it, as the script wrote it.
 """
 
 from __future__ import annotations
@@ -19,6 +20,7 @@ from .lexer import Cursor, Token, tokenize
 class DeclareSort:
     """Script command `sort S`."""
 
+    keyword = "sort"
     name: str
     span: Span
 
@@ -31,12 +33,14 @@ class DeclareFn:
     args: tuple[str, ...]
     result: str
     span: Span
+    keyword: str = "fn"
 
 
 @node
 class DeclareRel:
     """Script command `rel R : (S1, S2)`."""
 
+    keyword = "rel"
     name: str
     args: tuple[str, ...]
     span: Span
@@ -46,6 +50,7 @@ class DeclareRel:
 class DeclareTyped:
     """`fn name : {type}` — an STLC constant declaration."""
 
+    keyword = "fn"
     name: str
     type_tokens: tuple
     span: Span
@@ -55,6 +60,7 @@ class DeclareTyped:
 class Define:
     """Script command `define name [: {T}] := {e}`."""
 
+    keyword = "define"
     name: str
     type_tokens: tuple | None
     body_tokens: tuple
@@ -65,6 +71,7 @@ class Define:
 class DefineRel:
     """Script command `define rel R (x : S) := {A}`."""
 
+    keyword = "define rel"
     name: str
     params: tuple  # (name, sort) pairs
     body_tokens: tuple
@@ -73,16 +80,18 @@ class DefineRel:
 
 @node
 class AxiomEnable:
-    """Script command `axiom-enable name`."""
+    """Script command `axiom-enable name` or `enable name`."""
 
     name: str
     span: Span
+    keyword: str = "axiom-enable"
 
 
 @node
 class AxiomDecl:
     """Script command `axiom Name : {A}`."""
 
+    keyword = "axiom"
     name: str
     body_tokens: tuple
     span: Span
@@ -92,6 +101,7 @@ class AxiomDecl:
 class Theorem:
     """Script command `theorem name : {stmt} := PROOF`."""
 
+    keyword = "theorem"
     name: str
     statement_tokens: tuple
     proof_kind: str  # nd | hilbert | term | rule-expr
@@ -103,6 +113,7 @@ class Theorem:
 class Thm:
     """A named intermediate HOL theorem (not counted as certified)."""
 
+    keyword = "thm"
     name: str
     proof_tokens: tuple
     span: Span
@@ -112,6 +123,7 @@ class Thm:
 class TermMacro:
     """Script command `term name := {e}`."""
 
+    keyword = "term"
     name: str
     body_tokens: tuple
     span: Span
@@ -121,6 +133,7 @@ class TermMacro:
 class Check:
     """Script command `check {e} [: {T}]`."""
 
+    keyword = "check"
     body_tokens: tuple
     type_tokens: tuple | None
     span: Span
@@ -130,6 +143,7 @@ class Check:
 class Eval:
     """Script command `eval {e}`."""
 
+    keyword = "eval"
     body_tokens: tuple
     span: Span
 
@@ -138,6 +152,7 @@ class Eval:
 class ModelDef:
     """Script command `model M { ... }`: universes, function tables and relations."""
 
+    keyword = "model"
     name: str
     universes: tuple  # (sort, (elem, ...))
     functions: tuple  # (name, ((args...), result) tuple list)
@@ -149,6 +164,7 @@ class ModelDef:
 class Assume:
     """Script command `assume {A}`."""
 
+    keyword = "assume"
     body_tokens: tuple
     span: Span
 
@@ -157,6 +173,7 @@ class Assume:
 class Prove:
     """Script command `prove {A}`."""
 
+    keyword = "prove"
     body_tokens: tuple
     span: Span
 
@@ -165,6 +182,7 @@ class Prove:
 class ExpectError:
     """Script command `expect-error TAG <command>`."""
 
+    keyword = "expect-error"
     tag: str
     command: "ScriptCommand"
     span: Span
@@ -273,7 +291,7 @@ def _parse_command(cur: Cursor, names: set) -> ScriptCommand:
         name = cur.expect_kind("ident").value
         cur.expect(":")
         sort = cur.expect_kind("ident").value
-        return DeclareFn(name, (), sort, t.span)
+        return DeclareFn(name, (), sort, t.span, "const")
     if kw == "rel":
         name = cur.expect_kind("ident").value
         cur.expect(":")
@@ -309,7 +327,7 @@ def _parse_command(cur: Cursor, names: set) -> ScriptCommand:
             cur.fail("expected axiom-enable")
         return AxiomEnable(cur.expect_kind("ident").value, t.span)
     if kw == "enable":
-        return AxiomEnable(cur.expect_kind("ident").value, t.span)
+        return AxiomEnable(cur.expect_kind("ident").value, t.span, "enable")
     if kw == "axiom":
         name = cur.expect_kind("ident").value
         cur.expect(":")

@@ -586,3 +586,61 @@ def test_an_eval_json_report_is_one_document(name, code, value, capsys):
     doc = json.loads(capsys.readouterr().out)
     assert doc.get("value") == value
     assert doc["ok"] == (code != 1)
+
+
+@pytest.mark.parametrize("calculus, text, keyword", [
+    ("fol", "eval {0}\n", "eval"),
+    ("stlc", "sort S\n", "sort"),
+    ("hol", "eval {0}\n", "eval"),
+    ("dtt", "const c : S\n", "const"),
+])
+def test_an_unsupported_command_names_its_keyword(calculus, text, keyword, tmp_path, capsys):
+    path = tmp_path / f"unsupported.{calculus}"
+    path.write_text(text)
+    assert cli(["check", str(path)]) == 1
+    line = capsys.readouterr().out.splitlines()[0]
+    assert line.endswith(f"error[script-error] at 1:1: `{keyword}` is not a command of {calculus}")
+
+
+# One sample of each form of each command keyword.
+COMMAND_FORMS = [
+    ("sort", "sort S"),
+    ("fn", "fn f : (S) -> S"),
+    ("fn", "fn c : {Nat}"),
+    ("const", "const c : S"),
+    ("rel", "rel R : (S)"),
+    ("define", "define x := {y}"),
+    ("define", "define x : {T} := {y}"),
+    ("define rel", "define rel R (x : S) := {P(x)}"),
+    ("axiom", "axiom a : {p}"),
+    ("axiom-enable", "axiom-enable choice"),
+    ("enable", "enable choice"),
+    ("theorem", "theorem t : {p} := nd {p}"),
+    ("theorem", "theorem t : {p} := {x}"),
+    ("theorem", "theorem t : {p} := refl {p}"),
+    ("thm", "thm t := refl {p}"),
+    ("term", "term t := {x}"),
+    ("check", "check {x}"),
+    ("check", "check {x} : {T}"),
+    ("eval", "eval {0}"),
+    ("model", "model M { }"),
+    ("assume", "assume {p}"),
+    ("prove", "prove {p}"),
+]
+
+
+@pytest.mark.parametrize("calculus", ["fol", "stlc", "hol", "dtt"])
+def test_each_runner_lists_the_keywords_it_runs(calculus):
+    from foundry.calculi import load
+
+    keywords = load(calculus, "runner").keywords
+    runs = set()
+    for keyword, text in COMMAND_FORMS:
+        err = run_script_text(calculus, text + "\n").first_error()
+        if err is None or "is not a command of" not in err.message:
+            runs.add(keyword)
+            continue
+        form = "this form of " if keyword in keywords else ""
+        assert err.message == f"{form}`{keyword}` is not a command of {calculus}"
+        assert (err.tag, err.line, err.col) == ("script-error", 1, 1)
+    assert runs == keywords

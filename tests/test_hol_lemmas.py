@@ -5,9 +5,16 @@ connectives with apply_def_conv, unfold_rule and fold_rule and beta-reduces
 them anew. It is slow, but it has no cache to get wrong. Each rule must give
 the same hypotheses, conclusion and printed form (so binder hints too), or
 the same error, as the reference.
+
+`beta_conv` introduces a variable that the lexer cannot produce instead of
+one fresh for the redex. The last tests check that it gives the theorems the
+old fresh variable gave, and that no theorem but BETA's step inside
+`beta_conv` ever has that variable free.
 """
 
+import pathlib
 import re
+import sys
 
 import pytest
 from hypothesis import given, settings, strategies as st
@@ -15,16 +22,20 @@ from hypothesis import given, settings, strategies as st
 import foundry.hol.derived as hd
 from foundry.errors import KernelError
 from foundry.hol import (
-    ABS, ASSUME, DEDUCT_ANTISYM, EQ_MP, MK_COMB, REFL, TRANS, Abs, App, BVar,
+    ABS, ASSUME, BETA, DEDUCT_ANTISYM, EQ_MP, MK_COMB, REFL, TRANS, Abs, App, BVar,
     Const, FVar, HolTheorem, IND, PROP, abs_over, check_term,
     define_connectives, defining_theorem, dest_eq, fn, free_vars,
-    initial_state, mk_eq_at, pretty_type, type_of,
+    initial_state, inst_term, mk_eq_at, pretty_type, type_of,
 )
+from foundry.hol import kernel as hk
 from foundry.hol.derived import (
     AP_THM, SYM, apply_def_conv, beta_conv, fold_rule, mk_conj, mk_disj,
     mk_forall, mk_imp, mk_neg, rhs_of, spine_beta, unfold_rule,
 )
+from foundry.run import Options, run_script_text
 from foundry.span import replace
+
+CORPUS = pathlib.Path(__file__).resolve().parent.parent / "corpus"
 
 
 # ---------------------------------------------------------------------------
@@ -485,3 +496,60 @@ def test_errors_never_name_a_lemma_variable(base):
         with pytest.raises(KernelError) as err:
             rule(state, *args)
         assert "replacement for" not in err.value.message
+
+
+# ---------------------------------------------------------------------------
+# beta_conv's variable
+
+
+def ref_beta_conv(state, t):
+    """beta_conv as it was, with a variable fresh for the redex."""
+    match t:
+        case App(fn=Abs(dom=d) as lam, arg=arg):
+            v = ref_fresh("v", d, lam, arg)
+            return inst_term(state, BETA(state, App(lam, v)), {v: arg})
+    raise KernelError("beta_conv expects a beta redex")
+
+
+def test_beta_conv_gives_the_old_theorem_on_terms_with_v_free(base):
+    v1, v2 = FVar("v'", PROP), FVar("v", IND)
+    redexes = [
+        App(Abs(PROP, mk_conj(BVar(0), v), hint="v"), v),
+        App(Abs(PROP, mk_imp(v, BVar(0)), hint="p"), mk_conj(v, v1)),
+        App(Abs(IND, mk_eq_at(IND, BVar(0), v2), hint="v"), y),
+        App(Abs(fn(IND, PROP), App(BVar(0), v2), hint="P"), Abs(IND, mk_conj(v, App(P, BVar(0))), hint="v")),
+        App(Abs(PROP, Abs(PROP, mk_disj(BVar(1), mk_conj(BVar(0), v1)), hint="v"), hint="v'"), v),
+        mk_conj(v, v1),  # not a redex
+    ]
+    for t in redexes:
+        assert outcome(beta_conv, base, t) == outcome(ref_beta_conv, base, t)
+
+
+def test_beta_conv_variable_is_free_only_in_its_own_beta_step(monkeypatch):
+    minted = []
+    mint = hk._thm
+
+    def recording_thm(hyps, concl):
+        rule, caller = sys._getframe(1).f_code.co_name, sys._getframe(2).f_code.co_name
+        minted.append((rule, caller, hyps, concl))
+        return mint(hyps, concl)
+
+    monkeypatch.setattr(hk, "_thm", recording_thm)
+    for name, options in [
+        ("connectives.hol", {}),
+        ("ext_rule.hol", {}),
+        ("diaconescu.hol", {"axioms": ("choice", "propext")}),
+    ]:
+        report = run_script_text("hol", (CORPUS / name).read_text(), Options(**options), name)
+        assert report.ok, report.first_error()
+
+    def has_it(t):
+        return any(u.name == hd.BETA_VAR for u in free_vars(t))
+
+    steps = 0
+    for rule, caller, hyps, concl in minted:
+        assert not any(has_it(h) for h in hyps)
+        if has_it(concl):
+            assert (rule, caller) == ("BETA", "beta_conv")
+            steps += 1
+    assert steps > 10

@@ -19,6 +19,11 @@ on every hypothesis and conclusion the three HOL corpus scripts mint. Term
 equality ignores spans and hints, so each comparison of rebuilt terms also
 looks at the hint on every binder and at which nodes kept their span (a
 rebuilt node has none).
+
+The same seeded terms check the node records themselves: each stores its
+hash when it is built, and `==` answers on identity and on differing stored
+hashes before it compares fields. Both must agree with a field-by-field
+reference, on terms that hash alike without being equal as well.
 """
 
 import itertools
@@ -496,6 +501,74 @@ def test_eta_returns_what_the_old_unshift_returned():
         f = with_spans(f)
         t = Abs(PROP, App(f, BVar(0)), hint="x")
         assert anatomy(hk.ETA(state, t).conclusion.arg) == anatomy(ref_unshift(f))
+
+
+# ---------------------------------------------------------------------------
+# Node records: the hash stored when a node is built, and `==`
+
+
+def compared(x):
+    """The fields of x that `==` and `hash` read."""
+    return tuple(getattr(x, name) for name in type(x).__match_args__)
+
+
+def ref_equal(a, b):
+    """Structural equality of two nodes or field values, field by field,
+    ignoring spans and hints."""
+    if isinstance(a, tuple):
+        return isinstance(b, tuple) and len(a) == len(b) and all(map(ref_equal, a, b))
+    if not is_node(a):
+        return not is_node(b) and a == b
+    return type(a) is type(b) and ref_equal(compared(a), compared(b))
+
+
+def nodes_in(t):
+    """Each node of t, the types inside it included."""
+    return [*subterms(t), *types_in(t)]
+
+
+# CPython hashes the integers i and i + 2**61 - 1 alike (on 64-bit hosts),
+# so a node and its copy with a bound index moved by this much hash alike.
+_HASH_MODULUS = 2**61 - 1
+
+
+def moved_indices(t):
+    cls = type(t)
+    if cls is App:
+        return App(moved_indices(t.fn), moved_indices(t.arg))
+    if cls is Abs:
+        return Abs(t.dom, moved_indices(t.body))
+    return BVar(t.index + _HASH_MODULUS) if cls is BVar else t
+
+
+def test_a_deep_chain_hashes_as_its_fields_do():
+    t = FVar("x", PROP)
+    for i in range(10_000):
+        t = App(Const("c", fn(PROP, PROP)), t) if i % 2 else App(t, BVar(i))
+    assert hash(t) == hash(compared(t)) == hash((t.fn, t.arg))
+    assert t == t and not t != t
+
+
+def test_every_node_hashes_as_its_compared_fields():
+    for t in TERMS:
+        for s in nodes_in(t):
+            assert hash(s) == hash(compared(s))
+
+
+def test_equality_agrees_with_a_field_by_field_reference():
+    pairs = [(t, t) for t in TERMS]  # each term with itself
+    pairs += [(t, moved_indices(u)) for t, u in zip(TERMS, TERMS)]  # hash alike
+    pairs += [(t, moved_indices(t)) for t in TERMS]
+    pairs += [(t, u) for t in TERMS[:60] for u in TERMS[:60]]
+    pairs += [(s, s2) for t in TERMS[:40] for s, s2 in zip(nodes_in(t), nodes_in(with_spans(t)))]
+    seen = set()
+    for a, b in pairs:
+        want = ref_equal(a, b)
+        assert (a == b, a != b) == (want, not want)
+        seen.add((a is b, hash(a) == hash(b), want))
+    # nodes compared with themselves, distinct equal nodes, and unequal nodes
+    # with equal and with different hashes
+    assert seen == {(True, True, True), (False, True, True), (False, True, False), (False, False, False)}
 
 
 # ---------------------------------------------------------------------------
