@@ -9,6 +9,7 @@ import time
 import pytest
 
 import foundry
+from foundry.calculi import load
 from foundry.cli import run as cli
 from foundry.dtt.syntax import numeral_value as dtt_numeral_value
 from foundry.errors import FoundryError
@@ -631,8 +632,6 @@ COMMAND_FORMS = [
 
 @pytest.mark.parametrize("calculus", ["fol", "stlc", "hol", "dtt"])
 def test_each_runner_lists_the_keywords_it_runs(calculus):
-    from foundry.calculi import load
-
     keywords = load(calculus, "runner").keywords
     runs = set()
     for keyword, text in COMMAND_FORMS:
