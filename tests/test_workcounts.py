@@ -122,8 +122,8 @@ FLOORS = {"_infer": 170, "whnf": 380, "shift": 230}
         ("diaconescu.hol", "hol", {"axioms": ("choice", "propext")}, hol_kernel, "type_match", 500),
         ("diaconescu.hol", "hol", {"axioms": ("choice", "propext")}, hol_kernel, "TyApp", 800),
         ("diaconescu.hol", "hol", {"axioms": ("choice", "propext")}, hol_kernel, "Const", 300),
-        ("diaconescu.hol", "hol", {"axioms": ("choice", "propext")}, hol_kernel, "App", 2_400),
         ("diaconescu.hol", "hol", {"axioms": ("choice", "propext")}, hol_kernel, "Abs", 160),
+        ("diaconescu.hol", "hol", {"axioms": ("choice", "propext")}, hol_kernel, "App", 2_400),
     ],
 )
 def test_term_layer_work_bound(monkeypatch, script, calculus, options, module, name, bound):
