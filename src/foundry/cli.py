@@ -13,6 +13,7 @@ subcommands that use it.
 from __future__ import annotations
 
 import argparse
+import functools
 import sys
 from typing import TYPE_CHECKING
 
@@ -227,7 +228,10 @@ def _cmd_model_check(args) -> int:
     return _emit(args, 0 if ok else 1, doc, text)
 
 
+@functools.cache
 def build_parser() -> argparse.ArgumentParser:
+    """The command-line parser, built on first use and kept for the process:
+    parsing reads it and never changes it."""
     p = argparse.ArgumentParser(prog="foundry", description=__doc__)
     sub = p.add_subparsers(dest="subcommand", required=True)
     for name, fn, files, summary in (

@@ -114,19 +114,19 @@ DEFAULT_FUEL = 10**5
 
 
 class _Fuel:
-    __slots__ = ("left",)
+    __slots__ = ("left", "n")
 
     def __init__(self, n: int):
-        self.left = n
+        self.left = self.n = n
 
     def burn(self):
         self.left -= 1
         if self.left < 0:
-            raise FuelError("normalization fuel exhausted")
+            raise FuelError.after(self.n)
 
 
-def _w_rec(cfg: KernelConfig, e: WRec, t: Sup) -> Expr | None:
-    braw = whnf(cfg, t.wtype)
+def _w_rec(cfg: KernelConfig, e: WRec, t: Sup, fuel: _Fuel) -> Expr | None:
+    braw = whnf(cfg, t.wtype, fuel)
     if not isinstance(braw, W):
         return None
     m, s, a, f = e.motive, e.step, t.label, t.children
@@ -140,23 +140,23 @@ def _w_rec(cfg: KernelConfig, e: WRec, t: Sup) -> Expr | None:
 
 # The head steps (beta, iota): for each class that can head a redex, the field
 # whose whnf decides the step and one contraction per class that field takes,
-# called with (cfg, e, head); a missing entry or a None result means stuck, as
-# for every Empty eliminator (Empty has no constructor) and every axiom.
+# called with (cfg, e, head, fuel); a missing entry or a None result means
+# stuck, as for every Empty eliminator (Empty has no constructor) and every axiom.
 _STEP = {
-    App: ("fn", {Lam: lambda cfg, e, f: instantiate(f.body, e.arg)}),
+    App: ("fn", {Lam: lambda cfg, e, f, _: instantiate(f.body, e.arg)}),
     NatRec: ("target", {
-        Zero: lambda cfg, e, _: e.base,
-        Succ: lambda cfg, e, n: App(App(e.step, n.arg), NatRec(e.motive, e.base, e.step, n.arg)),
+        Zero: lambda cfg, e, *_: e.base,
+        Succ: lambda cfg, e, n, _: App(App(e.step, n.arg), NatRec(e.motive, e.base, e.step, n.arg)),
     }),
-    SigmaCases: ("scrutinee", {Pair: lambda cfg, e, p: App(App(e.branch, p.fst), p.snd)}),
-    IdCases: ("proof", {Refl: lambda cfg, e, p: App(e.refl_case, p.term)}),
+    SigmaCases: ("scrutinee", {Pair: lambda cfg, e, p, _: App(App(e.branch, p.fst), p.snd)}),
+    IdCases: ("proof", {Refl: lambda cfg, e, p, _: App(e.refl_case, p.term)}),
     BoolCases: ("target", {
-        TrueE: lambda cfg, e, _: e.if_true,
-        FalseE: lambda cfg, e, _: e.if_false,
+        TrueE: lambda cfg, e, *_: e.if_true,
+        FalseE: lambda cfg, e, *_: e.if_false,
     }),
     SumCases: ("scrutinee", {
-        Inl: lambda cfg, e, v: App(e.on_left, v.value),
-        Inr: lambda cfg, e, v: App(e.on_right, v.value),
+        Inl: lambda cfg, e, v, _: App(e.on_left, v.value),
+        Inr: lambda cfg, e, v, _: App(e.on_right, v.value),
     }),
     WRec: ("target", {Sup: _w_rec}),
     EmptyCases: ("target", {}),
@@ -166,7 +166,9 @@ _STEP = {
 def whnf(cfg: KernelConfig, e: Expr, fuel: _Fuel | None = None) -> Expr:
     """Weak head normal form under beta and iota. Each contraction burns one
     unit of fuel; without a tank, one of `DEFAULT_FUEL` is made when the head
-    is an application or an eliminator, the only heads that can step."""
+    is an application or an eliminator, the only heads that can step. A node
+    is rebuilt with its reduced head only when stuck: no contraction in
+    `_STEP` reads the node's head field, only the reduced head it is passed."""
     while True:
         rule = _STEP.get(type(e))
         if rule is None:
@@ -176,12 +178,10 @@ def whnf(cfg: KernelConfig, e: Expr, fuel: _Fuel | None = None) -> Expr:
         head_field, contractions = rule
         head = getattr(e, head_field)
         head_w = whnf(cfg, head, fuel)
-        if head_w is not head:
-            e = replace_field(e, head_field, head_w)
         contract = contractions.get(type(head_w))
-        stepped = None if contract is None else contract(cfg, e, head_w)
+        stepped = None if contract is None else contract(cfg, e, head_w, fuel)
         if stepped is None:
-            return e
+            return e if head_w is head else replace_field(e, head_field, head_w)
         fuel.burn()
         e = stepped
 

@@ -66,6 +66,11 @@ class FuelError(FoundryError):
 
     tag = "fuel-exhausted"
 
+    @classmethod
+    def after(cls, spent: int) -> FuelError:
+        """A normalizer's failure, once `spent` contractions used its fuel up."""
+        return cls(f"normalization fuel exhausted after {spent} contraction{'' if spent == 1 else 's'}")
+
 
 class ParseError(FoundryError):
     tag = "parse-error"

@@ -2,9 +2,21 @@
 optional surjective pairing, under two deterministic strategies.
 
 Each class that can head a redex has one contraction rule in `_CONTRACT`,
-which checks its own flag and the shape of the node's fields; `reduce_step`
-looks the rule up by the node's class, so a node that heads no redex costs
-one dictionary lookup instead of a trial of every pattern.
+which checks its own flag and the shape of the node's fields; the walk looks
+the rule up by the node's class, so a node that heads no redex costs one
+dictionary lookup instead of a trial of every pattern.
+
+One walk, `_walk`, serves `normalize`, its `on_step` trace and `reduce_step`
+under both strategies. It keeps its own stack, so it spends no Python frame
+per level or per contraction, and goes on from each contraction instead of
+searching again from the root. Rightmost-innermost walks the contractum next:
+what it walked before, the subterms to the right, is normal and unchanged,
+and it tries the ancestors when it climbs back to them. Leftmost-outermost
+tries the ancestors first. Beta and iota read only the classes of their
+node's direct fields, and only the parent has a new one, so only the parent
+can have become a redex. Eta and surjective pairing read deeper
+(`var_free_in`, `==`), so with either flag on, as when the whole term is
+wanted, every ancestor is rebuilt and tried, outermost first.
 
 Fuel counts contractions, so a term that normalizes in exactly `fuel` of
 them succeeds. Strong normalization of the calculus means the fuel bound is
@@ -127,28 +139,64 @@ def contract(t: Term, flags: ReductionFlags) -> Term | None:
     return None if rule is None else rule(t, flags)
 
 
+def _walk(t: Term, flags: ReductionFlags, strategy: str, fuel: int, on_step, first: bool) -> Term | None:
+    """`normalize`; with `first`, the whole term after one contraction, or None."""
+    lo = strategy == LEFTMOST_OUTERMOST
+    if not lo and strategy != RIGHTMOST_INNERMOST:
+        raise ValueError(f"unknown strategy {strategy}")
+    every = first or on_step is not None or flags.eta or flags.surjective_pairing
+    stack = []  # frames [node, its kids, the kid walked, whether a kid changed]
+    spent, before, down, r = 0, t, True, None
+    while True:
+        if r is not None:  # the redex at the focus contracts to r
+            if spent >= fuel:
+                raise FuelError.after(spent)
+            spent += 1
+            t, u, r, down = r, r, None, True
+            top = 0 if every else len(stack) - 1 if lo and stack else len(stack)
+            for frame in reversed(stack[top:]):  # rebuild these frames around r
+                frame[1][frame[2]] = u
+                frame[0] = u = _rebuild(frame[0], frame[1])
+                frame[3] = False
+            if first:
+                return u
+            if on_step is not None:
+                on_step(before, u)
+                before = u
+            for j in range(top, len(stack)) if lo else ():  # an ancestor now a redex
+                rule = _CONTRACT.get(type(stack[j][0]))
+                if rule is not None and (r := rule(stack[j][0], flags)) is not None:
+                    del stack[j:]
+                    break
+        elif down:
+            rule = _CONTRACT.get(type(t)) if lo else None
+            r = None if rule is None else rule(t, flags)
+            shape = _SHAPE.get(type(t))
+            down = shape is not None
+            if r is None and down:
+                kids = [getattr(t, name) for name, _ in shape]
+                stack.append([t, kids, 0 if lo else len(kids) - 1, False])
+                t = kids[stack[-1][2]]
+        elif stack:
+            node, kids, i, _ = frame = stack[-1]
+            if t is not kids[i]:
+                kids[i], frame[3] = t, True
+            i += 1 if lo else -1
+            if 0 <= i < len(kids):
+                frame[2], t, down = i, kids[i], True
+                continue
+            stack.pop()
+            t = _rebuild(node, kids) if frame[3] else node
+            rule = None if lo else _CONTRACT.get(type(t))
+            r = None if rule is None else rule(t, flags)
+        else:
+            return None if first else t
+
+
 def reduce_step(t: Term, flags: ReductionFlags = DEFAULT_FLAGS, strategy: str = LEFTMOST_OUTERMOST) -> Term | None:
     """One contraction at the strategy-selected redex, or None if normal.
-
-    Only the nodes on the path from t to the contracted redex are rebuilt.
-    """
-    shape = _SHAPE.get(type(t), ())
-    rule = _CONTRACT.get(type(t))
-    if strategy == LEFTMOST_OUTERMOST:
-        if rule is not None:
-            root = rule(t, flags)
-            if root is not None:
-                return root
-        fields = shape
-    elif strategy == RIGHTMOST_INNERMOST:
-        fields = reversed(shape)
-    else:
-        raise ValueError(f"unknown strategy {strategy}")
-    for name, _ in fields:
-        stepped = reduce_step(getattr(t, name), flags, strategy)
-        if stepped is not None:
-            return _rebuild(t, [stepped if n == name else getattr(t, n) for n, _ in shape])
-    return rule(t, flags) if rule is not None and strategy == RIGHTMOST_INNERMOST else None
+    Only the nodes on the path from t to the contracted redex are rebuilt."""
+    return _walk(t, flags, strategy, 1, None, True)
 
 
 def normalize(
@@ -161,15 +209,7 @@ def normalize(
     """Reduce to a term with no enabled redex, calling on_step(before, after)
     at each contraction if it is given. Fuel bounds the contractions: a term
     that normalizes in exactly `fuel` of them succeeds."""
-    spent = 0
-    while (nxt := reduce_step(t, flags, strategy)) is not None:
-        if spent >= fuel:
-            raise FuelError("normalization fuel exhausted")
-        spent += 1
-        if on_step is not None:
-            on_step(t, nxt)
-        t = nxt
-    return t
+    return _walk(t, flags, strategy, fuel, on_step, False)
 
 
 def equal_beta_eta(ctx, s: Term, t: Term, flags: ReductionFlags = BETA_ETA, fuel: int = 10**5) -> bool:

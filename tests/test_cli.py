@@ -29,6 +29,12 @@ def test_check_exit_codes(capsys):
     assert "universe-error" in out and re.search(r"at \d+:\d+", out)
 
 
+def test_the_parser_is_built_once_per_process():
+    from foundry import cli as module
+
+    assert module.build_parser() is module.build_parser()
+
+
 def test_missing_file_is_usage_error(capsys):
     assert cli(["check", "no_such_file.fol", "--calculus", "fol"]) == 2
 
@@ -295,14 +301,53 @@ def test_fuel_bounds_the_contractions_of_an_eval(calculus, term, value, contract
         assert "[  1] Eval: error[fuel-exhausted] at 1:1" in capsys.readouterr().out
 
 
-def test_stlc_fun_over_400_succs_fits_the_stack(tmp_path):
-    # The parser abstracts x out of the body, and the rebuild costs one
-    # frame per level.
+@pytest.mark.parametrize("calculus", ["stlc", "dtt"])
+@pytest.mark.parametrize("fuel, spent", [(0, "0 contractions"), (1, "1 contraction")])
+def test_a_fuel_failure_says_what_it_spent(calculus, fuel, spent, tmp_path, capsys):
+    path = tmp_path / f"fuel.{calculus}"
+    path.write_text("eval {(fun (f : Nat -> Nat) => f 1) (fun (x : Nat) => succ x)}\n")
+    assert cli(["eval", str(path), "--calculus", calculus, "--fuel", str(fuel)]) == 1
+    assert (
+        f"[  1] Eval: error[fuel-exhausted] at 1:1: normalization fuel exhausted after {spent}\n"
+        in capsys.readouterr().out
+    )
+
+
+W_EVAL = """\
+define branch : {Bool -> Type 0} :=
+  {fun (b : Bool) => boolcases [fun (c : Bool) => Type 0] Unit Empty b}
+define wnat : {Type 0} := {W (b : Bool), branch b}
+eval {wrec [fun (z : wnat) => Nat]
+        (fun (a : Bool) (f : branch a -> wnat) (g : Pi (y : branch a), Nat) => 0)
+        (sup [ANNOTATION] false (fun (e : branch false) => emptycases [fun (h : Empty) => wnat] e))}
+"""
+
+
+@pytest.mark.parametrize("annotation, contractions", [
+    ("wnat", 4),
+    ("(fun (n : Nat) => wnat) 0", 5),
+])
+def test_fuel_bounds_the_contractions_in_a_sup_annotation(annotation, contractions, tmp_path, capsys):
+    # The W-recursor step puts the sup's annotation in weak head normal form
+    # on the eval's own fuel, so a beta-redex there costs one contraction.
+    path = tmp_path / "w.dtt"
+    path.write_text(W_EVAL.replace("ANNOTATION", annotation))
+    args = ["eval", str(path), "--fuel"]
+    assert cli(args + [str(contractions)]) == 0
+    assert capsys.readouterr().out.splitlines()[-1] == "0"
+    assert cli(args + [str(contractions - 1)]) == 1
+    assert "[  3] Eval: error[fuel-exhausted]" in capsys.readouterr().out
+
+
+def test_stlc_fun_over_450_succs_fits_the_stack(tmp_path):
+    # Near the ceiling of 495, which the printer's `free_names` sets at two
+    # frames per level. The parser's rebuild costs one frame per level, and
+    # the normalizer none: its walk keeps its own stack.
     path = tmp_path / "deep.stlc"
-    path.write_text("eval {fun (x : Nat) => " + "succ " * 400 + "x}\n")
+    path.write_text("eval {fun (x : Nat) => " + "succ " * 450 + "x}\n")
     done = fresh_cli("eval", str(path), "--calculus", "stlc")
     assert done.returncode == 0, done.stdout + done.stderr
-    assert done.stdout.splitlines()[-1] == "fun (x : Nat) => " + "succ (" * 399 + "succ x" + ")" * 399
+    assert done.stdout.splitlines()[-1] == "fun (x : Nat) => " + "succ (" * 449 + "succ x" + ")" * 449
 
 
 def test_hol_terms_300_deep_fits_the_stack(tmp_path):

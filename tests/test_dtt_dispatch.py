@@ -169,7 +169,7 @@ def table_step(cfg, e):
     field, contractions = entry
     head = getattr(e, field)
     contract = contractions.get(type(head))
-    return None if contract is None else contract(cfg, e, head)
+    return None if contract is None else contract(cfg, e, head, kernel._Fuel(kernel.DEFAULT_FUEL))
 
 
 def assert_same_step(cfg, e):
